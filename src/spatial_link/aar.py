@@ -34,6 +34,8 @@ DEFAULT_MAX_EDGE_KM = 250.0
 DEFAULT_MIN_EXTENT_KM = 2000.0
 DEFAULT_SNAP_KM = 150.0
 DEFAULT_AAR_ALPHA = 0.005
+# Point pairs per block when reducing a component's distance matrix.
+EXTENT_BLOCK_PAIRS = 1 << 18
 
 KIND_POINT = "point"
 
@@ -74,6 +76,19 @@ def _latlon(p) -> tuple[float, float]:
     return float(lat), float(lon)
 
 
+def _equirect_km(lat_a, lon_a, lat_b, lon_b):
+    """Equirectangular distance from a to b over broadcastable degree arrays."""
+    dlat = lat_b - lat_a
+    dlon = (lon_b - lon_a + 180.0) % 360.0 - 180.0
+    mean_lat = np.deg2rad((lat_a + lat_b) / 2.0)
+    return KM_PER_DEGREE * np.hypot(dlat, dlon * np.cos(mean_lat))
+
+
+def _coords(points: list[GeoPoint], ids=None) -> tuple[np.ndarray, np.ndarray]:
+    chosen = points if ids is None else [points[i] for i in ids]
+    return np.asarray([p.lat for p in chosen]), np.asarray([p.lon for p in chosen])
+
+
 def equirect_distance(a, b) -> float:
     """Equirectangular distance in km: 111.11 km per degree of arc.
 
@@ -81,12 +96,7 @@ def equirect_distance(a, b) -> float:
     cosine of the mean latitude before combining with the latitude
     difference in quadrature.
     """
-    lat_a, lon_a = _latlon(a)
-    lat_b, lon_b = _latlon(b)
-    dlat = lat_b - lat_a
-    dlon = (lon_b - lon_a + 180.0) % 360.0 - 180.0
-    mean_lat = np.deg2rad((lat_a + lat_b) / 2.0)
-    return float(KM_PER_DEGREE * np.hypot(dlat, dlon * np.cos(mean_lat)))
+    return float(_equirect_km(*_latlon(a), *_latlon(b)))
 
 
 def elevated_points(values: ChangeGrid, mask: ChangeGrid) -> list[GeoPoint]:
@@ -123,13 +133,15 @@ def build_aar_graph(points: list[GeoPoint], max_edge_km: float = DEFAULT_MAX_EDG
             f"point graph needs at least 2 points, got {len(points)}",
             hint="check the elevation mask",
         )
-    coords = [(p.lat, p.lon) for p in points]
-    raw = delaunay_triangulate(coords)
-    edges = []
-    for i, j in raw:
-        d = equirect_distance(points[i], points[j])
-        if d <= max_edge_km:
-            edges.append(GraphEdge(u=i, v=j, weight=1, distance=d))
+    raw = delaunay_triangulate([(p.lat, p.lon) for p in points])
+    lats, lons = _coords(points)
+    u, v = np.asarray(raw, dtype=np.int64).T
+    dists = _equirect_km(lats[u], lons[u], lats[v], lons[v]).tolist()
+    edges = [
+        GraphEdge(u=i, v=j, weight=1, distance=d)
+        for (i, j), d in zip(raw, dists)
+        if d <= max_edge_km
+    ]
     nodes = [
         GraphNode(id=k, row=p.cell[0] if p.cell else -1, col=p.cell[1] if p.cell else -1,
                   kind=KIND_POINT, value=p.value)
@@ -179,24 +191,30 @@ def connected_components(
 
 
 def component_extent(node_ids, points: list[GeoPoint]) -> float:
-    """Maximum pairwise equirectangular distance over component nodes."""
+    """Maximum pairwise equirectangular distance over component nodes.
+
+    The distance matrix is reduced a block of rows at a time, each block
+    holding about ``EXTENT_BLOCK_PAIRS`` pairs, so memory stays linear in
+    the component size.
+    """
     ids = list(node_ids)
     if not ids:
         raise ValueError("component must be non-empty")
-    if len(ids) == 1:
-        return 0.0
-    lats = np.asarray([points[i].lat for i in ids])
-    lons = np.asarray([points[i].lon for i in ids])
-    dlat = lats[:, None] - lats[None, :]
-    dlon = (lons[:, None] - lons[None, :] + 180.0) % 360.0 - 180.0
-    mean_lat = np.deg2rad((lats[:, None] + lats[None, :]) / 2.0)
-    d = KM_PER_DEGREE * np.hypot(dlat, dlon * np.cos(mean_lat))
-    return float(d.max())
+    lats, lons = _coords(points, ids)
+    n = len(ids)
+    step = max(1, EXTENT_BLOCK_PAIRS // n)
+    extent = 0.0
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        block = _equirect_km(lats[None, :], lons[None, :], lats[rows, None], lons[rows, None])
+        extent = max(extent, float(block.max()))
+    return extent
 
 
 def snap_to_node(points: list[GeoPoint], lat: float, lon: float, snap_km: float = DEFAULT_SNAP_KM) -> int:
     """Nearest point id within the snap radius; smallest id wins ties."""
-    dists = np.asarray([equirect_distance(p, (lat, lon)) for p in points])
+    lats, lons = _coords(points)
+    dists = _equirect_km(lats, lons, lat, lon)
     best = int(np.argmin(dists))
     if dists[best] > snap_km:
         raise StationUnreachable(

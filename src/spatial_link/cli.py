@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__, io
 from .aar import (
@@ -23,23 +24,19 @@ from .aar import (
     run_aar,
 )
 from .errors import ConfigError, SpatialLinkError
-from .graph import build_graph
-from .grid import (
-    LOSS_NEGATIVE,
-    RegionWindow,
-    classify_cells,
-    compute_threshold_bands,
-    crop_region,
-    diff_grids,
-)
+from .graph import METRICS, VARIANT_CMAD, VARIANT_STANDARD
+from .grid import LOSS_NEGATIVE, RegionWindow, compute_threshold_bands, crop_region, diff_grids
 from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, extract_all_paths
-from .pipeline import RunConfig, prepare_grids, run_pipeline
-from .significance import (
-    DEFAULT_ALPHA,
-    DEFAULT_REPLICATES,
-    PermutationNull,
-    SeedPolicy,
+from .pipeline import (
+    SCOPE_GLOBAL,
+    SCOPE_WINDOW,
+    RunConfig,
+    build_band_graph,
+    prepare_grids,
+    run_pipeline,
+    score_paths,
 )
+from .significance import DEFAULT_REPLICATES
 from .synthetic import NoiseModel, PlantSpec, chain_spec, generate, generate_null
 
 ENV_THREADS = "SPATIAL_LINK_THREADS"
@@ -95,53 +92,58 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def _config_from_args(args, threads: int) -> RunConfig:
-    return RunConfig(
-        source=args.source,
-        target=args.target,
-        mask=args.mask,
-        variant=args.variant,
-        orientation_source=args.orientation_source,
-        orientation_target=args.orientation_target,
-        window=args.window,
-        band_source=args.band_source,
-        band_target=args.band_target,
-        band_scope=args.band_scope,
-        ub_multiplier=args.ub_multiplier,
-        dmax=args.dmax,
-        metric=args.metric,
-        seed=args.seed if args.seed is not None else 0,
-        threads=threads,
-    )
+# Every RunConfig field but seed and threads has a flag of the same name
+# (--max-len sets max_len); these are the flags that are not plain strings.
+# Each default is None, so a flag left out keeps the config file's entry
+# or else the RunConfig default.
+FLAG_OPTIONS = {
+    "variant": {"choices": [VARIANT_STANDARD, VARIANT_CMAD]},
+    "band_scope": {"choices": [SCOPE_WINDOW, SCOPE_GLOBAL]},
+    "ub_multiplier": {"type": float},
+    "dmax": {"type": float, "help": "max edge length in cells"},
+    "metric": {"choices": list(METRICS)},
+    "max_len": {"type": int},
+    "cap": {"type": int},
+    "m": {"type": int, "help": "null replicates"},
+    "alpha": {"type": float},
+    "share_null": {"action": "store_true"},
+    "bh": {"action": "store_true", "help": "Benjamini-Hochberg correction"},
+    "sweep_bands": {"action": "store_true"},
+    "resample_source": {"help": "ROWSxCOLS for the source grid"},
+}
+RUN_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name not in ("seed", "threads"))
+GRAPH_FIELDS = (
+    "source", "target", "mask", "variant", "orientation_source", "orientation_target",
+    "window", "band_source", "band_target", "band_scope", "ub_multiplier", "dmax", "metric",
+)
+NULL_FIELDS = ("source", "target", "mask", "m", "alpha", "share_null", "bh")
+INPUT_FIELDS = ("source", "target")
+
+
+def _add_config_flags(parser, names, required=()) -> None:
+    for name in names:
+        parser.add_argument(
+            "--" + name.replace("_", "-"), default=None, required=name in required,
+            **FLAG_OPTIONS.get(name, {}),
+        )
+
+
+def _config(args, doc: dict | None = None) -> RunConfig:
+    """The RunConfig of ``doc`` with every flag that was given laid over it."""
+    doc = dict(doc or {})
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            doc[f.name] = _parse_dims(value) if f.name == "resample_source" else value
+    doc["threads"] = _resolve_threads(args.threads, doc.get("threads"))
+    config = RunConfig.from_dict(doc)
+    config.validate()
+    return config
 
 
 def cmd_build_graph(args) -> int:
-    threads = _resolve_threads(args.threads)
-    config = _config_from_args(args, threads)
-    config.validate()
-    source, target, anomaly_bits, bands_source, bands_target = prepare_grids(config)
-    source_cells = classify_cells(
-        source, bands_source, config.band_source, "source", None, config.orientation_source
-    )
-    target_cells = classify_cells(
-        target, bands_target, config.band_target, "target", None, config.orientation_target
-    )
-    graph = build_graph(
-        source_cells,
-        target_cells,
-        max_edge_cells=config.dmax,
-        metric=config.metric,
-        variant=config.variant,
-        anomaly_mask=anomaly_bits if config.variant == "cmad" else None,
-        grid_shape=source.shape,
-        params={
-            "orientation_source": config.orientation_source,
-            "orientation_target": config.orientation_target,
-            "target_interval": list(bands_target.interval(config.band_target)),
-            "window": config.window,
-            "band_scope": config.band_scope,
-        },
-    )
+    config = _config(args)
+    graph = build_band_graph(config, prepare_grids(config), config.band_source, config.band_target)
     metadata = io.metadata_block(config.echo(), config.seed)
     io.write_json(io.graph_to_json(graph, metadata), args.output)
     print(f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges -> {args.output}")
@@ -166,90 +168,33 @@ def cmd_extract_paths(args) -> int:
 
 
 def cmd_significance(args) -> int:
-    threads = _resolve_threads(args.threads)
-    seed = args.seed if args.seed is not None else 0
     graph = io.graph_from_json(io.read_json(args.graph))
     paths = io.paths_from_json(io.read_json(args.paths))
-
-    source = io.load_grid(args.source)
-    target = io.load_grid(args.target)
-    window_spec = graph.params.get("window")
-    if window_spec:
-        window = RegionWindow.parse(window_spec)
-        source = crop_region(source, window)
-        target = crop_region(target, window)
-    anomaly_bits = None
-    if args.mask:
-        mask_grid = io.load_grid(args.mask)
-        if window_spec:
-            mask_grid = crop_region(mask_grid, RegionWindow.parse(window_spec))
-        anomaly_bits = mask_grid.valid_mask & (mask_grid.values != 0)
-
-    engine = PermutationNull.for_graph(
-        graph,
-        source,
-        target,
-        policy=SeedPolicy(base_seed=seed),
-        n_replicates=args.m,
-        threads=threads,
-        anomaly_mask=anomaly_bits,
-    )
-    results = engine.evaluate(
-        paths, alpha=args.alpha, share_null_by_length=args.share_null,
-        bh_correction=args.bh,
-    )
+    # The fields are windowed and rescored exactly as the graph was built.
+    built_with = ("variant", "orientation_source", "orientation_target", "window", "band_scope")
+    config = _config(args, {k: graph.params[k] for k in built_with if k in graph.params})
+    results = score_paths(config, graph, paths, prepare_grids(config))
     echo = {
         "command": "significance",
         "graph": args.graph,
         "paths": args.paths,
-        "source": args.source,
-        "target": args.target,
-        "mask": args.mask,
-        "m": args.m,
-        "alpha": args.alpha,
-        "share_null": bool(args.share_null),
-        "bh": bool(args.bh),
+        "source": config.source,
+        "target": config.target,
+        "mask": config.mask,
+        "m": config.m,
+        "alpha": config.alpha,
+        "share_null": config.share_null,
+        "bh": config.bh,
     }
-    metadata = io.metadata_block(echo, seed)
+    metadata = io.metadata_block(echo, config.seed)
     io.write_json(io.results_to_json(results, metadata), args.output)
     n_sig = sum(1 for r in results if r.significant)
-    print(f"significance: {n_sig}/{len(results)} paths at alpha={args.alpha} -> {args.output}")
+    print(f"significance: {n_sig}/{len(results)} paths at alpha={config.alpha} -> {args.output}")
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    doc = {}
-    if args.config:
-        doc = io.read_json(args.config)
-    overrides = {
-        "source": args.source,
-        "target": args.target,
-        "mask": args.mask,
-        "variant": args.variant,
-        "orientation_source": args.orientation_source,
-        "orientation_target": args.orientation_target,
-        "window": args.window,
-        "band_source": args.band_source,
-        "band_target": args.band_target,
-        "band_scope": args.band_scope,
-        "ub_multiplier": args.ub_multiplier,
-        "dmax": args.dmax,
-        "metric": args.metric,
-        "max_len": args.max_len,
-        "cap": args.cap,
-        "m": args.m,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "share_null": args.share_null,
-        "bh": args.bh,
-        "sweep_bands": args.sweep_bands,
-        "out_dir": args.out_dir,
-    }
-    if args.resample_source:
-        overrides["resample_source"] = _parse_dims(args.resample_source)
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    doc["threads"] = _resolve_threads(args.threads, doc.get("threads"))
-    config = RunConfig.from_dict(doc)
+    config = _config(args, io.read_json(args.config) if args.config else None)
     for result in run_pipeline(config):
         label = f"{result.band_source}/{result.band_target}"
         if result.note:
@@ -394,44 +339,7 @@ def cmd_aar(args) -> int:
         "threshold": report.threshold,
         "snap_km": args.snap_km,
     }
-    metadata = io.metadata_block(echo, seed)
-    station_doc = None
-    if report.station_id is not None:
-        p = report.points[report.station_id]
-        station_doc = {
-            "id": report.station_id,
-            "lat": p.lat,
-            "lon": p.lon,
-            "cell": list(p.cell) if p.cell else None,
-        }
-    out_doc = {
-        "metadata": metadata,
-        "n_points": len(report.points),
-        "threshold": report.threshold,
-        "station": station_doc,
-        "components": [
-            {
-                "size": comp.size,
-                "extent_km": comp.extent_km,
-                "retained": comp.retained,
-                "node_ids": list(comp.node_ids),
-            }
-            for comp in report.components
-        ],
-        "dropped_origins": report.dropped_origins,
-        "results": [
-            {
-                "path_index": k,
-                "nodes": list(r.path.nodes),
-                "observed": r.observed,
-                "p_value": r.p_value,
-                "significant": r.significant,
-                "alpha": r.alpha,
-            }
-            for k, r in enumerate(report.results)
-        ],
-    }
-    io.write_json(out_doc, args.output)
+    io.write_json(io.aar_report_to_json(report, io.metadata_block(echo, seed)), args.output)
     n_sig = sum(1 for r in report.results if r.significant)
     n_ret = sum(1 for c in report.components if c.retained)
     print(
@@ -468,23 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_diff)
 
-    def add_graph_flags(p):
-        p.add_argument("--source", required=True)
-        p.add_argument("--target", required=True)
-        p.add_argument("--mask", default=None)
-        p.add_argument("--variant", default="standard", choices=["standard", "cmad"])
-        p.add_argument("--orientation-source", default=LOSS_NEGATIVE)
-        p.add_argument("--orientation-target", default=LOSS_NEGATIVE)
-        p.add_argument("--window", default=None)
-        p.add_argument("--band-source", default="moderate")
-        p.add_argument("--band-target", default="moderate")
-        p.add_argument("--band-scope", default="window", choices=["window", "global"])
-        p.add_argument("--ub-multiplier", type=float, default=1.5)
-        p.add_argument("--dmax", type=float, default=11.0, help="max edge length in cells")
-        p.add_argument("--metric", default="euclidean", choices=["euclidean", "chebyshev"])
-
     p = sub.add_parser("build-graph", help="build the linkage graph and write graph.json")
-    add_graph_flags(p)
+    _add_config_flags(p, GRAPH_FIELDS, required=INPUT_FIELDS)
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_build_graph)
@@ -500,41 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("significance", help="score candidate paths under the permutation null")
     p.add_argument("--graph", required=True)
     p.add_argument("--paths", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--mask", default=None)
-    p.add_argument("--m", type=int, default=DEFAULT_REPLICATES, help="null replicates")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--share-null", action="store_true")
-    p.add_argument("--bh", action="store_true", help="Benjamini-Hochberg correction")
+    _add_config_flags(p, NULL_FIELDS, required=INPUT_FIELDS)
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_significance)
 
     p = sub.add_parser("pipeline", help="full run: bands, graph, paths, significance, artifacts")
     p.add_argument("--config", default=None, help="JSON config; flags override its entries")
-    p.add_argument("--source")
-    p.add_argument("--target")
-    p.add_argument("--mask")
-    p.add_argument("--variant", choices=["standard", "cmad"])
-    p.add_argument("--orientation-source")
-    p.add_argument("--orientation-target")
-    p.add_argument("--window")
-    p.add_argument("--band-source")
-    p.add_argument("--band-target")
-    p.add_argument("--band-scope", choices=["window", "global"])
-    p.add_argument("--ub-multiplier", type=float)
-    p.add_argument("--dmax", type=float)
-    p.add_argument("--metric", choices=["euclidean", "chebyshev"])
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--share-null", action="store_true", default=None)
-    p.add_argument("--bh", action="store_true", default=None)
-    p.add_argument("--sweep-bands", action="store_true", default=None)
-    p.add_argument("--resample-source", default=None, help="ROWSxCOLS for the source grid")
-    p.add_argument("--out-dir", default=None)
+    _add_config_flags(p, RUN_FIELDS)
     _add_common(p)
     p.set_defaults(func=cmd_pipeline)
 

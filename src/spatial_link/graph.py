@@ -175,13 +175,10 @@ def filter_edges_by_distance(
     """
     if max_dist <= 0:
         raise ValueError("max_dist must be positive")
-    pts = np.asarray(points, dtype=np.float64)
-    kept = []
-    for i, j in edges:
-        d = float(_pairwise_distance(pts[i], pts[j], metric))
-        if d <= max_dist:
-            kept.append((i, j, d))
-    return kept
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    dists = _pairwise_distance(pts[ends[:, 0]], pts[ends[:, 1]], metric).tolist()
+    return [(i, j, d) for (i, j), d in zip(edges, dists) if d <= max_dist]
 
 
 def _coherence_weight(u: GraphNode, v: GraphNode) -> int:

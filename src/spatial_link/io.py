@@ -6,17 +6,20 @@ optional one-byte-per-cell mask file. Grid format B is a sparse CSV with
 a ``row,col,value[,valid]`` header. All structured outputs are JSON (or
 GeoJSON) with a common metadata block so any artifact can be traced back
 to the exact configuration and seed that produced it; rasters are CSV
-with the metadata in a leading comment line.
+with the metadata in a leading comment line. Every writer replaces its
+target atomically, so a failed write leaves the previous file in place.
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
 from . import __version__
+from .aar import AarReport
 from .errors import MalformedHeader
 from .grid import ChangeGrid, GridRegistration, QUARTER_DEGREE_GLOBAL
 from .graph import GraphEdge, GraphNode, SpatialGraph
@@ -40,8 +43,26 @@ def metadata_block(config_echo: dict, seed: int, null_model: str = NULL_MODEL) -
     }
 
 
+@contextmanager
+def _replacing(path: str, newline: str | None = None):
+    """Open a temporary file beside ``path`` that replaces it on success.
+
+    Readers see either the previous file or the complete new one; on any
+    failure the temporary file is removed and ``path`` is left untouched.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_json(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -192,7 +213,7 @@ def _load_grid_csv(path: str, registration: GridRegistration) -> ChangeGrid:
 
 def save_grid_csv(grid: ChangeGrid, path: str) -> None:
     """Write every cell of a grid as format B rows (all cells listed)."""
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "value", "valid"])
         for r in range(grid.rows):
@@ -308,20 +329,52 @@ def paths_from_json(doc: dict) -> list[LinkagePath]:
     ]
 
 
+def _result_rows(results: list[SignificanceResult]) -> list[dict]:
+    return [
+        {
+            "path_index": k,
+            "nodes": list(r.path.nodes),
+            "observed": r.observed,
+            "p_value": r.p_value,
+            "significant": r.significant,
+            "alpha": r.alpha,
+        }
+        for k, r in enumerate(results)
+    ]
+
+
 def results_to_json(results: list[SignificanceResult], metadata: dict) -> dict:
-    out = []
-    for k, r in enumerate(results):
-        out.append(
+    return {"metadata": metadata, "results": _result_rows(results)}
+
+
+def aar_report_to_json(report: AarReport, metadata: dict) -> dict:
+    """The aar run: station, components with their extents, and path results."""
+    station = None
+    if report.station_id is not None:
+        p = report.points[report.station_id]
+        station = {
+            "id": report.station_id,
+            "lat": p.lat,
+            "lon": p.lon,
+            "cell": list(p.cell) if p.cell else None,
+        }
+    return {
+        "metadata": metadata,
+        "n_points": len(report.points),
+        "threshold": report.threshold,
+        "station": station,
+        "components": [
             {
-                "path_index": k,
-                "nodes": list(r.path.nodes),
-                "observed": r.observed,
-                "p_value": r.p_value,
-                "significant": r.significant,
-                "alpha": r.alpha,
+                "size": comp.size,
+                "extent_km": comp.extent_km,
+                "retained": comp.retained,
+                "node_ids": list(comp.node_ids),
             }
-        )
-    return {"metadata": metadata, "results": out}
+            for comp in report.components
+        ],
+        "dropped_origins": report.dropped_origins,
+        "results": _result_rows(report.results),
+    }
 
 
 def export_geojson(
@@ -361,7 +414,7 @@ def export_geojson(
 
 def frequency_to_csv(freq: np.ndarray, metadata: dict, path: str) -> None:
     """Dense per-cell counts, one grid row per line, metadata in a comment."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write("# metadata: " + json.dumps(metadata) + "\n")
         for row in freq:
             fh.write(",".join(str(int(v)) for v in row) + "\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,18 +19,20 @@ from . import io
 from .errors import ConfigError, DimMismatch, EmptySide
 from .grid import (
     BANDS,
+    KIND_SOURCE,
     LOSS_NEGATIVE,
     ORIENTATIONS,
     ChangeGrid,
     RegionWindow,
+    ThresholdBands,
     classify_cells,
     compute_threshold_bands,
     crop_region,
     resample_nearest,
 )
-from .graph import METRICS, VARIANT_CMAD, VARIANT_STANDARD, build_graph
-from .paths import extract_all_paths, linkage_frequency
-from .significance import PermutationNull, SeedPolicy, filter_significant
+from .graph import METRICS, VARIANT_CMAD, VARIANT_STANDARD, SpatialGraph, build_graph
+from .paths import LinkagePath, extract_all_paths, linkage_frequency
+from .significance import PermutationNull, SeedPolicy, SignificanceResult, filter_significant
 
 SCOPE_WINDOW = "window"
 SCOPE_GLOBAL = "global"
@@ -68,7 +71,10 @@ class RunConfig:
         if self.variant not in (VARIANT_STANDARD, VARIANT_CMAD):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.variant == VARIANT_CMAD and not self.mask:
-            raise ConfigError("the cmad variant requires --mask")
+            raise ConfigError(
+                "the cmad variant requires --mask",
+                hint="pass the anomaly mask with --mask or the config's mask entry",
+            )
         for name in ("orientation_source", "orientation_target"):
             if getattr(self, name) not in ORIENTATIONS:
                 raise ConfigError(f"{name} must be one of {ORIENTATIONS}")
@@ -130,7 +136,17 @@ class BandRunResult:
     note: str | None = None
 
 
-def prepare_grids(config: RunConfig):
+class PreparedGrids(NamedTuple):
+    """The windowed fields of a run, their anomaly bits and banding thresholds."""
+
+    source: ChangeGrid
+    target: ChangeGrid
+    anomaly_bits: np.ndarray | None
+    bands_source: ThresholdBands
+    bands_target: ThresholdBands
+
+
+def prepare_grids(config: RunConfig) -> PreparedGrids:
     """Load, resample, and window the fields; derive banding thresholds."""
     source = io.load_grid(config.source)
     target = io.load_grid(config.target)
@@ -172,18 +188,95 @@ def prepare_grids(config: RunConfig):
     anomaly_bits = None
     if win_mask is not None:
         anomaly_bits = win_mask.valid_mask & (win_mask.values != 0)
-    return win_source, win_target, anomaly_bits, bands_source, bands_target
+    return PreparedGrids(win_source, win_target, anomaly_bits, bands_source, bands_target)
+
+
+def _thresholds(bands: ThresholdBands) -> dict:
+    return {"median": bands.median, "q3": bands.q3, "ub": bands.ub}
+
+
+def build_band_graph(
+    config: RunConfig, grids: PreparedGrids, band_source: str, band_target: str
+) -> SpatialGraph:
+    """Classify both fields at one band pairing and build their linkage graph.
+
+    The graph params record everything a later stage needs to rescore the
+    graph (orientations, target band interval, window) and the thresholds
+    the cells were banded with.
+    """
+    source_cells = classify_cells(
+        grids.source, grids.bands_source, band_source, "source", None, config.orientation_source
+    )
+    target_cells = classify_cells(
+        grids.target, grids.bands_target, band_target, "target", None, config.orientation_target
+    )
+    return build_graph(
+        source_cells,
+        target_cells,
+        max_edge_cells=config.dmax,
+        metric=config.metric,
+        variant=config.variant,
+        anomaly_mask=grids.anomaly_bits if config.variant == VARIANT_CMAD else None,
+        grid_shape=grids.source.shape,
+        params={
+            "orientation_source": config.orientation_source,
+            "orientation_target": config.orientation_target,
+            "target_interval": list(grids.bands_target.interval(band_target)),
+            "thresholds_source": _thresholds(grids.bands_source),
+            "thresholds_target": _thresholds(grids.bands_target),
+            "window": config.window,
+            "band_scope": config.band_scope,
+        },
+    )
+
+
+def _check_nodes_on_grids(graph: SpatialGraph, grids: PreparedGrids) -> None:
+    hint = "pass the fields (and mask) the graph was built from"
+    for n in graph.nodes:
+        grid = grids.source if n.kind == KIND_SOURCE else grids.target
+        if not (0 <= n.row < grid.rows and 0 <= n.col < grid.cols):
+            raise DimMismatch(
+                f"graph node {n.id} at cell ({n.row}, {n.col}) lies outside "
+                f"the {grid.rows}x{grid.cols} grids",
+                hint=hint,
+            )
+        if not grid.valid_mask[n.row, n.col]:
+            raise DimMismatch(
+                f"graph node {n.id} at cell ({n.row}, {n.col}) lies on an invalid "
+                f"cell of the {n.kind} field",
+                hint=hint,
+            )
+
+
+def score_paths(
+    config: RunConfig, graph: SpatialGraph, paths: list[LinkagePath], grids: PreparedGrids
+) -> list[SignificanceResult]:
+    """Test candidate paths against the permutation null of the two fields."""
+    _check_nodes_on_grids(graph, grids)
+    if not paths:
+        return []
+    engine = PermutationNull.for_graph(
+        graph,
+        grids.source,
+        grids.target,
+        policy=SeedPolicy(base_seed=config.seed),
+        n_replicates=config.m,
+        threads=config.threads,
+        anomaly_mask=grids.anomaly_bits if config.variant == VARIANT_CMAD else None,
+    )
+    return engine.evaluate(
+        paths,
+        alpha=config.alpha,
+        share_null_by_length=config.share_null,
+        bh_correction=config.bh,
+    )
 
 
 def _run_band_pair(
     config: RunConfig,
     band_source: str,
     band_target: str,
-    source: ChangeGrid,
-    target: ChangeGrid,
-    anomaly_bits,
-    bands_source,
-    bands_target,
+    grids: PreparedGrids,
     out_dir: str,
 ) -> BandRunResult:
     os.makedirs(out_dir, exist_ok=True)
@@ -191,8 +284,16 @@ def _run_band_pair(
     echo["band_source"] = band_source
     echo["band_target"] = band_target
     metadata = io.metadata_block(echo, config.seed)
+    shape = grids.source.shape
 
-    def write_empty(note: str) -> BandRunResult:
+    try:
+        graph = build_band_graph(config, grids, band_source, band_target)
+    except EmptySide as exc:
+        # A sweep cell with an empty band is an expected outcome, not a
+        # failed run; single-pair runs propagate the error instead.
+        if not config.sweep_bands:
+            raise
+        note = str(exc)
         for name, doc in (
             ("graph.json", {"metadata": metadata, "note": note, "params": {}, "nodes": [], "edges": []}),
             ("paths.json", {"metadata": metadata, "note": note, "paths": []}),
@@ -204,84 +305,24 @@ def _run_band_pair(
         ):
             io.write_json(doc, os.path.join(out_dir, name))
         io.frequency_to_csv(
-            np.zeros(source.shape, dtype=np.int64),
-            metadata,
-            os.path.join(out_dir, "frequency.csv"),
+            np.zeros(shape, dtype=np.int64), metadata, os.path.join(out_dir, "frequency.csv")
         )
         return BandRunResult(band_source, band_target, out_dir, 0, 0, 0, 0, note=note)
-
-    source_cells = classify_cells(
-        source, bands_source, band_source, "source", None, config.orientation_source
-    )
-    target_cells = classify_cells(
-        target, bands_target, band_target, "target", None, config.orientation_target
-    )
-    graph_params = {
-        "orientation_source": config.orientation_source,
-        "orientation_target": config.orientation_target,
-        "target_interval": list(bands_target.interval(band_target)),
-        "thresholds_source": {
-            "median": bands_source.median,
-            "q3": bands_source.q3,
-            "ub": bands_source.ub,
-        },
-        "thresholds_target": {
-            "median": bands_target.median,
-            "q3": bands_target.q3,
-            "ub": bands_target.ub,
-        },
-        "window": config.window,
-        "band_scope": config.band_scope,
-    }
-    try:
-        graph = build_graph(
-            source_cells,
-            target_cells,
-            max_edge_cells=config.dmax,
-            metric=config.metric,
-            variant=config.variant,
-            anomaly_mask=anomaly_bits if config.variant == VARIANT_CMAD else None,
-            grid_shape=source.shape,
-            params=graph_params,
-        )
-    except EmptySide as exc:
-        # A sweep cell with an empty band is an expected outcome, not a
-        # failed run; single-pair runs propagate the error instead.
-        if not config.sweep_bands:
-            raise
-        return write_empty(str(exc))
 
     io.write_json(io.graph_to_json(graph, metadata), os.path.join(out_dir, "graph.json"))
 
     paths = extract_all_paths(graph, max_nodes=config.max_len, cap=config.cap, threads=config.threads)
     io.write_json(io.paths_to_json(paths, graph, metadata), os.path.join(out_dir, "paths.json"))
 
-    if paths:
-        engine = PermutationNull.for_graph(
-            graph,
-            source,
-            target,
-            policy=SeedPolicy(base_seed=config.seed),
-            n_replicates=config.m,
-            threads=config.threads,
-            anomaly_mask=anomaly_bits if config.variant == VARIANT_CMAD else None,
-        )
-        results = engine.evaluate(
-            paths,
-            alpha=config.alpha,
-            share_null_by_length=config.share_null,
-            bh_correction=config.bh,
-        )
-    else:
-        results = []
+    results = score_paths(config, graph, paths, grids)
     io.write_json(io.results_to_json(results, metadata), os.path.join(out_dir, "results.json"))
 
     significant = filter_significant(results)
     io.write_json(
-        io.export_geojson(significant, graph, source.registration, metadata),
+        io.export_geojson(significant, graph, grids.source.registration, metadata),
         os.path.join(out_dir, "significant.geojson"),
     )
-    freq = linkage_frequency([r.path for r in significant], graph, source.shape)
+    freq = linkage_frequency([r.path for r in significant], graph, shape)
     io.frequency_to_csv(freq, metadata, os.path.join(out_dir, "frequency.csv"))
 
     return BandRunResult(
@@ -298,7 +339,7 @@ def _run_band_pair(
 def run_pipeline(config: RunConfig) -> list[BandRunResult]:
     """Execute one run (or a 3x3 band sweep) and write all artifacts."""
     config.validate()
-    source, target, anomaly_bits, bands_source, bands_target = prepare_grids(config)
+    grids = prepare_grids(config)
 
     if config.sweep_bands:
         pairs = [(bs, bt) for bs in BANDS for bt in BANDS]
@@ -311,17 +352,5 @@ def run_pipeline(config: RunConfig) -> list[BandRunResult]:
             out_dir = os.path.join(config.out_dir, f"{band_source}_{band_target}")
         else:
             out_dir = config.out_dir
-        results.append(
-            _run_band_pair(
-                config,
-                band_source,
-                band_target,
-                source,
-                target,
-                anomaly_bits,
-                bands_source,
-                bands_target,
-                out_dir,
-            )
-        )
+        results.append(_run_band_pair(config, band_source, band_target, grids, out_dir))
     return results

@@ -1,9 +1,12 @@
 """Transport benchmark: geodesy, component extent, station significance."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spatial_link import aar
 from spatial_link.aar import (
     AarComponent,
     GeoPoint,
@@ -210,6 +213,35 @@ class TestComponents:
     def test_empty_component_rejected(self):
         with pytest.raises(ValueError):
             component_extent([], [])
+
+    def test_blocked_extent_equals_brute_force(self, monkeypatch):
+        # Points near both poles and across the antimeridian; 61 of them
+        # in blocks of 3 rows make 21 blocks, the last of a single row.
+        rng = np.random.default_rng(4)
+        pts = [
+            GeoPoint(lat=float(la), lon=float(lo))
+            for la, lo in zip(rng.uniform(-89, 89, 70), rng.uniform(-180, 180, 70))
+        ]
+        ids = list(range(3, 64))
+        brute = max(equirect_distance(pts[i], pts[j]) for i in ids for j in ids)
+        monkeypatch.setattr(aar, "EXTENT_BLOCK_PAIRS", 3 * len(ids))
+        assert component_extent(ids, pts) == brute
+
+    def test_extent_memory_is_linear_in_points(self):
+        # A dense 6,000 x 6,000 distance matrix would take 288 MB per
+        # float64 temporary; the blocked reduction stays far below that.
+        rng = np.random.default_rng(5)
+        pts = [
+            GeoPoint(lat=float(la), lon=float(lo))
+            for la, lo in zip(rng.uniform(30, 60, 6000), rng.uniform(-20, 20, 6000))
+        ]
+        tracemalloc.start()
+        try:
+            component_extent(range(6000), pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSnap:

@@ -8,6 +8,7 @@ from spatial_link.errors import DuplicatePoint, EmptySide, MaskDimMismatch
 from spatial_link.grid import CellSet
 from spatial_link.graph import (
     SpatialGraph,
+    _pairwise_distance,
     build_graph,
     delaunay_triangulate,
     filter_edges_by_distance,
@@ -105,6 +106,23 @@ class TestDistanceFilter:
         for i, j in edges:
             d = float(np.hypot(*(arr[i] - arr[j])))
             assert ((i, j) in kept_pairs) == (d <= 7.5)
+
+    def test_matches_per_edge_distances(self):
+        rng = np.random.default_rng(21)
+        pts = [tuple(p) for p in rng.integers(0, 40, (80, 2)).astype(float)]
+        pts = list(dict.fromkeys(pts))
+        edges = delaunay_triangulate(pts)
+        arr = np.asarray(pts)
+        for metric in ("euclidean", "chebyshev"):
+            expected = []
+            for i, j in edges:
+                d = float(_pairwise_distance(arr[i], arr[j], metric))
+                if d <= 6.0:
+                    expected.append((i, j, d))
+            assert filter_edges_by_distance(edges, pts, 6.0, metric) == expected
+
+    def test_no_edges(self):
+        assert filter_edges_by_distance([], [], 3.0) == []
 
     def test_chebyshev_metric(self):
         pts = [(0, 0), (3, 7)]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spatial_link import __version__, cli, io
+from spatial_link.aar import run_aar
 from spatial_link.errors import MalformedHeader
 from spatial_link.graph import build_graph
 from spatial_link.grid import (
@@ -251,6 +252,27 @@ class TestResultsJson:
         }
 
 
+class TestAarReportJson:
+    def test_results_share_the_results_json_rows(self):
+        reg = GridRegistration(lat0=0.0, lon0=0.0, dlat=1.0, dlon=1.0, cell_km=111.11)
+        vals = np.full((30, 8), 0.1)
+        mask = np.zeros((30, 8))
+        vals[:21, 5] = 10.0
+        mask[:21, 5] = 1.0
+        report = run_aar(grid_of(vals, registration=reg), grid_of(mask, registration=reg),
+                         [(12, 5)], (20.0, 5.0), n_replicates=19, alpha=0.1, seed=2)
+        meta = io.metadata_block({}, 2)
+        doc = io.aar_report_to_json(report, meta)
+        assert list(doc) == ["metadata", "n_points", "threshold", "station",
+                             "components", "dropped_origins", "results"]
+        assert doc["results"] == io.results_to_json(report.results, meta)["results"]
+        assert doc["station"] == {"id": 20, "lat": 20.0, "lon": 5.0, "cell": [20, 5]}
+        assert doc["components"] == [
+            {"size": 21, "extent_km": report.components[0].extent_km, "retained": True,
+             "node_ids": list(range(21))}
+        ]
+
+
 class TestGeoJson:
     def make_result(self, cells):
         from spatial_link.graph import GraphEdge, GraphNode, SpatialGraph
@@ -312,6 +334,30 @@ class TestFrequencyCsv:
         path = str(tmp_path / "freq.csv")
         io.frequency_to_csv(np.array([[1, 2]]), io.metadata_block({}, 0), path)
         assert io.load_frequency_csv(path).shape == (1, 2)
+
+
+class TestAtomicWrites:
+    def test_failed_json_encoding_keeps_previous_artifact(self, tmp_path):
+        path = str(tmp_path / "results.json")
+        with pytest.raises(TypeError):
+            io.write_json({"bad": object()}, path)
+        assert os.listdir(tmp_path) == []
+        io.write_json({"results": [1, 2]}, path)
+        before = open(path, "rb").read()
+        # The encoder fails part-way through, after writing the first key.
+        with pytest.raises(TypeError):
+            io.write_json({"results": [3], "bad": object()}, path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["results.json"]
+
+    def test_failed_csv_write_keeps_previous_artifact(self, tmp_path):
+        path = str(tmp_path / "frequency.csv")
+        io.frequency_to_csv(np.array([[1, 2]]), io.metadata_block({}, 0), path)
+        before = open(path, "rb").read()
+        with pytest.raises(TypeError):
+            io.frequency_to_csv([[3], [None]], io.metadata_block({}, 0), path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["frequency.csv"]
 
 
 @pytest.fixture()
@@ -397,6 +443,91 @@ class TestCli:
         doc = json.loads(open(rpath).read())
         assert [r["nodes"] for r in doc["results"]] == [list(p.nodes) for p in paths]
         assert [r["p_value"] for r in doc["results"]] == [r.p_value for r in expected]
+
+    @pytest.mark.parametrize("variant", ["standard", "cmad"])
+    def test_stage_chain_matches_pipeline(self, variant, instance_files, tmp_path, capsys):
+        """The stage subcommands write the pipeline's graph and result rows."""
+        spath, tpath = instance_files
+        inputs = ["--source", spath, "--target", tpath]
+        if variant == "cmad":
+            bits = np.random.default_rng(2).random((20, 20)) < 0.5
+            mpath = str(tmp_path / "mask.raw")
+            io.save_grid(grid_of(bits.astype(float)), mpath)
+            inputs += ["--mask", mpath]
+        flags = [*inputs, "--variant", variant, "--dmax", "2.0", "--seed", "5"]
+        out_dir = str(tmp_path / "run")
+        gpath, ppath, rpath = (str(tmp_path / f"{n}.json") for n in ("graph", "paths", "results"))
+        for argv in (
+            ["pipeline", *flags, "--max-len", "4", "--m", "99", "--out-dir", out_dir],
+            ["build-graph", *flags, "-o", gpath],
+            ["extract-paths", "--graph", gpath, "--max-len", "4", "-o", ppath],
+            ["significance", *inputs, "--graph", gpath, "--paths", ppath,
+             "--m", "99", "--seed", "5", "-o", rpath],
+        ):
+            assert self.run(argv, capsys)[0] == 0, argv
+
+        def load(path):
+            doc = json.loads(open(path).read())
+            doc.pop("metadata")
+            return doc
+
+        assert load(gpath) == load(os.path.join(out_dir, "graph.json"))
+        assert "thresholds_source" in load(gpath)["params"]
+        results = load(rpath)["results"]
+        assert results and results == load(os.path.join(out_dir, "results.json"))["results"]
+
+    def stage_files(self, instance_files, tmp_path, capsys, *flags):
+        spath, tpath = instance_files
+        gpath, ppath = str(tmp_path / "graph.json"), str(tmp_path / "paths.json")
+        self.run(["build-graph", "--source", spath, "--target", tpath, "--dmax", "2.0",
+                  *flags, "-o", gpath], capsys)
+        self.run(["extract-paths", "--graph", gpath, "--max-len", "3", "-o", ppath], capsys)
+        return gpath, ppath
+
+    def significance(self, capsys, tmp_path, gpath, ppath, spath, tpath, *flags):
+        return self.run(
+            ["significance", "--graph", gpath, "--paths", ppath, "--source", spath,
+             "--target", tpath, "--m", "9", *flags, "-o", str(tmp_path / "r.json")], capsys
+        )
+
+    def test_significance_grids_smaller_than_graph(self, instance_files, tmp_path, capsys):
+        gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
+        small = []
+        for name in instance_files:
+            grid = io.load_grid(name)
+            path = str(tmp_path / ("small_" + os.path.basename(name)))
+            io.save_grid(grid_of(grid.values[:12, :12]), path)
+            small.append(path)
+        rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *small)
+        assert rc == 1
+        assert "spatial-link: error [grid-core]: graph node" in err
+        assert "outside the 12x12 grids" in err
+        assert "spatial-link: hint: pass the fields" in err
+
+    def test_significance_node_on_invalid_cell(self, instance_files, tmp_path, capsys):
+        gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
+        node = next(n for n in json.loads(open(gpath).read())["nodes"] if n["kind"] == "source")
+        source = io.load_grid(instance_files[0])
+        valid = source.valid_mask.copy()
+        valid[node["row"], node["col"]] = False
+        holed = str(tmp_path / "holed.raw")
+        io.save_grid(grid_of(source.values, valid), holed)
+        rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, holed, instance_files[1])
+        assert rc == 1
+        assert "spatial-link: error [grid-core]" in err
+        assert "on an invalid cell of the source field" in err
+        assert "spatial-link: hint:" in err
+
+    def test_significance_cmad_graph_needs_mask(self, instance_files, tmp_path, capsys):
+        mpath = str(tmp_path / "mask.raw")
+        io.save_grid(grid_of(np.ones((20, 20))), mpath)
+        gpath, ppath = self.stage_files(
+            instance_files, tmp_path, capsys, "--variant", "cmad", "--mask", mpath
+        )
+        rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
+        assert rc == 1
+        assert "spatial-link: error [io-cli]: the cmad variant requires --mask" in err
+        assert "spatial-link: hint:" in err
 
     def test_pipeline_writes_artifacts_and_is_thread_invariant(
         self, instance_files, tmp_path, capsys
