@@ -59,7 +59,6 @@ from .significance import (
     benjamini_hochberg,
     filter_significant,
     p_value,
-    permute_fields,
 )
 from .aar import (
     AarComponent,

@@ -25,7 +25,9 @@ from .aar import (
 )
 from .errors import ConfigError, SpatialLinkError
 from .graph import METRICS, VARIANT_CMAD, VARIANT_STANDARD
-from .grid import LOSS_NEGATIVE, RegionWindow, compute_threshold_bands, crop_region, diff_grids
+from .grid import (
+    LOSS_NEGATIVE, ORIENTATIONS, RegionWindow, compute_threshold_bands, crop_region, diff_grids,
+)
 from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, extract_all_paths
 from .pipeline import (
     SCOPE_GLOBAL,
@@ -208,11 +210,16 @@ def cmd_pipeline(args) -> int:
 
 
 def _parse_dims(text: str) -> list[int]:
-    for sep in ("x", ","):
-        if sep in text:
-            a, b = text.split(sep)
-            return [int(a), int(b)]
-    raise ConfigError(f"cannot parse dims {text!r}, expected ROWSxCOLS")
+    parts = text.split("x") if "x" in text else text.split(",")
+    if len(parts) == 2:
+        try:
+            return [int(part) for part in parts]
+        except ValueError:
+            pass
+    raise ConfigError(
+        f"cannot parse dims {text!r}, expected ROWSxCOLS",
+        hint="give two integers, e.g. --resample-source 121x401",
+    )
 
 
 def cmd_synth(args) -> int:
@@ -363,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thresholds", help="print a field's banding thresholds as JSON")
     p.add_argument("--grid", required=True)
-    p.add_argument("--orientation", default=LOSS_NEGATIVE)
+    p.add_argument("--orientation", default=LOSS_NEGATIVE, choices=ORIENTATIONS)
     p.add_argument("--window", default=None, help="inclusive r0:r1,c0:c1")
     p.add_argument("--ub-multiplier", type=float, default=1.5)
     _add_common(p)

@@ -248,11 +248,31 @@ def _check_nodes_on_grids(graph: SpatialGraph, grids: PreparedGrids) -> None:
             )
 
 
+def _check_paths_in_graph(graph: SpatialGraph, paths: list[LinkagePath]) -> None:
+    hint = "extract the paths from this graph (spatial-link extract-paths --graph ...)"
+    ids = [node for path in paths for node in path.nodes]
+    if ids and not 0 <= min(ids) <= max(ids) < graph.n_nodes:
+        raise DimMismatch(
+            f"the paths name node ids {min(ids)} to {max(ids)}, but the graph has "
+            f"{graph.n_nodes} nodes",
+            hint=hint,
+        )
+    neighbours = [set(nbrs) for nbrs in graph.adjacency]
+    for k, path in enumerate(paths):
+        for u, v in zip(path.nodes, path.nodes[1:]):
+            if v not in neighbours[u]:
+                raise DimMismatch(
+                    f"path {k} steps from node {u} to node {v}, which is not an edge of the graph",
+                    hint=hint,
+                )
+
+
 def score_paths(
     config: RunConfig, graph: SpatialGraph, paths: list[LinkagePath], grids: PreparedGrids
 ) -> list[SignificanceResult]:
     """Test candidate paths against the permutation null of the two fields."""
     _check_nodes_on_grids(graph, grids)
+    _check_paths_in_graph(graph, paths)
     if not paths:
         return []
     engine = PermutationNull.for_graph(

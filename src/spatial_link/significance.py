@@ -14,8 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .grid import KIND_SOURCE, LOSS_NEGATIVE, LOSS_POSITIVE, ChangeGrid
+from .grid import KIND_SOURCE, LOSS_NEGATIVE, ORIENTATIONS, ChangeGrid
 from .graph import VARIANT_CMAD, VARIANT_STANDARD, SpatialGraph
 from .paths import LinkagePath
 
@@ -62,26 +63,6 @@ class SignificanceResult:
     alpha: float
 
 
-def permute_fields(
-    source: ChangeGrid, target: ChangeGrid, seed
-) -> tuple[ChangeGrid, ChangeGrid]:
-    """One null replicate: permute each field's values among its valid cells.
-
-    ``seed`` may be an int, a SeedSequence, or a Generator. The source
-    field is permuted first, then the target field, from the same stream;
-    invalid cells are untouched. Each field's permutation is independent
-    of the other's values.
-    """
-    g = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    out = []
-    for grid in (source, target):
-        vals = grid.values.copy()
-        pool = vals[grid.valid_mask]
-        vals[grid.valid_mask] = pool[g.permutation(len(pool))]
-        out.append(ChangeGrid(values=vals, valid_mask=grid.valid_mask, registration=grid.registration))
-    return out[0], out[1]
-
-
 def p_value(observed: float, null_scores: np.ndarray) -> float:
     """Add-one upper-tail p-value of an observed score against null scores."""
     null_scores = np.asarray(null_scores)
@@ -114,8 +95,9 @@ class PermutationNull:
     """Vectorized permutation-null engine over a batch of paths.
 
     One replicate draws a fresh permutation of each value pool (source
-    field first, target field second, from the replicate's generator) and
-    rescores every path against the permuted values. Scores are exact
+    field first, target field second, from the replicate's generator),
+    reads the permuted state of each distinct path node, and rescores
+    every path from one ok-bit per distinct path edge. Scores are exact
     fractions k / n_edges, so comparing a null score against an observed
     score of the same path is an exact integer comparison in disguise.
     """
@@ -255,89 +237,81 @@ class PermutationNull:
 
     # -- scoring --------------------------------------------------------
 
-    def _layout(self, paths: list[LinkagePath]):
-        n_paths = len(paths)
-        width = max(p.n_nodes for p in paths)
-        pos_a = np.zeros((n_paths, width), dtype=np.int64)
-        pos_b = np.zeros((n_paths, width), dtype=np.int64)
-        in_a = np.zeros((n_paths, width), dtype=bool)
-        edge_valid = np.zeros((n_paths, width - 1), dtype=bool)
-        n_edges = np.zeros(n_paths, dtype=np.int64)
-        for k, path in enumerate(paths):
-            ids = np.asarray(path.nodes, dtype=np.int64)
-            m = len(ids)
-            pools = self.node_pool[ids]
-            posns = self.node_pos[ids]
-            in_a[k, :m] = pools == 0
-            pos_a[k, :m] = np.where(pools == 0, posns, 0)
-            pos_b[k, :m] = np.where(pools == 0, 0, posns)
-            edge_valid[k, : m - 1] = True
-            n_edges[k] = m - 1
-        return pos_a, pos_b, in_a, edge_valid, n_edges
+    def _cell_states(self) -> list[np.ndarray]:
+        """Per-pool-cell state that the edge rule compares.
 
-    def _replicate_values(self, index: int) -> tuple[list[np.ndarray], np.ndarray | None]:
-        g = self.policy.generator(index)
-        permuted = []
-        bits_perm = None
-        for pool_id, pool in enumerate(self.pools):
-            perm = g.permutation(len(pool))
-            permuted.append(pool[perm])
-            if pool_id == 0 and self.bits is not None:
-                # Mask bits travel with their cells under the permutation.
-                bits_perm = self.bits[perm]
-        return permuted, bits_perm
-
-    def _condition(self, vals: np.ndarray, in_a: np.ndarray, bits_at: np.ndarray | None) -> np.ndarray:
-        """Per-position qualification used by the cmad and threshold rules."""
-        if self.variant == VARIANT_CMAD:
-            lo, hi = self.target_interval
-            mags = np.abs(vals)
-            if self.target_orientation == LOSS_NEGATIVE:
-                oriented = vals < 0
-            elif self.target_orientation == LOSS_POSITIVE:
-                oriented = vals > 0
-            else:
-                raise ValueError(f"unknown orientation {self.target_orientation!r}")
-            in_band = oriented & (mags >= lo) & (mags < hi)
-            return np.where(in_a, bits_at, in_band)
-        if self.variant == "threshold":
-            return vals >= self.threshold
-        raise ValueError(f"variant {self.variant!r} has no condition rule")
-
-    def _scores_for_replicate(
-        self,
-        index: int,
-        pos_a: np.ndarray,
-        pos_b: np.ndarray,
-        in_a: np.ndarray,
-        edge_valid: np.ndarray,
-        n_edges: np.ndarray,
-    ) -> np.ndarray:
-        permuted, bits_perm = self._replicate_values(index)
-        if len(self.pools) == 1:
-            vals = permuted[0][pos_a]
-        else:
-            vals = np.where(in_a, permuted[0][pos_a], permuted[1][pos_b])
+        ``standard``: the sign of the value. ``cmad``: the anomaly bit of
+        a source cell, and the oriented in-band test of a target cell.
+        ``threshold``: value >= threshold. A permutation moves each
+        cell's state with its value.
+        """
         if self.variant == VARIANT_STANDARD:
-            sg = np.sign(vals)
-            ok = (sg[:, 1:] == sg[:, :-1]) & edge_valid
-        else:
-            bits_at = bits_perm[pos_a] if bits_perm is not None else None
-            cond = self._condition(vals, in_a, bits_at)
-            ok = cond[:, 1:] & cond[:, :-1] & edge_valid
-        return ok.sum(axis=1) / n_edges
+            return [np.sign(pool).astype(np.int8) for pool in self.pools]
+        if self.variant == VARIANT_CMAD:
+            if self.target_orientation not in ORIENTATIONS:
+                raise ValueError(f"unknown orientation {self.target_orientation!r}")
+            lo, hi = self.target_interval
+            tgt = self.pools[1]
+            oriented = tgt < 0 if self.target_orientation == LOSS_NEGATIVE else tgt > 0
+            return [self.bits, oriented & (np.abs(tgt) >= lo) & (np.abs(tgt) < hi)]
+        if self.variant == "threshold":
+            return [pool >= self.threshold for pool in self.pools]
+        raise ValueError(f"unknown variant {self.variant!r}")
 
     def _run(self, paths: list[LinkagePath], collect: bool):
-        """Count exceedances per path; optionally keep all replicate scores."""
-        pos_a, pos_b, in_a, edge_valid, n_edges = self._layout(paths)
+        """Count exceedances per path; optionally keep all replicate scores.
+
+        Each replicate sets one state per distinct path node, reduces it
+        to one ok-bit per distinct (undirected) path edge, and counts the
+        ok edges of every path through the path x edge incidence.
+        """
+        n_paths = len(paths)
+        lengths = np.fromiter((p.n_nodes for p in paths), dtype=np.int64, count=n_paths)
+        flat = np.fromiter(
+            (i for p in paths for i in p.nodes), dtype=np.int64, count=int(lengths.sum())
+        )
+        within = np.ones(len(flat) - 1, dtype=bool)
+        within[np.cumsum(lengths)[:-1] - 1] = False
+        a, b = flat[:-1][within], flat[1:][within]
+        # Edge (u, v) and (v, u) share the key min * n + max.
+        n = len(self.node_pool)
+        edge_keys, step_edge = np.unique(
+            np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True
+        )
+        nodes, ends = np.unique(
+            np.concatenate([edge_keys // n, edge_keys % n]), return_inverse=True
+        )
+        end_a, end_b = ends[: len(edge_keys)], ends[len(edge_keys):]
+        n_edges = lengths - 1
+        incidence = csr_matrix(
+            (np.ones(len(step_edge)), step_edge, np.concatenate([[0], np.cumsum(n_edges)])),
+            shape=(n_paths, len(edge_keys)),
+        )
+        # (path-node slots, pool positions) of each pool's nodes.
+        node_pool = self.node_pool[nodes]
+        reads = [
+            (np.nonzero(node_pool == k)[0], self.node_pos[nodes[node_pool == k]])
+            for k in range(len(self.pools))
+        ]
+        cell_states = self._cell_states()
+        equal_rule = self.variant == VARIANT_STANDARD
+
         observed = np.asarray([p.score for p in paths], dtype=np.float64)
         m = self.n_replicates
-        scores_out = np.zeros((len(paths), m), dtype=np.float64) if collect else None
+        scores_out = np.zeros((n_paths, m), dtype=np.float64) if collect else None
 
         def run_block(indices: range) -> np.ndarray:
-            ge = np.zeros(len(paths), dtype=np.int64)
+            ge = np.zeros(n_paths, dtype=np.int64)
+            state = np.empty(len(nodes), dtype=cell_states[0].dtype)
             for i in indices:
-                scores = self._scores_for_replicate(i, pos_a, pos_b, in_a, edge_valid, n_edges)
+                # Pools are permuted in order (source, then target) from
+                # the replicate's own stream; only path nodes are read.
+                g = self.policy.generator(i)
+                for states, (slots, pos) in zip(cell_states, reads):
+                    state[slots] = states[g.permutation(len(states))[pos]]
+                sa, sb = state[end_a], state[end_b]
+                ok = sa == sb if equal_rule else sa & sb
+                scores = (incidence @ ok) / n_edges
                 ge += scores >= observed
                 if scores_out is not None:
                     scores_out[:, i] = scores

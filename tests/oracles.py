@@ -2,8 +2,9 @@
 
 Nothing here shares code with the package: triangulation is re-derived
 from the empty-circumcircle definition, path enumeration from a recursive
-depth-first search, so agreement between the two routes is evidence
-rather than tautology.
+depth-first search, and the permutation null from full-pool permutations
+rescored path position by path position, so agreement between the two
+routes is evidence rather than tautology.
 """
 from __future__ import annotations
 
@@ -122,3 +123,80 @@ def quantile_linear(sorted_values, p: float) -> float:
     if lo == hi:
         return vals[lo]
     return vals[lo] + (h - lo) * (vals[hi] - vals[lo])
+
+
+def permute_fields(source, target, seed):
+    """One null replicate: permute each field's values among its valid cells.
+
+    ``seed`` may be an int, a SeedSequence, or a Generator. The source
+    field is permuted first, then the target field, from the same stream;
+    invalid cells are untouched. Returns the two permuted value arrays.
+    """
+    g = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    out = []
+    for grid in (source, target):
+        vals = grid.values.copy()
+        pool = vals[grid.valid_mask]
+        vals[grid.valid_mask] = pool[g.permutation(len(pool))]
+        out.append(vals)
+    return out[0], out[1]
+
+
+def position_null_scores(engine, paths) -> np.ndarray:
+    """Null scores of every path, rescored path position by path position.
+
+    Reads only the inputs of a permutation-null engine (its value pools,
+    each node's pool and pool position, anomaly bits, rule and seed
+    policy), never its scoring code. Each replicate permutes every pool
+    in full, source pool first, from the replicate's generator; gathers
+    the permuted value at every (path, position) pair; and applies the
+    rule edge by edge: equal signs for ``standard``, both ends qualified
+    for ``cmad`` (source: anomaly bit, target: oriented and in the band)
+    and ``threshold`` (value >= threshold). Returns an
+    (n_replicates, n_paths) array of fractions k / n_edges.
+    """
+    n_paths = len(paths)
+    width = max(len(p.nodes) for p in paths)
+    pos_a = np.zeros((n_paths, width), dtype=np.int64)
+    pos_b = np.zeros((n_paths, width), dtype=np.int64)
+    in_a = np.zeros((n_paths, width), dtype=bool)
+    edge_valid = np.zeros((n_paths, width - 1), dtype=bool)
+    n_edges = np.zeros(n_paths, dtype=np.int64)
+    for k, path in enumerate(paths):
+        ids = np.asarray(path.nodes, dtype=np.int64)
+        m = len(ids)
+        pools = engine.node_pool[ids]
+        posns = engine.node_pos[ids]
+        in_a[k, :m] = pools == 0
+        pos_a[k, :m] = np.where(pools == 0, posns, 0)
+        pos_b[k, :m] = np.where(pools == 0, 0, posns)
+        edge_valid[k, : m - 1] = True
+        n_edges[k] = m - 1
+
+    out = np.zeros((engine.n_replicates, n_paths))
+    for i in range(engine.n_replicates):
+        g = engine.policy.generator(i)
+        permuted, bits_perm = [], None
+        for pool_id, pool in enumerate(engine.pools):
+            perm = g.permutation(len(pool))
+            permuted.append(pool[perm])
+            if pool_id == 0 and engine.bits is not None:
+                bits_perm = engine.bits[perm]
+        if len(permuted) == 1:
+            vals = permuted[0][pos_a]
+        else:
+            vals = np.where(in_a, permuted[0][pos_a], permuted[1][pos_b])
+        if engine.variant == "standard":
+            sg = np.sign(vals)
+            ok = (sg[:, 1:] == sg[:, :-1]) & edge_valid
+        else:
+            if engine.variant == "cmad":
+                lo, hi = engine.target_interval
+                oriented = vals < 0 if engine.target_orientation == "loss-negative" else vals > 0
+                in_band = oriented & (np.abs(vals) >= lo) & (np.abs(vals) < hi)
+                cond = np.where(in_a, bits_perm[pos_a], in_band)
+            else:
+                cond = vals >= engine.threshold
+            ok = cond[:, 1:] & cond[:, :-1] & edge_valid
+        out[i] = ok.sum(axis=1) / n_edges
+    return out

@@ -529,6 +529,55 @@ class TestCli:
         assert "spatial-link: error [io-cli]: the cmad variant requires --mask" in err
         assert "spatial-link: hint:" in err
 
+    def high_band_paths(self, instance_files, tmp_path, capsys) -> str:
+        spath, tpath = instance_files
+        gpath, ppath = str(tmp_path / "high.json"), str(tmp_path / "high_paths.json")
+        self.run(["build-graph", "--source", spath, "--target", tpath, "--dmax", "3",
+                  "--band-source", "high", "--band-target", "high", "-o", gpath], capsys)
+        self.run(["extract-paths", "--graph", gpath, "--max-len", "4", "-o", ppath], capsys)
+        return ppath
+
+    def test_significance_paths_of_another_graph(self, instance_files, tmp_path, capsys):
+        ppath = self.high_band_paths(instance_files, tmp_path, capsys)
+        gpath = str(tmp_path / "moderate.json")
+        spath, tpath = instance_files
+        self.run(["build-graph", "--source", spath, "--target", tpath, "--dmax", "1.5",
+                  "-o", gpath], capsys)
+        rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
+        assert rc == 1
+        assert "spatial-link: error [grid-core]: path" in err
+        assert "which is not an edge of the graph" in err
+        assert "spatial-link: hint: extract the paths from this graph" in err
+        assert not os.path.exists(tmp_path / "r.json")
+
+    def test_significance_paths_name_nodes_past_the_graph(self, instance_files, tmp_path, capsys):
+        ppath = self.high_band_paths(instance_files, tmp_path, capsys)
+        gpath = str(tmp_path / "small.json")
+        spath, tpath = instance_files
+        self.run(["build-graph", "--source", spath, "--target", tpath, "--dmax", "1.5",
+                  "--window", "0:9,0:9", "-o", gpath], capsys)
+        rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
+        assert rc == 1
+        assert "but the graph has 23 nodes" in err
+        assert "spatial-link: hint: extract the paths from this graph" in err
+
+    @pytest.mark.parametrize("dims", ["3x4x5", "axb", "12"])
+    def test_pipeline_rejects_bad_resample_dims(self, dims, instance_files, tmp_path, capsys):
+        spath, tpath = instance_files
+        rc, _, err = self.run(["pipeline", "--source", spath, "--target", tpath,
+                               "--resample-source", dims, "--out-dir", str(tmp_path)], capsys)
+        assert rc == 1
+        assert f"spatial-link: error [io-cli]: cannot parse dims '{dims}'" in err
+        assert "spatial-link: hint: give two integers" in err
+
+    def test_thresholds_rejects_unknown_orientation(self, instance_files, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["thresholds", "--grid", instance_files[0], "--orientation", "bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --orientation: invalid choice: 'bogus'" in err
+        assert "Traceback" not in err
+
     def test_pipeline_writes_artifacts_and_is_thread_invariant(
         self, instance_files, tmp_path, capsys
     ):

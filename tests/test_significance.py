@@ -2,17 +2,21 @@
 
 The vectorized engine is cross-checked replicate by replicate against a
 slow loop that permutes the fields with permute_fields (or permutes the
-pools longhand) and rescores each path from first principles.
+pools longhand) and rescores each path from first principles, and against
+the per-(path, position) reference scorer in oracles.py.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatial_link.grid import (
     KIND_SOURCE,
     KIND_TARGET,
     LOSS_NEGATIVE,
+    ORIENTATIONS,
     ChangeGrid,
     QUARTER_DEGREE_GLOBAL,
     classify_cells,
@@ -26,9 +30,10 @@ from spatial_link.significance import (
     benjamini_hochberg,
     filter_significant,
     p_value,
-    permute_fields,
 )
 from spatial_link.synthetic import generate_null
+
+from oracles import permute_fields, position_null_scores
 
 
 def grid_of(values, valid=None) -> ChangeGrid:
@@ -86,8 +91,8 @@ class TestPermuteFields:
         src = grid_of(rng.normal(size=(6, 7)))
         tgt = grid_of(rng.normal(size=(6, 7)))
         ps, pt = permute_fields(src, tgt, seed=11)
-        assert sorted(ps.values.ravel()) == sorted(src.values.ravel())
-        assert sorted(pt.values.ravel()) == sorted(tgt.values.ravel())
+        assert sorted(ps.ravel()) == sorted(src.values.ravel())
+        assert sorted(pt.ravel()) == sorted(tgt.values.ravel())
 
     def test_invalid_cells_untouched(self):
         vals = np.arange(12, dtype=float).reshape(3, 4)
@@ -96,8 +101,8 @@ class TestPermuteFields:
         src = grid_of(vals, valid)
         tgt = grid_of(vals.copy(), valid.copy())
         ps, _ = permute_fields(src, tgt, seed=3)
-        assert np.isnan(ps.values[~valid]).all()
-        assert sorted(ps.values[valid]) == sorted(vals[valid])
+        assert np.isnan(ps[~valid]).all()
+        assert sorted(ps[valid]) == sorted(vals[valid])
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(1)
@@ -105,8 +110,8 @@ class TestPermuteFields:
         tgt = grid_of(rng.normal(size=(5, 5)))
         a = permute_fields(src, tgt, seed=19)
         b = permute_fields(src, tgt, seed=19)
-        assert np.array_equal(a[0].values, b[0].values)
-        assert np.array_equal(a[1].values, b[1].values)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_single_valid_cell_is_fixed_point(self):
         valid = np.zeros((3, 3), dtype=bool)
@@ -116,8 +121,8 @@ class TestPermuteFields:
         src = grid_of(vals, valid)
         tgt = grid_of(vals.copy(), valid.copy())
         ps, pt = permute_fields(src, tgt, seed=0)
-        assert ps.values[1, 1] == -2.5
-        assert pt.values[1, 1] == -2.5
+        assert ps[1, 1] == -2.5
+        assert pt[1, 1] == -2.5
 
     def test_generator_and_int_seed_agree(self):
         rng = np.random.default_rng(2)
@@ -125,8 +130,8 @@ class TestPermuteFields:
         tgt = grid_of(rng.normal(size=(4, 4)))
         by_int = permute_fields(src, tgt, seed=77)
         by_gen = permute_fields(src, tgt, seed=np.random.default_rng(77))
-        assert np.array_equal(by_int[0].values, by_gen[0].values)
-        assert np.array_equal(by_int[1].values, by_gen[1].values)
+        assert np.array_equal(by_int[0], by_gen[0])
+        assert np.array_equal(by_int[1], by_gen[1])
 
 
 class TestPValue:
@@ -267,7 +272,7 @@ class TestEngineAgainstFieldPermutationOracle:
         for i in range(m):
             ps, pt = permute_fields(source, target, policy.generator(i))
             for k, path in enumerate(paths):
-                s = oracle_sign_score(path, graph, ps.values, pt.values)
+                s = oracle_sign_score(path, graph, ps, pt)
                 exceed[k] += s >= path.score
         expected = (1 + exceed) / (1 + m)
 
@@ -448,3 +453,134 @@ class TestThresholdEngineAgainstOracle:
         field = grid_of(vals, valid)
         with pytest.raises(ValueError, match="invalid cell"):
             PermutationNull.for_point_field(field, [(1, 1)], 0.5, SeedPolicy(0))
+
+
+def reference_p_values(scores, paths, share_null_by_length) -> list[float]:
+    """Add-one p-values from an (n_replicates, n_paths) array of reference scores."""
+    if share_null_by_length:
+        first = {}
+        for k, path in enumerate(paths):
+            first.setdefault(path.n_nodes, k)
+        return [p_value(path.score, scores[:, first[path.n_nodes]]) for path in paths]
+    exceed = (scores >= np.array([p.score for p in paths])).sum(axis=0)
+    return ((1 + exceed) / (1 + len(scores))).tolist()
+
+
+def assert_engine_matches_reference(engine, paths):
+    """Exceedance counts, shared-null p-values and every null vector agree exactly."""
+    scores = position_null_scores(engine, paths)
+    for share in (False, True):
+        got = [r.p_value for r in engine.evaluate(paths, share_null_by_length=share)]
+        assert got == reference_p_values(scores, paths, share)
+    for k, path in enumerate(paths):
+        assert np.array_equal(engine.null_scores(path).scores, scores[:, k])
+
+
+def path_of(nodes, score) -> LinkagePath:
+    return LinkagePath(nodes=tuple(nodes), edge_weights=(1,) * (len(nodes) - 1), score=score)
+
+
+@st.composite
+def null_instances(draw):
+    """A hand-built engine over small pools of tied values, and paths through its nodes.
+
+    Values are small integers, so signs tie and zeros occur; the paths
+    may share nodes and edges, and one path is the reverse of another,
+    so an edge is traversed in both directions.
+    """
+    variant = draw(st.sampled_from(["standard", "cmad", "threshold"]))
+    n_pools = 1 if variant == "threshold" else 2
+    n_nodes = draw(st.integers(2, 7))
+    node_pool = np.array(draw(st.lists(st.integers(0, n_pools - 1), min_size=n_nodes,
+                                       max_size=n_nodes)))
+    pools, node_pos = [], np.zeros(n_nodes, dtype=np.int64)
+    for k in range(n_pools):
+        members = np.nonzero(node_pool == k)[0]
+        size = len(members) + draw(st.integers(1, 5))
+        values = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        pools.append(np.array(values, dtype=float))
+        node_pos[members] = draw(st.permutations(range(size)))[: len(members)]
+    kwargs = {}
+    if variant == "cmad":
+        kwargs = {
+            "bits": np.array(draw(st.lists(st.booleans(), min_size=len(pools[0]),
+                                           max_size=len(pools[0])))),
+            "target_interval": draw(st.sampled_from([(0.5, 1.5), (1.0, 2.5), (0.0, 9.0)])),
+            "target_orientation": draw(st.sampled_from(ORIENTATIONS)),
+        }
+    elif variant == "threshold":
+        kwargs = {"threshold": draw(st.sampled_from([-1.0, 0.0, 1.5]))}
+    engine = PermutationNull(
+        pools=pools,
+        node_pool=node_pool,
+        node_pos=node_pos,
+        policy=SeedPolicy(base_seed=draw(st.integers(0, 2**32 - 1))),
+        n_replicates=draw(st.sampled_from([1, 7, 10, 11])),
+        threads=draw(st.sampled_from([1, 3])),
+        variant=variant,
+        **kwargs,
+    )
+    walks = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(range(n_nodes)))
+        walks.append(order[: draw(st.integers(2, n_nodes))])
+    walks.append(walks[0][::-1])
+    paths = [path_of(w, draw(st.integers(0, len(w) - 1)) / (len(w) - 1)) for w in walks]
+    return engine, paths
+
+
+@settings(max_examples=80, deadline=None)
+@given(null_instances())
+def test_engine_matches_position_reference(instance):
+    engine, paths = instance
+    assert_engine_matches_reference(engine, paths)
+
+
+class TestEngineAgainstPositionReference:
+    """Seeded instances of each rule, with 3 threads over a replicate count not divisible by 3."""
+
+    # Both directions of the edges 0-1 and 1-2, and a path that shares them.
+    WALKS = [(0, 1, 2), (2, 1, 0), (1, 0), (3, 1, 2), (0, 1)]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_standard_graph(self, threads):
+        source, target, graph, paths = small_instance(seed=6, max_nodes=5)
+        paths = paths[:40]
+        paths += [path_of(p.nodes[::-1], p.score) for p in paths[:5]]
+        engine = PermutationNull.for_graph(
+            graph, source, target, SeedPolicy(base_seed=3), n_replicates=31, threads=threads
+        )
+        assert_engine_matches_reference(engine, paths)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_cmad_graph(self, threads):
+        source, target, mask, _, graph, paths = TestCmadEngineAgainstOracle().build(seed=5)
+        paths = paths[:30] + [path_of(p.nodes[::-1], p.score) for p in paths[:3]]
+        engine = PermutationNull.for_graph(
+            graph, source, target, SeedPolicy(base_seed=8), n_replicates=20,
+            threads=threads, anomaly_mask=mask,
+        )
+        assert_engine_matches_reference(engine, paths)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_threshold_point_field(self, threads):
+        rng = np.random.default_rng(4)
+        field = grid_of(rng.random((6, 7)) * 30.0)
+        cells = [(0, 0), (1, 2), (3, 3), (5, 6), (2, 5)]
+        engine = PermutationNull.for_point_field(
+            field, cells, 12.0, SeedPolicy(base_seed=9), n_replicates=16, threads=threads
+        )
+        paths = [path_of(w, 1.0) for w in self.WALKS] + [path_of((4, 3, 2, 1, 0), 0.5)]
+        assert_engine_matches_reference(engine, paths)
+
+    def test_hand_built_ties_and_zeros(self):
+        engine = PermutationNull(
+            pools=[np.array([-1.0, 0.0, 1.0, 0.0, -2.0]), np.array([0.0, 1.0, -1.0, 2.0])],
+            node_pool=np.array([0, 1, 0, 1]),
+            node_pos=np.array([4, 0, 1, 3]),
+            policy=SeedPolicy(base_seed=1),
+            n_replicates=29,
+            threads=3,
+        )
+        paths = [path_of(w, s) for w, s in zip(self.WALKS, (0.5, 1.0, 0.0, 0.5, 1.0))]
+        assert_engine_matches_reference(engine, paths)
