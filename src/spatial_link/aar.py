@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySide, PathExplosion, StationUnreachable
+from .errors import DimMismatch, EmptySide, StationUnreachable
 from .grid import ChangeGrid
 from .graph import (
     GraphEdge,
@@ -22,7 +22,7 @@ from .graph import (
     SpatialGraph,
     delaunay_triangulate,
 )
-from .paths import DEFAULT_CAP, LinkagePath, enumerate_walks, path_score
+from .paths import DEFAULT_CAP, enumerate_walks, to_linkage_paths, walks_within_cap
 from .significance import (
     PermutationNull,
     SeedPolicy,
@@ -249,6 +249,8 @@ def station_path_significance(
     smallest value over the graph's points, i.e. the loosest threshold
     consistent with the mask). The null permutes the value field over all
     its valid cells. Returns the results and the snapped station node id.
+    Enumeration shares one budget of ``cap`` paths across the origins and
+    raises ``PathExplosion`` as soon as it is passed, before any scoring.
     """
     if not origin_ids:
         raise ValueError("origins must be non-empty")
@@ -258,24 +260,18 @@ def station_path_significance(
     if threshold is None:
         threshold = min(p.value for p in points)
 
-    walks: list[tuple[int, ...]] = []
-    for origin in origins:
-        walks.extend(enumerate_walks(graph.adjacency, origin, {station_id}, max_nodes))
-    if len(walks) > cap:
-        raise PathExplosion(
-            f"path enumeration produced {len(walks)} paths, exceeding the cap of {cap}",
-            hint="lower --max-len or --max-edge-km, or raise --cap",
-        )
-    walks.sort()
-
-    paths = []
-    for walk in walks:
-        weights = tuple(
-            1 if (points[u].value >= threshold and points[v].value >= threshold) else -1
-            for u, v in zip(walk[:-1], walk[1:])
-        )
-        paths.append(LinkagePath(nodes=walk, edge_weights=weights, score=path_score(weights)))
-
+    walks = walks_within_cap(
+        lambda origin, limit: enumerate_walks(
+            graph.adjacency, origin, {station_id}, max_nodes, limit
+        ),
+        origins,
+        cap,
+        hint="lower --max-len or --max-edge-km, or raise --cap",
+    )
+    paths = to_linkage_paths(
+        walks,
+        lambda u, v: 1 if points[u].value >= threshold and points[v].value >= threshold else -1,
+    )
     if not paths:
         return [], station_id
     engine = PermutationNull.for_point_field(

@@ -5,7 +5,8 @@ be produced, inspected, and fed forward independently: ``thresholds``,
 ``diff``, ``build-graph``, ``extract-paths``, ``significance``,
 ``pipeline``, ``synth``, and ``aar``. Thread count resolves from
 ``--threads``, then the config file, then the SPATIAL_LINK_THREADS
-environment variable, then 1.
+environment variable, then 1; threads split only the permutation null's
+replicates.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help=f"worker threads (default: ${ENV_THREADS} or 1)",
+        help=f"worker threads for the null (default: ${ENV_THREADS} or 1)",
     )
 
 
@@ -153,10 +154,8 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_extract_paths(args) -> int:
-    threads = _resolve_threads(args.threads)
-    doc = io.read_json(args.graph)
-    graph = io.graph_from_json(doc)
-    paths = extract_all_paths(graph, max_nodes=args.max_len, cap=args.cap, threads=threads)
+    graph = io.graph_from_json(io.read_json(args.graph))
+    paths = extract_all_paths(graph, max_nodes=args.max_len, cap=args.cap)
     echo = {
         "command": "extract-paths",
         "graph": args.graph,

@@ -89,6 +89,9 @@ class SpatialGraph:
     def edge_weight(self, u: int, v: int) -> int:
         return self._weights[(u, v)]
 
+    def has_edge(self, u: int, v: int) -> bool:
+        return (u, v) in self._weights
+
     def nodes_of_kind(self, kind: str) -> list[int]:
         return [n.id for n in self.nodes if n.kind == kind]
 
@@ -143,24 +146,18 @@ def delaunay_triangulate(points: Sequence[tuple[float, float]]) -> list[tuple[in
             hint="deduplicate qualified cells before building the graph",
         )
 
-    edge_set: set[tuple[int, int]] = set()
     if _collinear(sorted_pts):
         # Lexicographic order is monotone along any line, so consecutive
         # sorted points are nearest neighbors on the line.
-        chain = order
-        for a, b in zip(chain[:-1], chain[1:]):
-            edge_set.add((min(int(a), int(b)), max(int(a), int(b))))
+        sides = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     else:
         try:
             tri = Delaunay(sorted_pts)
         except QhullError as exc:  # pragma: no cover - guarded by _collinear
             raise ValueError(f"triangulation failed: {exc}") from exc
-        for simplex in tri.simplices:
-            for k in range(3):
-                a = int(order[simplex[k]])
-                b = int(order[simplex[(k + 1) % 3]])
-                edge_set.add((min(a, b), max(a, b)))
-    return sorted(edge_set)
+        sides = tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges = np.unique(np.sort(order[sides], axis=1), axis=0)
+    return [(a, b) for a, b in edges.tolist()]
 
 
 def filter_edges_by_distance(

@@ -134,9 +134,6 @@ class RegionWindow:
     def cols(self) -> int:
         return self.col_max - self.col_min + 1
 
-    def contains(self, row: int, col: int) -> bool:
-        return self.row_min <= row <= self.row_max and self.col_min <= col <= self.col_max
-
 
 @dataclass
 class ChangeGrid:
@@ -214,14 +211,6 @@ class ThresholdBands:
         if band == BAND_ANOMALOUS:
             return self.ub, np.inf
         raise ValueError(f"unknown band {band!r}, expected one of {BANDS}")
-
-    def classify_magnitude(self, magnitude: float) -> str | None:
-        """Band name for a loss magnitude, or None below the median."""
-        for band in (BAND_ANOMALOUS, BAND_HIGH, BAND_MODERATE):
-            lo, hi = self.interval(band)
-            if lo <= magnitude < hi:
-                return band
-        return None
 
 
 @dataclass

@@ -44,7 +44,7 @@ def metadata_block(config_echo: dict, seed: int, null_model: str = NULL_MODEL) -
 
 
 @contextmanager
-def _replacing(path: str, newline: str | None = None):
+def _replacing(path: str, mode: str = "w", newline: str | None = None):
     """Open a temporary file beside ``path`` that replaces it on success.
 
     Readers see either the previous file or the complete new one; on any
@@ -52,7 +52,7 @@ def _replacing(path: str, newline: str | None = None):
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -90,9 +90,10 @@ def save_grid(grid: ChangeGrid, path: str) -> None:
     The payload is stored at single precision; values that are not exactly
     representable in float32 round on the way out. The mask file is
     written (and referenced from the sidecar) only when some cell is
-    invalid.
+    invalid. Each file is replaced atomically, the sidecar last; the mask
+    is written while the payload is still pending, so a failed write of
+    either leaves both previous files in place.
     """
-    grid.values.astype("<f4").tofile(path)
     reg = grid.registration
     sidecar = {
         "rows": grid.rows,
@@ -103,10 +104,13 @@ def save_grid(grid: ChangeGrid, path: str) -> None:
         "dlon": reg.dlon,
         "cell_km": reg.cell_km,
     }
-    if not grid.valid_mask.all():
-        mask_name = os.path.basename(path) + ".mask"
-        grid.valid_mask.astype(np.uint8).tofile(os.path.join(os.path.dirname(path) or ".", mask_name))
-        sidecar["mask_path"] = mask_name
+    with _replacing(path, "wb") as fh:
+        grid.values.astype("<f4").tofile(fh)
+        if not grid.valid_mask.all():
+            mask_name = os.path.basename(path) + ".mask"
+            with _replacing(os.path.join(os.path.dirname(path) or ".", mask_name), "wb") as mask_fh:
+                grid.valid_mask.astype(np.uint8).tofile(mask_fh)
+            sidecar["mask_path"] = mask_name
     write_json(sidecar, _sidecar_path(path))
 
 
@@ -257,16 +261,6 @@ def load_grid(
 
 
 # -- structured artifacts -------------------------------------------------
-
-
-def registration_to_json(reg: GridRegistration) -> dict:
-    return {
-        "lat0": reg.lat0,
-        "lon0": reg.lon0,
-        "dlat": reg.dlat,
-        "dlon": reg.dlon,
-        "cell_km": reg.cell_km,
-    }
 
 
 def graph_to_json(graph: SpatialGraph, metadata: dict) -> dict:

@@ -4,13 +4,14 @@ A candidate path starts at a source node, walks distinct nodes, and
 terminates at the first target node it reaches, so target nodes never
 appear in a path interior. Enumeration is breadth-first with the
 frontier expanded in ascending node-id order, giving a deterministic
-path list independent of thread count or hash seeds.
+path list independent of hash seeds. Sources are walked in id order,
+in one thread, against one running path cap.
 """
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,13 +52,16 @@ def enumerate_walks(
     start: int,
     terminal: frozenset[int] | set[int],
     max_nodes: int,
+    limit: int | None = None,
 ) -> list[tuple[int, ...]]:
     """Breadth-first enumeration of simple walks ending on a terminal node.
 
     Walks are extended in ascending neighbor-id order, never revisit a
     node, never pass through a terminal node, and carry at most
     ``max_nodes`` nodes. The start node must not itself be terminal.
-    Results come back in breadth-first emission order.
+    Results come back in breadth-first emission order. With ``limit``
+    set, the walk stops as soon as it has found more than ``limit``
+    walks and returns those, a prefix of the unlimited result.
     """
     if max_nodes < 2:
         raise ValueError("max_nodes must allow at least one edge")
@@ -73,15 +77,41 @@ def enumerate_walks(
                 continue
             if nbr in terminal:
                 out.append(walk + (nbr,))
+                if limit is not None and len(out) > limit:
+                    return out
             elif len(walk) < max_nodes - 1:
                 queue.append(walk + (nbr,))
     return out
 
 
-def _to_linkage_paths(graph: SpatialGraph, walks: list[tuple[int, ...]]) -> list[LinkagePath]:
+def walks_within_cap(
+    walks_from: Callable[[int, int], list[tuple[int, ...]]],
+    starts: Iterable[int],
+    cap: int,
+    hint: str,
+) -> list[tuple[int, ...]]:
+    """Walks from each start in turn, sorted, under one budget of ``cap``.
+
+    ``walks_from(start, limit)`` may stop once it has more than ``limit``
+    walks; it is given what the cap leaves, so at most ``cap + 1`` walks
+    are held before ``PathExplosion`` is raised.
+    """
+    walks: list[tuple[int, ...]] = []
+    for start in starts:
+        walks.extend(walks_from(start, cap - len(walks)))
+        if len(walks) > cap:
+            raise PathExplosion(f"path enumeration passed the cap of {cap} paths", hint=hint)
+    walks.sort()
+    return walks
+
+
+def to_linkage_paths(
+    walks: list[tuple[int, ...]], weight: Callable[[int, int], int]
+) -> list[LinkagePath]:
+    """Turn node walks into paths, weighting each step with ``weight(u, v)``."""
     paths = []
     for walk in walks:
-        weights = tuple(graph.edge_weight(u, v) for u, v in zip(walk[:-1], walk[1:]))
+        weights = tuple(map(weight, walk[:-1], walk[1:]))
         paths.append(LinkagePath(nodes=walk, edge_weights=weights, score=path_score(weights)))
     return paths
 
@@ -102,7 +132,7 @@ def bfs_paths(
     if targets is None:
         targets = frozenset(graph.nodes_of_kind(KIND_TARGET))
     walks = enumerate_walks(graph.adjacency, source, targets, max_nodes)
-    return _to_linkage_paths(graph, walks)
+    return to_linkage_paths(walks, graph.edge_weight)
 
 
 def extract_all_paths(
@@ -113,33 +143,23 @@ def extract_all_paths(
 ) -> list[LinkagePath]:
     """Enumerate candidate paths from every source node.
 
-    The result is sorted by (source node id, node sequence), so it is
-    identical for any thread count. Raises when the total number of paths
-    exceeds ``cap``; partial results are never returned.
+    Sources are walked one after another in id order, in one thread, and
+    the result is sorted by (source node id, node sequence). Raises
+    ``PathExplosion`` as soon as the running total exceeds ``cap``;
+    partial results are never returned. ``threads`` is accepted for
+    compatibility and unused: the walk is pure Python, so threads only
+    contend for the interpreter lock.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    sources = graph.nodes_of_kind(KIND_SOURCE)
     targets = frozenset(graph.nodes_of_kind(KIND_TARGET))
-
-    def walks_from(src: int) -> list[tuple[int, ...]]:
-        return enumerate_walks(graph.adjacency, src, targets, max_nodes)
-
-    if threads > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_source = list(pool.map(walks_from, sources))
-    else:
-        per_source = [walks_from(src) for src in sources]
-
-    total = sum(len(w) for w in per_source)
-    if total > cap:
-        raise PathExplosion(
-            f"path enumeration produced {total} paths, exceeding the cap of {cap}",
-            hint="lower --max-len or --dmax, tighten the bands, or raise --cap",
-        )
-    walks = [w for group in per_source for w in group]
-    walks.sort()
-    return _to_linkage_paths(graph, walks)
+    walks = walks_within_cap(
+        lambda src, limit: enumerate_walks(graph.adjacency, src, targets, max_nodes, limit),
+        graph.nodes_of_kind(KIND_SOURCE),
+        cap,
+        hint="lower --max-len or --dmax, tighten the bands, or raise --cap",
+    )
+    return to_linkage_paths(walks, graph.edge_weight)
 
 
 def linkage_frequency(

@@ -257,10 +257,9 @@ def _check_paths_in_graph(graph: SpatialGraph, paths: list[LinkagePath]) -> None
             f"{graph.n_nodes} nodes",
             hint=hint,
         )
-    neighbours = [set(nbrs) for nbrs in graph.adjacency]
     for k, path in enumerate(paths):
         for u, v in zip(path.nodes, path.nodes[1:]):
-            if v not in neighbours[u]:
+            if not graph.has_edge(u, v):
                 raise DimMismatch(
                     f"path {k} steps from node {u} to node {v}, which is not an edge of the graph",
                     hint=hint,
@@ -331,7 +330,7 @@ def _run_band_pair(
 
     io.write_json(io.graph_to_json(graph, metadata), os.path.join(out_dir, "graph.json"))
 
-    paths = extract_all_paths(graph, max_nodes=config.max_len, cap=config.cap, threads=config.threads)
+    paths = extract_all_paths(graph, max_nodes=config.max_len, cap=config.cap)
     io.write_json(io.paths_to_json(paths, graph, metadata), os.path.join(out_dir, "paths.json"))
 
     results = score_paths(config, graph, paths, grids)

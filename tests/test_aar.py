@@ -19,8 +19,9 @@ from spatial_link.aar import (
     snap_to_node,
     station_path_significance,
 )
-from spatial_link.errors import DimMismatch, EmptySide, StationUnreachable
+from spatial_link.errors import DimMismatch, EmptySide, PathExplosion, StationUnreachable
 from spatial_link.grid import ChangeGrid, GridRegistration
+from spatial_link.paths import enumerate_walks
 
 DEG = GridRegistration(lat0=0.0, lon0=0.0, dlat=1.0, dlon=1.0, cell_km=111.11)
 
@@ -319,6 +320,31 @@ class TestStationPaths:
         g, pts, values = self.chain_setup()
         with pytest.raises(ValueError):
             station_path_significance(g, pts, values, origin_ids=[], station=(5.0, 0.0))
+
+    def test_cap_stops_enumeration_before_scoring(self, monkeypatch):
+        # A two-column ladder: many walks from each origin to the station.
+        cells = [(i, c) for i in range(6) for c in range(2)]
+        values, mask = point_grids((10, 10), cells, background=0.0)
+        pts = elevated_points(values, mask)
+        g = build_aar_graph(pts, max_edge_km=250.0)
+        found = []
+
+        def counted(*args, **kwargs):
+            walks = enumerate_walks(*args, **kwargs)
+            found.append(len(walks))
+            return walks
+
+        def no_scoring(*args, **kwargs):
+            pytest.fail("the null was built although the cap was passed")
+
+        monkeypatch.setattr(aar, "enumerate_walks", counted)
+        monkeypatch.setattr(aar.PermutationNull, "for_point_field", no_scoring)
+        with pytest.raises(PathExplosion, match="cap of 3"):
+            station_path_significance(
+                g, pts, values, origin_ids=list(range(11)), station=(5.0, 1.0),
+                max_nodes=6, n_replicates=9, cap=3,
+            )
+        assert sum(found) == 4
 
 
 class TestRunAar:

@@ -359,6 +359,29 @@ class TestAtomicWrites:
         assert open(path, "rb").read() == before
         assert os.listdir(tmp_path) == ["frequency.csv"]
 
+    @pytest.mark.parametrize("torn", ["values", "valid_mask"])
+    def test_failed_grid_write_keeps_previous_grid(self, tmp_path, torn):
+        class Torn(np.ndarray):
+            """An array whose file write stops half-way on a full disk."""
+
+            def tofile(self, fid, *args, **kwargs):
+                np.asarray(self).ravel()[: self.size // 2].tofile(fid)
+                raise OSError(28, "No space left on device")
+
+        path = str(tmp_path / "g.raw")
+        vals = np.array([[np.nan, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        old = grid_of(vals, ~np.isnan(vals))
+        io.save_grid(old, path)
+        new_vals = np.array([[10.0, 11.0, np.nan], [13.0, 14.0, 15.0]])
+        new = grid_of(new_vals, ~np.isnan(new_vals))
+        setattr(new, torn, getattr(new, torn).view(Torn))
+        with pytest.raises(OSError, match="No space"):
+            io.save_grid(new, path)
+        back = io.load_grid(path)
+        assert np.array_equal(back.valid_mask, old.valid_mask)
+        assert np.array_equal(back.values[old.valid_mask], vals[old.valid_mask])
+        assert sorted(os.listdir(tmp_path)) == ["g.raw", "g.raw.json", "g.raw.mask"]
+
 
 @pytest.fixture()
 def instance_files(tmp_path):

@@ -1,11 +1,20 @@
 """Bounded path enumeration against a brute-force DFS oracle."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spatial_link.errors import PathExplosion
-from spatial_link.graph import GraphEdge, GraphNode, SpatialGraph
+from spatial_link.graph import GraphEdge, GraphNode, SpatialGraph, build_graph
+from spatial_link.grid import (
+    KIND_SOURCE,
+    KIND_TARGET,
+    LOSS_NEGATIVE,
+    classify_cells,
+    compute_threshold_bands,
+)
 from spatial_link.paths import (
     LinkagePath,
     bfs_paths,
@@ -14,6 +23,7 @@ from spatial_link.paths import (
     linkage_frequency,
     path_score,
 )
+from spatial_link.synthetic import generate_null
 
 from oracles import brute_force_paths
 
@@ -134,6 +144,49 @@ class TestExtractAllPaths:
         g = make_graph(n, edges, target_ids=[9])
         with pytest.raises(PathExplosion, match="cap of 50"):
             extract_all_paths(g, max_nodes=8, cap=50)
+
+
+def clique(n=10) -> SpatialGraph:
+    """Complete graph with one target: thousands of walks from each source."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return make_graph(n, edges, target_ids=[n - 1])
+
+
+class TestCap:
+    def test_limit_returns_a_prefix_of_at_most_limit_plus_one_walks(self):
+        g = clique()
+        full = enumerate_walks(g.adjacency, 0, {9}, 6)
+        assert len(full) > 100
+        for limit in (0, 1, 7, 100, len(full) - 1, len(full), len(full) + 5):
+            got = enumerate_walks(g.adjacency, 0, {9}, 6, limit=limit)
+            assert len(got) == min(limit + 1, len(full))
+            assert got == full[: len(got)]
+
+    def test_cap_is_inclusive(self):
+        g = clique(6)
+        total = len(extract_all_paths(g, max_nodes=5))
+        assert len(extract_all_paths(g, max_nodes=5, cap=total)) == total
+        with pytest.raises(PathExplosion, match=f"cap of {total - 1}"):
+            extract_all_paths(g, max_nodes=5, cap=total - 1)
+
+    def test_dense_graph_raises_before_building_the_paths(self):
+        """273,054 paths exist here; only about a thousand may be held."""
+        source, target = generate_null((121, 401), seed=0)
+        src = classify_cells(
+            source, compute_threshold_bands(source, LOSS_NEGATIVE), "high", KIND_SOURCE
+        )
+        tgt = classify_cells(
+            target, compute_threshold_bands(target, LOSS_NEGATIVE), "high", KIND_TARGET
+        )
+        graph = build_graph(src, tgt, max_edge_cells=3.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathExplosion, match="cap of 1000"):
+                extract_all_paths(graph, max_nodes=7, cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestScores:
