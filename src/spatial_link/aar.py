@@ -22,12 +22,11 @@ from .graph import (
     SpatialGraph,
     delaunay_triangulate,
 )
-from .paths import DEFAULT_CAP, enumerate_walks, to_linkage_paths, walks_within_cap
-from .significance import (
-    PermutationNull,
-    SeedPolicy,
-    SignificanceResult,
+from .paths import (
+    DEFAULT_CAP, DEFAULT_MAX_NODES, enumerate_walks, terminal_hops, to_linkage_paths,
+    walks_within_cap,
 )
+from .significance import DEFAULT_REPLICATES, PermutationNull, SeedPolicy, SignificanceResult
 
 KM_PER_DEGREE = 111.11
 DEFAULT_MAX_EDGE_KM = 250.0
@@ -231,8 +230,8 @@ def station_path_significance(
     values_grid: ChangeGrid,
     origin_ids,
     station: tuple[float, float] | GeoPoint,
-    max_nodes: int = 11,
-    n_replicates: int = 999,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    n_replicates: int = DEFAULT_REPLICATES,
     alpha: float = DEFAULT_AAR_ALPHA,
     seed: int = 0,
     threads: int = 1,
@@ -260,9 +259,10 @@ def station_path_significance(
     if threshold is None:
         threshold = min(p.value for p in points)
 
+    hops = terminal_hops(graph.adjacency, {station_id})
     walks = walks_within_cap(
         lambda origin, limit: enumerate_walks(
-            graph.adjacency, origin, {station_id}, max_nodes, limit
+            graph.adjacency, origin, {station_id}, max_nodes, limit, hops
         ),
         origins,
         cap,
@@ -305,8 +305,8 @@ def run_aar(
     station: tuple[float, float],
     max_edge_km: float = DEFAULT_MAX_EDGE_KM,
     min_extent_km: float = DEFAULT_MIN_EXTENT_KM,
-    max_nodes: int = 11,
-    n_replicates: int = 999,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    n_replicates: int = DEFAULT_REPLICATES,
     alpha: float = DEFAULT_AAR_ALPHA,
     seed: int = 0,
     threads: int = 1,
@@ -323,11 +323,6 @@ def run_aar(
     exceeds ``min_extent_km`` take part in path analysis.
     """
     points = elevated_points(values_grid, mask_grid)
-    if len(points) < 2:
-        raise EmptySide(
-            f"elevation mask selects {len(points)} points; need at least 2",
-            hint="check the mask payload and validity",
-        )
     graph = build_aar_graph(points, max_edge_km=max_edge_km)
     components = connected_components(graph, points, min_extent_km=min_extent_km)
     if threshold is None:

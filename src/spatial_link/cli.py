@@ -25,19 +25,15 @@ from .aar import (
     run_aar,
 )
 from .errors import ConfigError, SpatialLinkError
-from .graph import METRICS, VARIANT_CMAD, VARIANT_STANDARD
+from .graph import DEFAULT_MAX_EDGE_CELLS, METRICS, VARIANT_CMAD, VARIANT_STANDARD
 from .grid import (
-    LOSS_NEGATIVE, ORIENTATIONS, RegionWindow, compute_threshold_bands, crop_region, diff_grids,
+    DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, RegionWindow, compute_threshold_bands,
+    crop_region, diff_grids,
 )
 from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, extract_all_paths
 from .pipeline import (
-    SCOPE_GLOBAL,
-    SCOPE_WINDOW,
-    RunConfig,
-    build_band_graph,
-    prepare_grids,
-    run_pipeline,
-    score_paths,
+    SCOPE_GLOBAL, SCOPE_WINDOW, RunConfig, build_band_graph, check_range, prepare_grids,
+    run_pipeline, score_paths,
 )
 from .significance import DEFAULT_REPLICATES
 from .synthetic import NoiseModel, PlantSpec, chain_spec, generate, generate_null
@@ -51,26 +47,27 @@ def _resolve_threads(flag_value: int | None, config_value: int | None = None) ->
     if config_value is not None:
         return config_value
     env = os.environ.get(ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_THREADS}={env!r} is not an integer") from exc
-    return 1
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError as exc:
+        raise ConfigError(f"{ENV_THREADS}={env!r} is not an integer") from exc
+    check_range("threads", threads, given_as=ENV_THREADS)
+    return threads
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help=f"worker threads for the null (default: ${ENV_THREADS} or 1)",
-    )
+def _check_flags(args, *names) -> None:
+    """Apply the range rule of each named setting to its flag's value."""
+    for name in names:
+        check_range(name, getattr(args, name))
 
 
 # -- subcommand implementations -------------------------------------------
 
 
 def cmd_thresholds(args) -> int:
+    _check_flags(args, "ub_multiplier")
     grid = io.load_grid(args.grid)
     window = RegionWindow.parse(args.window) if args.window else None
     if window is not None:
@@ -95,29 +92,34 @@ def cmd_diff(args) -> int:
     return 0
 
 
-# Every RunConfig field but seed and threads has a flag of the same name
-# (--max-len sets max_len); these are the flags that are not plain strings.
-# Each default is None, so a flag left out keeps the config file's entry
-# or else the RunConfig default.
+# Every RunConfig field has a flag of the same name (--max-len sets
+# max_len); this table holds the options of the flags that are not plain
+# strings or that carry help. Each default is None, so a flag left out
+# keeps the config file's entry or else the RunConfig default; a command
+# that runs without a RunConfig sets its defaults with set_defaults.
 FLAG_OPTIONS = {
     "variant": {"choices": [VARIANT_STANDARD, VARIANT_CMAD]},
+    "window": {"help": "inclusive r0:r1,c0:c1"},
     "band_scope": {"choices": [SCOPE_WINDOW, SCOPE_GLOBAL]},
     "ub_multiplier": {"type": float},
     "dmax": {"type": float, "help": "max edge length in cells"},
     "metric": {"choices": list(METRICS)},
-    "max_len": {"type": int},
+    "max_len": {"type": int, "help": "max nodes per path"},
     "cap": {"type": int},
     "m": {"type": int, "help": "null replicates"},
     "alpha": {"type": float},
+    "seed": {"type": int, "help": "base seed (default 0)"},
+    "threads": {"type": int, "help": f"null worker threads (default: ${ENV_THREADS} or 1)"},
     "share_null": {"action": "store_true"},
     "bh": {"action": "store_true", "help": "Benjamini-Hochberg correction"},
     "sweep_bands": {"action": "store_true"},
     "resample_source": {"help": "ROWSxCOLS for the source grid"},
 }
-RUN_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name not in ("seed", "threads"))
+RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
 GRAPH_FIELDS = (
     "source", "target", "mask", "variant", "orientation_source", "orientation_target",
     "window", "band_source", "band_target", "band_scope", "ub_multiplier", "dmax", "metric",
+    "seed",
 )
 NULL_FIELDS = ("source", "target", "mask", "m", "alpha", "share_null", "bh")
 INPUT_FIELDS = ("source", "target")
@@ -138,7 +140,7 @@ def _config(args, doc: dict | None = None) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             doc[f.name] = _parse_dims(value) if f.name == "resample_source" else value
-    doc["threads"] = _resolve_threads(args.threads, doc.get("threads"))
+    doc["threads"] = _resolve_threads(doc.get("threads"))
     config = RunConfig.from_dict(doc)
     config.validate()
     return config
@@ -154,6 +156,7 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_extract_paths(args) -> int:
+    _check_flags(args, "max_len", "cap", "seed")
     graph = io.graph_from_json(io.read_json(args.graph))
     paths = extract_all_paths(graph, max_nodes=args.max_len, cap=args.cap)
     echo = {
@@ -162,7 +165,7 @@ def cmd_extract_paths(args) -> int:
         "max_len": args.max_len,
         "cap": args.cap,
     }
-    metadata = io.metadata_block(echo, args.seed if args.seed is not None else 0)
+    metadata = io.metadata_block(echo, args.seed)
     io.write_json(io.paths_to_json(paths, graph, metadata), args.output)
     print(f"paths: {len(paths)} candidates -> {args.output}")
     return 0
@@ -175,18 +178,8 @@ def cmd_significance(args) -> int:
     built_with = ("variant", "orientation_source", "orientation_target", "window", "band_scope")
     config = _config(args, {k: graph.params[k] for k in built_with if k in graph.params})
     results = score_paths(config, graph, paths, prepare_grids(config))
-    echo = {
-        "command": "significance",
-        "graph": args.graph,
-        "paths": args.paths,
-        "source": config.source,
-        "target": config.target,
-        "mask": config.mask,
-        "m": config.m,
-        "alpha": config.alpha,
-        "share_null": config.share_null,
-        "bh": config.bh,
-    }
+    echo = {"command": "significance", "graph": args.graph, "paths": args.paths}
+    echo.update((name, getattr(config, name)) for name in NULL_FIELDS)
     metadata = io.metadata_block(echo, config.seed)
     io.write_json(io.results_to_json(results, metadata), args.output)
     n_sig = sum(1 for r in results if r.significant)
@@ -226,39 +219,31 @@ def cmd_synth(args) -> int:
     dims = doc.get("dims")
     if not dims or len(dims) != 2:
         raise ConfigError("synth spec must set dims: [rows, cols]")
+    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    check_range("seed", seed)
     noise_doc = doc.get("noise", {})
     noise = NoiseModel(
         name=noise_doc.get("name", "gaussian"),
         sigma=float(noise_doc.get("sigma", 1.0)),
         mean=float(noise_doc.get("mean", 0.0)),
     )
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     os.makedirs(args.out_dir, exist_ok=True)
     metadata = io.metadata_block(doc, seed)
 
     if "chain_cells" in doc:
-        cells = [tuple(c) for c in doc["chain_cells"]]
+        cells = tuple((int(r), int(c)) for r, c in doc["chain_cells"])
+        shared = dict(
+            split_index=int(doc["split_index"]),
+            noise=noise,
+            seed=seed,
+            max_spacing_cells=float(doc.get("max_spacing_cells", DEFAULT_MAX_EDGE_CELLS)),
+            max_len=int(doc.get("max_len", DEFAULT_MAX_NODES)),
+        )
         if "chain_values" in doc:
-            spec = PlantSpec(
-                chain_cells=tuple((int(r), int(c)) for r, c in cells),
-                chain_values=tuple(float(v) for v in doc["chain_values"]),
-                split_index=int(doc["split_index"]),
-                noise=noise,
-                seed=seed,
-                max_spacing_cells=float(doc.get("max_spacing_cells", 11.0)),
-                max_len=int(doc.get("max_len", 11)),
-            )
-            spec.validate()
+            values = tuple(float(v) for v in doc["chain_values"])
+            spec = PlantSpec(chain_cells=cells, chain_values=values, **shared)
         else:
-            spec = chain_spec(
-                cells,
-                int(doc["split_index"]),
-                band=doc.get("band", "moderate"),
-                noise=noise,
-                seed=seed,
-                max_spacing_cells=float(doc.get("max_spacing_cells", 11.0)),
-                max_len=int(doc.get("max_len", 11)),
-            )
+            spec = chain_spec(cells, band=doc.get("band", "moderate"), **shared)
         source, target, truth = generate(spec, (int(dims[0]), int(dims[1])))
         truth_doc = {
             "metadata": metadata,
@@ -277,8 +262,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_aar(args) -> int:
+    _check_flags(
+        args, "max_edge_km", "min_extent_km", "max_len", "m", "alpha", "snap_km", "cap", "seed"
+    )
     threads = _resolve_threads(args.threads)
-    seed = args.seed if args.seed is not None else 0
+    check_range("threads", threads)
     values = io.load_grid(args.values)
     mask = io.load_grid(args.mask)
 
@@ -324,7 +312,7 @@ def cmd_aar(args) -> int:
         max_nodes=args.max_len,
         n_replicates=args.m,
         alpha=args.alpha,
-        seed=seed,
+        seed=args.seed,
         threads=threads,
         threshold=args.threshold,
         snap_km=args.snap_km,
@@ -345,7 +333,7 @@ def cmd_aar(args) -> int:
         "threshold": report.threshold,
         "snap_km": args.snap_km,
     }
-    io.write_json(io.aar_report_to_json(report, io.metadata_block(echo, seed)), args.output)
+    io.write_json(io.aar_report_to_json(report, io.metadata_block(echo, args.seed)), args.output)
     n_sig = sum(1 for r in report.results if r.significant)
     n_ret = sum(1 for c in report.components if c.retained)
     print(
@@ -370,50 +358,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="print a field's banding thresholds as JSON")
     p.add_argument("--grid", required=True)
     p.add_argument("--orientation", default=LOSS_NEGATIVE, choices=ORIENTATIONS)
-    p.add_argument("--window", default=None, help="inclusive r0:r1,c0:c1")
-    p.add_argument("--ub-multiplier", type=float, default=1.5)
-    _add_common(p)
-    p.set_defaults(func=cmd_thresholds)
+    _add_config_flags(p, ("window", "ub_multiplier"))
+    p.set_defaults(func=cmd_thresholds, ub_multiplier=DEFAULT_UB_MULTIPLIER)
 
     p = sub.add_parser("diff", help="per-cell change field LATER - EARLIER")
     p.add_argument("earlier")
     p.add_argument("later")
     p.add_argument("-o", "--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("build-graph", help="build the linkage graph and write graph.json")
     _add_config_flags(p, GRAPH_FIELDS, required=INPUT_FIELDS)
     p.add_argument("-o", "--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("extract-paths", help="enumerate candidate paths from graph.json")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_NODES, help="max nodes per path")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    _add_config_flags(p, ("max_len", "cap", "seed"))
     p.add_argument("-o", "--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_extract_paths)
+    p.set_defaults(func=cmd_extract_paths, max_len=DEFAULT_MAX_NODES, cap=DEFAULT_CAP, seed=0)
 
     p = sub.add_parser("significance", help="score candidate paths under the permutation null")
     p.add_argument("--graph", required=True)
     p.add_argument("--paths", required=True)
-    _add_config_flags(p, NULL_FIELDS, required=INPUT_FIELDS)
+    _add_config_flags(p, NULL_FIELDS + ("seed", "threads"), required=INPUT_FIELDS)
     p.add_argument("-o", "--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_significance)
 
     p = sub.add_parser("pipeline", help="full run: bands, graph, paths, significance, artifacts")
     p.add_argument("--config", default=None, help="JSON config; flags override its entries")
     _add_config_flags(p, RUN_FIELDS)
-    _add_common(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("synth", help="generate a planted or null synthetic instance")
     p.add_argument("--spec", required=True, help="JSON instance spec")
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("aar", help="transport benchmark over one point field")
@@ -423,15 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--station", required=True, help="lat,lon")
     p.add_argument("--max-edge-km", type=float, default=DEFAULT_MAX_EDGE_KM)
     p.add_argument("--min-extent-km", type=float, default=DEFAULT_MIN_EXTENT_KM)
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--m", type=int, default=DEFAULT_REPLICATES)
-    p.add_argument("--alpha", type=float, default=DEFAULT_AAR_ALPHA)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--snap-km", type=float, default=DEFAULT_SNAP_KM)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    _add_config_flags(p, ("max_len", "m", "alpha", "cap", "seed", "threads"))
     p.add_argument("-o", "--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_aar)
+    p.set_defaults(
+        func=cmd_aar, max_len=DEFAULT_MAX_NODES, m=DEFAULT_REPLICATES, alpha=DEFAULT_AAR_ALPHA,
+        cap=DEFAULT_CAP, seed=0,
+    )
 
     return parser
 

@@ -25,6 +25,8 @@ VARIANT_CMAD = "cmad"
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_CHEBYSHEV = "chebyshev"
 METRICS = (METRIC_EUCLIDEAN, METRIC_CHEBYSHEV)
+# Delaunay edges longer than this many grid cells are dropped.
+DEFAULT_MAX_EDGE_CELLS = 11.0
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ def _cmad_weight(u: GraphNode, v: GraphNode) -> int:
 def build_graph(
     source_cells: CellSet,
     target_cells: CellSet,
-    max_edge_cells: float = 11.0,
+    max_edge_cells: float = DEFAULT_MAX_EDGE_CELLS,
     metric: str = METRIC_EUCLIDEAN,
     variant: str = VARIANT_STANDARD,
     anomaly_mask: np.ndarray | None = None,

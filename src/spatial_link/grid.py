@@ -30,6 +30,8 @@ BAND_MODERATE = "moderate"
 BAND_HIGH = "high"
 BAND_ANOMALOUS = "anomalous"
 BANDS = (BAND_MODERATE, BAND_HIGH, BAND_ANOMALOUS)
+# Tukey fence multiplier: the anomalous floor is q3 + multiplier * (q3 - q1).
+DEFAULT_UB_MULTIPLIER = 1.5
 
 KIND_SOURCE = "source"
 KIND_TARGET = "target"
@@ -245,7 +247,7 @@ def loss_magnitudes(grid: ChangeGrid, orientation: str) -> np.ndarray:
 
 
 def compute_threshold_bands(
-    grid: ChangeGrid, orientation: str, ub_multiplier: float = 1.5
+    grid: ChangeGrid, orientation: str, ub_multiplier: float = DEFAULT_UB_MULTIPLIER
 ) -> ThresholdBands:
     """Derive banding cut points from a field's own loss distribution.
 

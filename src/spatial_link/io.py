@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .aar import AarReport
 from .errors import MalformedHeader
-from .grid import ChangeGrid, GridRegistration, QUARTER_DEGREE_GLOBAL
+from .grid import ChangeGrid, GridRegistration
 from .graph import GraphEdge, GraphNode, SpatialGraph
 from .paths import LinkagePath
 from .significance import SignificanceResult
@@ -169,7 +169,7 @@ def _load_grid_raw(payload_path: str, sidecar_path: str) -> ChangeGrid:
 # -- grid format B: sparse CSV -------------------------------------------
 
 
-def _load_grid_csv(path: str, registration: GridRegistration) -> ChangeGrid:
+def _load_grid_csv(path: str) -> ChangeGrid:
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -212,7 +212,7 @@ def _load_grid_csv(path: str, registration: GridRegistration) -> ChangeGrid:
     for r, c, v, ok in entries:
         values[r, c] = v
         mask[r, c] = ok
-    return ChangeGrid(values=values, valid_mask=mask, registration=registration)
+    return ChangeGrid(values=values, valid_mask=mask)
 
 
 def save_grid_csv(grid: ChangeGrid, path: str) -> None:
@@ -225,39 +225,25 @@ def save_grid_csv(grid: ChangeGrid, path: str) -> None:
                 writer.writerow([r, c, repr(float(grid.values[r, c])), int(grid.valid_mask[r, c])])
 
 
-def load_grid(
-    path: str,
-    fmt: str | None = None,
-    registration: GridRegistration = QUARTER_DEGREE_GLOBAL,
-) -> ChangeGrid:
-    """Load a grid in format A (raw+json) or B (csv).
+def load_grid(path: str) -> ChangeGrid:
+    """Load a grid in format A (raw+json) or B (csv), chosen by extension.
 
-    When ``fmt`` is omitted it is inferred from the extension: ``.csv`` is
-    format B, ``.json`` is a format A sidecar, anything else is a format A
-    payload whose sidecar sits next to it at ``<path>.json``. The
-    ``registration`` argument applies to format B only (the CSV format
-    carries no geography).
+    ``.csv`` is format B, on the quarter-degree global registration (the
+    CSV format carries no geography); ``.json`` is a format A sidecar;
+    anything else is a format A payload whose sidecar sits next to it at
+    ``<path>.json``.
     """
-    if fmt is None:
-        if path.endswith(".csv"):
-            fmt = "csv"
-        elif path.endswith(".json"):
-            fmt = "sidecar"
-        else:
-            fmt = "raw"
-    if fmt == "csv":
-        return _load_grid_csv(path, registration)
-    if fmt == "sidecar":
+    if path.endswith(".csv"):
+        return _load_grid_csv(path)
+    if path.endswith(".json"):
         doc = read_json(path)
         payload = doc.get("payload_path")
         if payload is None:
-            payload = path[: -len(".json")] if path.endswith(".json") else path
+            payload = path[: -len(".json")]
         elif not os.path.isabs(payload):
             payload = os.path.join(os.path.dirname(path) or ".", payload)
         return _load_grid_raw(payload, path)
-    if fmt == "raw":
-        return _load_grid_raw(path, _sidecar_path(path))
-    raise ValueError(f"unknown grid format {fmt!r}")
+    return _load_grid_raw(path, _sidecar_path(path))
 
 
 # -- structured artifacts -------------------------------------------------

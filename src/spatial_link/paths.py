@@ -4,11 +4,13 @@ A candidate path starts at a source node, walks distinct nodes, and
 terminates at the first target node it reaches, so target nodes never
 appear in a path interior. Enumeration is breadth-first with the
 frontier expanded in ascending node-id order, giving a deterministic
-path list independent of hash seeds. Sources are walked in id order,
-in one thread, against one running path cap.
+path list independent of hash seeds. A walk is not extended once no
+target lies within the nodes it has left. Sources are walked in id
+order, in one thread, against one running path cap.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -47,12 +49,30 @@ def path_score(edge_weights: tuple[int, ...] | list[int]) -> float:
     return positive / len(edge_weights)
 
 
+def terminal_hops(adjacency: list[list[int]], terminal: frozenset[int] | set[int]) -> list[float]:
+    """Fewest edges from each node to a terminal node (infinity if none is reachable).
+
+    A breadth-first search from all terminals at once; a shortest route
+    never passes through a terminal, as that nearer one would end it.
+    """
+    hops = [0 if node in terminal else math.inf for node in range(len(adjacency))]
+    queue = deque(terminal)
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if hops[v] == math.inf:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
+
+
 def enumerate_walks(
     adjacency: list[list[int]],
     start: int,
     terminal: frozenset[int] | set[int],
     max_nodes: int,
     limit: int | None = None,
+    hops: list[float] | None = None,
 ) -> list[tuple[int, ...]]:
     """Breadth-first enumeration of simple walks ending on a terminal node.
 
@@ -62,24 +82,31 @@ def enumerate_walks(
     Results come back in breadth-first emission order. With ``limit``
     set, the walk stops as soon as it has found more than ``limit``
     walks and returns those, a prefix of the unlimited result.
+
+    ``hops`` is ``terminal_hops(adjacency, terminal)``, computed when
+    omitted. A walk never steps to a node with no terminal within the
+    nodes it has left; such walks never end, so the result is unchanged.
     """
     if max_nodes < 2:
         raise ValueError("max_nodes must allow at least one edge")
     if start in terminal:
         raise ValueError(f"start node {start} is a terminal node")
+    if hops is None:
+        hops = terminal_hops(adjacency, terminal)
     out: list[tuple[int, ...]] = []
     queue: deque[tuple[int, ...]] = deque([(start,)])
     while queue:
         walk = queue.popleft()
         seen = set(walk)
+        left = max_nodes - 1 - len(walk)
         for nbr in adjacency[walk[-1]]:
-            if nbr in seen:
+            if nbr in seen or hops[nbr] > left:
                 continue
             if nbr in terminal:
                 out.append(walk + (nbr,))
                 if limit is not None and len(out) > limit:
                     return out
-            elif len(walk) < max_nodes - 1:
+            else:
                 queue.append(walk + (nbr,))
     return out
 
@@ -117,20 +144,13 @@ def to_linkage_paths(
 
 
 def bfs_paths(
-    graph: SpatialGraph,
-    source: int,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    targets: set[int] | None = None,
+    graph: SpatialGraph, source: int, max_nodes: int = DEFAULT_MAX_NODES
 ) -> list[LinkagePath]:
-    """All bounded simple paths from one source node to any target node.
-
-    ``targets`` defaults to every target-kind node of the graph.
-    """
+    """All bounded simple paths from one source node to any target node."""
     node = graph.nodes[source]
     if node.kind != KIND_SOURCE:
         raise ValueError(f"node {source} is not a source node (kind={node.kind!r})")
-    if targets is None:
-        targets = frozenset(graph.nodes_of_kind(KIND_TARGET))
+    targets = frozenset(graph.nodes_of_kind(KIND_TARGET))
     walks = enumerate_walks(graph.adjacency, source, targets, max_nodes)
     return to_linkage_paths(walks, graph.edge_weight)
 
@@ -153,8 +173,9 @@ def extract_all_paths(
     if cap <= 0:
         raise ValueError("cap must be positive")
     targets = frozenset(graph.nodes_of_kind(KIND_TARGET))
+    hops = terminal_hops(graph.adjacency, targets)
     walks = walks_within_cap(
-        lambda src, limit: enumerate_walks(graph.adjacency, src, targets, max_nodes, limit),
+        lambda src, limit: enumerate_walks(graph.adjacency, src, targets, max_nodes, limit, hops),
         graph.nodes_of_kind(KIND_SOURCE),
         cap,
         hint="lower --max-len or --dmax, tighten the bands, or raise --cap",

@@ -18,24 +18,51 @@ import numpy as np
 from . import io
 from .errors import ConfigError, DimMismatch, EmptySide
 from .grid import (
-    BANDS,
-    KIND_SOURCE,
-    LOSS_NEGATIVE,
-    ORIENTATIONS,
-    ChangeGrid,
-    RegionWindow,
-    ThresholdBands,
-    classify_cells,
-    compute_threshold_bands,
-    crop_region,
+    BANDS, DEFAULT_UB_MULTIPLIER, KIND_SOURCE, LOSS_NEGATIVE, ORIENTATIONS, ChangeGrid,
+    RegionWindow, ThresholdBands, classify_cells, compute_threshold_bands, crop_region,
     resample_nearest,
 )
-from .graph import METRICS, VARIANT_CMAD, VARIANT_STANDARD, SpatialGraph, build_graph
-from .paths import LinkagePath, extract_all_paths, linkage_frequency
-from .significance import PermutationNull, SeedPolicy, SignificanceResult, filter_significant
+from .graph import (
+    DEFAULT_MAX_EDGE_CELLS, METRICS, VARIANT_CMAD, VARIANT_STANDARD, SpatialGraph, build_graph,
+)
+from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, LinkagePath, extract_all_paths, linkage_frequency
+from .significance import (
+    DEFAULT_ALPHA, DEFAULT_REPLICATES, PermutationNull, SeedPolicy, SignificanceResult,
+    filter_significant,
+)
 
 SCOPE_WINDOW = "window"
 SCOPE_GLOBAL = "global"
+
+# The one range rule of each numeric run setting: (requirement, test).
+# The last three are settings of the aar mode.
+RANGE_RULES = {
+    "dmax": ("> 0", lambda v: v > 0),
+    "max_len": (">= 2", lambda v: v >= 2),
+    "cap": ("> 0", lambda v: v > 0),
+    "m": (">= 1", lambda v: v >= 1),
+    "alpha": ("strictly between 0 and 1", lambda v: 0 < v < 1),
+    "threads": (">= 1", lambda v: v >= 1),
+    "seed": (">= 0", lambda v: v >= 0),
+    "ub_multiplier": (">= 0", lambda v: v >= 0),
+    "max_edge_km": ("> 0", lambda v: v > 0),
+    "snap_km": ("> 0", lambda v: v > 0),
+    "min_extent_km": (">= 0", lambda v: v >= 0),
+}
+
+
+def check_range(name: str, value, given_as: str | None = None) -> None:
+    """Raise ``ConfigError``, naming ``given_as`` or else the flag, if ``value`` is out of range."""
+    rule, test = RANGE_RULES[name]
+    try:
+        ok = test(value)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(
+            f"{name} must be {rule}, got {value!r}",
+            hint=f"give {given_as or '--' + name.replace('_', '-')} a value {rule}",
+        )
 
 
 @dataclass
@@ -52,13 +79,13 @@ class RunConfig:
     band_source: str = "moderate"
     band_target: str = "moderate"
     band_scope: str = SCOPE_WINDOW
-    ub_multiplier: float = 1.5
-    dmax: float = 11.0
+    ub_multiplier: float = DEFAULT_UB_MULTIPLIER
+    dmax: float = DEFAULT_MAX_EDGE_CELLS
     metric: str = "euclidean"
-    max_len: int = 11
-    cap: int = 1_000_000
-    m: int = 999
-    alpha: float = 0.05
+    max_len: int = DEFAULT_MAX_NODES
+    cap: int = DEFAULT_CAP
+    m: int = DEFAULT_REPLICATES
+    alpha: float = DEFAULT_ALPHA
     seed: int = 0
     threads: int = 1
     share_null: bool = False
@@ -85,12 +112,9 @@ class RunConfig:
             raise ConfigError(f"band_scope must be {SCOPE_WINDOW!r} or {SCOPE_GLOBAL!r}")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}")
-        if self.dmax <= 0 or self.max_len < 2 or self.cap <= 0 or self.m < 1:
-            raise ConfigError("dmax, max_len, cap, and m must be positive (max_len >= 2)")
-        if not 0 < self.alpha < 1:
-            raise ConfigError("alpha must lie strictly between 0 and 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
+        for f in fields(self):
+            if f.name in RANGE_RULES:
+                check_range(f.name, getattr(self, f.name))
         if self.resample_source is not None:
             dims = list(self.resample_source)
             if len(dims) != 2 or any(int(d) <= 0 for d in dims):

@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainViolation
+from .graph import DEFAULT_MAX_EDGE_CELLS
 from .grid import (
     BAND_ANOMALOUS,
     BAND_HIGH,
     BAND_MODERATE,
-    QUARTER_DEGREE_GLOBAL,
+    DEFAULT_UB_MULTIPLIER,
     ChangeGrid,
-    GridRegistration,
 )
+from .paths import DEFAULT_MAX_NODES
 
 DEFAULT_SIGMA = 1.0
 
@@ -29,7 +30,7 @@ DEFAULT_SIGMA = 1.0
 _HALF_NORMAL_MEDIAN = 0.6744897501960817
 _HALF_NORMAL_Q1 = 0.31863936396437514
 _HALF_NORMAL_Q3 = 1.1503493803760079
-_HALF_NORMAL_UB = _HALF_NORMAL_Q3 + 1.5 * (_HALF_NORMAL_Q3 - _HALF_NORMAL_Q1)
+_HALF_NORMAL_UB = _HALF_NORMAL_Q3 + DEFAULT_UB_MULTIPLIER * (_HALF_NORMAL_Q3 - _HALF_NORMAL_Q1)
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class PlantSpec:
     split_index: int
     noise: NoiseModel = field(default_factory=NoiseModel)
     seed: int = 0
-    max_spacing_cells: float = 11.0
-    max_len: int = 11
+    max_spacing_cells: float = DEFAULT_MAX_EDGE_CELLS
+    max_len: int = DEFAULT_MAX_NODES
 
     def validate(self) -> None:
         n = len(self.chain_cells)
@@ -137,8 +138,8 @@ def chain_spec(
     band: str = BAND_MODERATE,
     noise: NoiseModel | None = None,
     seed: int = 0,
-    max_spacing_cells: float = 11.0,
-    max_len: int = 11,
+    max_spacing_cells: float = DEFAULT_MAX_EDGE_CELLS,
+    max_len: int = DEFAULT_MAX_NODES,
 ) -> PlantSpec:
     """Spec with chain magnitudes spread across the middle of one band."""
     noise = noise or NoiseModel()
@@ -159,9 +160,7 @@ def chain_spec(
 
 
 def generate(
-    spec: PlantSpec,
-    dims: tuple[int, int],
-    registration: GridRegistration = QUARTER_DEGREE_GLOBAL,
+    spec: PlantSpec, dims: tuple[int, int]
 ) -> tuple[ChangeGrid, ChangeGrid, PlantedChain]:
     """Materialize a planted instance of the given dimensions.
 
@@ -188,8 +187,8 @@ def generate(
             target_vals[r, c] = v
             source_vals[r, c] = abs(v)
     valid = np.ones((rows, cols), dtype=bool)
-    source = ChangeGrid(values=source_vals, valid_mask=valid, registration=registration)
-    target = ChangeGrid(values=target_vals, valid_mask=valid.copy(), registration=registration)
+    source = ChangeGrid(values=source_vals, valid_mask=valid)
+    target = ChangeGrid(values=target_vals, valid_mask=valid.copy())
     truth = PlantedChain(
         cells=spec.chain_cells, split_index=spec.split_index, values=spec.chain_values
     )
@@ -197,24 +196,14 @@ def generate(
 
 
 def generate_null(
-    dims: tuple[int, int],
-    noise: NoiseModel | None = None,
-    seed: int = 0,
-    registration: GridRegistration = QUARTER_DEGREE_GLOBAL,
+    dims: tuple[int, int], noise: NoiseModel | None = None, seed: int = 0
 ) -> tuple[ChangeGrid, ChangeGrid]:
     """A chain-free instance: two independent noise fields."""
     noise = noise or NoiseModel()
-    rows, cols = dims
     g = np.random.default_rng(seed)
-    valid = np.ones((rows, cols), dtype=bool)
-    source = ChangeGrid(
-        values=noise.sample((rows, cols), g), valid_mask=valid, registration=registration
-    )
-    target = ChangeGrid(
-        values=noise.sample((rows, cols), g),
-        valid_mask=valid.copy(),
-        registration=registration,
-    )
+    valid = np.ones(dims, dtype=bool)
+    source = ChangeGrid(values=noise.sample(dims, g), valid_mask=valid)
+    target = ChangeGrid(values=noise.sample(dims, g), valid_mask=valid.copy())
     return source, target
 
 

@@ -751,6 +751,80 @@ class TestCli:
         assert rc == 1
         assert "no 'origins' key" in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("aar", "--m", "0"),
+        ("aar", "--alpha", "1.5"),
+        ("aar", "--max-len", "1"),
+        ("aar", "--threads", "0"),
+        ("aar", "--seed", "-1"),
+        ("aar", "--max-edge-km", "0"),
+        ("aar", "--snap-km", "0"),
+        ("aar", "--min-extent-km", "-1"),
+        ("aar", "--cap", "0"),
+        ("extract-paths", "--max-len", "1"),
+        ("extract-paths", "--cap", "0"),
+        ("extract-paths", "--seed", "-1"),
+        ("thresholds", "--ub-multiplier", "-1"),
+        ("synth", "--seed", "-1"),
+        ("pipeline", "--ub-multiplier", "-1"),
+        ("pipeline", "--seed", "-1"),
+        ("pipeline", "--dmax", "0"),
+        ("pipeline", "--alpha", "0"),
+        ("pipeline", "--threads", "0"),
+    ])
+    def test_out_of_range_setting_fails_before_any_output(
+        self, command, flag, value, instance_files, tmp_path, capsys
+    ):
+        spath, tpath = instance_files
+        gpath = str(tmp_path / "graph.json")
+        assert self.run(["build-graph", "--source", spath, "--target", tpath, "--dmax", "2.0",
+                         "-o", gpath], capsys)[0] == 0
+        (tmp_path / "spec.json").write_text(json.dumps({"dims": [8, 8]}))
+        (tmp_path / "origins.json").write_text(json.dumps([[0.0, 0.0]]))
+        out = tmp_path / "out"
+        base = {
+            "aar": ["--values", spath, "--mask", tpath, "--origins", str(tmp_path / "origins.json"),
+                    "--station", "0,0", "-o", str(out / "report.json")],
+            "extract-paths": ["--graph", gpath, "-o", str(out / "paths.json")],
+            "thresholds": ["--grid", spath],
+            "synth": ["--spec", str(tmp_path / "spec.json"), "--out-dir", str(out)],
+            "pipeline": ["--source", spath, "--target", tpath, "--dmax", "2.0", "--max-len", "4",
+                         "--m", "9", "--out-dir", str(out)],
+        }[command]
+        rc, stdout, err = self.run([command, *base, flag, value], capsys)
+        assert rc == 1
+        name = flag[2:].replace("-", "_")
+        assert f"spatial-link: error [io-cli]: {name} must be" in err
+        assert f"spatial-link: hint: give {flag} a value" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_config_setting_of_the_wrong_type_is_a_config_error(
+        self, instance_files, tmp_path, capsys
+    ):
+        spath, tpath = instance_files
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps({"source": spath, "target": tpath, "m": "nine"}))
+        rc, _, err = self.run(["pipeline", "--config", str(cpath),
+                               "--out-dir", str(tmp_path / "out")], capsys)
+        assert rc == 1
+        assert "spatial-link: error [io-cli]: m must be >= 1, got 'nine'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["thresholds", "--grid", "g.raw", "--threads", "2"],
+        ["diff", "a.raw", "b.raw", "-o", "c.raw", "--seed", "1"],
+        ["build-graph", "--source", "s.raw", "--target", "t.raw", "-o", "g.json",
+         "--threads", "2"],
+        ["extract-paths", "--graph", "g.json", "-o", "p.json", "--threads", "2"],
+        ["synth", "--spec", "s.json", "--out-dir", "out", "--threads", "2"],
+    ], ids=lambda argv: argv[0] + argv[-2])
+    def test_flags_a_command_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
 
 class TestThreadResolution:
     def test_flag_wins(self, monkeypatch):
@@ -770,8 +844,10 @@ class TestThreadResolution:
         assert cli._resolve_threads(None, None) == 1
 
     def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv(cli.ENV_THREADS, "lots")
         from spatial_link.errors import ConfigError
 
-        with pytest.raises(ConfigError):
-            cli._resolve_threads(None, None)
+        for value in ("lots", "0", "-2"):
+            monkeypatch.setenv(cli.ENV_THREADS, value)
+            with pytest.raises(ConfigError) as exc_info:
+                cli._resolve_threads(None, None)
+            assert cli.ENV_THREADS in f"{exc_info.value} {exc_info.value.hint}"

@@ -12,6 +12,7 @@ from spatial_link.grid import (
     KIND_SOURCE,
     KIND_TARGET,
     LOSS_NEGATIVE,
+    CellSet,
     classify_cells,
     compute_threshold_bands,
 )
@@ -242,6 +243,44 @@ class TestFrequency:
         g = make_graph(2, [], target_ids=[1])
         freq = linkage_frequency([], g, (3, 3))
         assert not freq.any()
+
+
+class CountingAdjacency(list):
+    """An adjacency list that counts how often a neighbour list is read."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class TestPrune:
+    def test_walks_that_cannot_reach_a_target_are_not_extended(self):
+        """An 8x8 block of sources whose only target lies beyond dmax.
+
+        Without pruning every simple walk of up to 8 nodes in the block is
+        expanded (470,596 neighbour reads); with it each source is read once.
+        """
+        block = CellSet(KIND_SOURCE, "moderate", [(r, c, -1.0) for r in range(8) for c in range(8)])
+        far = CellSet(KIND_TARGET, "moderate", [(20, 20, -1.0)])
+        graph = build_graph(block, far, max_edge_cells=1.5)
+        assert graph.n_nodes == 65 and graph.n_edges > 100
+        graph.adjacency = CountingAdjacency(graph.adjacency)
+        assert extract_all_paths(graph, max_nodes=8) == []
+        assert graph.adjacency.reads <= 4 * graph.n_nodes
+
+    def test_walks_and_their_order_match_the_oracle(self):
+        """Breadth-first order is by node count, then by node sequence."""
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            g = random_graph(rng)
+            targets = set(g.nodes_of_kind("target"))
+            max_nodes = int(rng.integers(2, 7))
+            for start in g.nodes_of_kind("source"):
+                expected = brute_force_paths(g.adjacency, [start], targets, max_nodes)
+                got = enumerate_walks(g.adjacency, start, targets, max_nodes)
+                assert got == sorted(expected, key=lambda walk: (len(walk), walk))
 
 
 class TestEnumerateWalks:
