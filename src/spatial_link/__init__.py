@@ -52,7 +52,6 @@ from .paths import (
     path_score,
 )
 from .significance import (
-    NullDistribution,
     PermutationNull,
     SeedPolicy,
     SignificanceResult,

@@ -17,10 +17,7 @@ import numpy as np
 from .errors import DimMismatch, EmptySide, StationUnreachable
 from .grid import ChangeGrid
 from .graph import (
-    GraphEdge,
-    GraphNode,
-    SpatialGraph,
-    delaunay_triangulate,
+    VARIANT_THRESHOLD, GraphEdge, GraphNode, SpatialGraph, delaunay_triangulate, edge_ok,
 )
 from .paths import (
     DEFAULT_CAP, DEFAULT_MAX_NODES, enumerate_walks, terminal_hops, to_linkage_paths,
@@ -268,9 +265,9 @@ def station_path_significance(
         cap,
         hint="lower --max-len or --max-edge-km, or raise --cap",
     )
+    elevated = [p.value >= threshold for p in points]
     paths = to_linkage_paths(
-        walks,
-        lambda u, v: 1 if points[u].value >= threshold and points[v].value >= threshold else -1,
+        walks, lambda u, v: 1 if edge_ok(VARIANT_THRESHOLD, elevated[u], elevated[v]) else -1
     )
     if not paths:
         return [], station_id

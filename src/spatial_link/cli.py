@@ -41,11 +41,10 @@ from .synthetic import NoiseModel, PlantSpec, chain_spec, generate, generate_nul
 ENV_THREADS = "SPATIAL_LINK_THREADS"
 
 
-def _resolve_threads(flag_value: int | None, config_value: int | None = None) -> int:
+def _resolve_threads(flag_value: int | None) -> int:
+    """The flag's (or config file's) thread count, else $SPATIAL_LINK_THREADS, else 1."""
     if flag_value is not None:
         return flag_value
-    if config_value is not None:
-        return config_value
     env = os.environ.get(ENV_THREADS)
     if not env:
         return 1
@@ -135,12 +134,16 @@ def _add_config_flags(parser, names, required=()) -> None:
 
 def _config(args, doc: dict | None = None) -> RunConfig:
     """The RunConfig of ``doc`` with every flag that was given laid over it."""
+    if doc is not None and not isinstance(doc, dict):
+        raise ConfigError("the config is not a JSON object", hint='write {"source": ..., ...}')
     doc = dict(doc or {})
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             doc[f.name] = _parse_dims(value) if f.name == "resample_source" else value
-    doc["threads"] = _resolve_threads(doc.get("threads"))
+    if hasattr(args, "threads"):
+        # Only the commands that run the null read the thread setting.
+        doc["threads"] = _resolve_threads(doc.get("threads"))
     config = RunConfig.from_dict(doc)
     config.validate()
     return config
@@ -214,50 +217,65 @@ def _parse_dims(text: str) -> list[int]:
     )
 
 
-def cmd_synth(args) -> int:
-    doc = io.read_json(args.spec)
-    dims = doc.get("dims")
-    if not dims or len(dims) != 2:
-        raise ConfigError("synth spec must set dims: [rows, cols]")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+def _synth_instance(doc, seed_flag: int | None):
+    """Seed, source and target fields, and planted truth (or None) of a synth spec."""
+    if not isinstance(doc, dict):
+        raise ValueError("the spec is not a JSON object")
+    seed = seed_flag if seed_flag is not None else int(doc.get("seed", 0))
     check_range("seed", seed)
+    dims = tuple(int(d) for d in doc.get("dims") or ())
+    if len(dims) != 2 or min(dims) <= 0:
+        raise ValueError(f"dims must be [rows, cols] of positive integers, got {doc.get('dims')!r}")
     noise_doc = doc.get("noise", {})
     noise = NoiseModel(
         name=noise_doc.get("name", "gaussian"),
         sigma=float(noise_doc.get("sigma", 1.0)),
         mean=float(noise_doc.get("mean", 0.0)),
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    metadata = io.metadata_block(doc, seed)
+    if "chain_cells" not in doc:
+        return (seed, *generate_null(dims, noise, seed), None)
+    if "split_index" not in doc:
+        raise ValueError("a spec with chain_cells must set split_index")
+    cells = tuple((int(r), int(c)) for r, c in doc["chain_cells"])
+    shared = dict(
+        split_index=int(doc["split_index"]),
+        noise=noise,
+        seed=seed,
+        max_spacing_cells=float(doc.get("max_spacing_cells", DEFAULT_MAX_EDGE_CELLS)),
+        max_len=int(doc.get("max_len", DEFAULT_MAX_NODES)),
+    )
+    if "chain_values" in doc:
+        values = tuple(float(v) for v in doc["chain_values"])
+        spec = PlantSpec(chain_cells=cells, chain_values=values, **shared)
+    else:
+        spec = chain_spec(cells, band=doc.get("band", "moderate"), **shared)
+    return (seed, *generate(spec, dims))
 
-    if "chain_cells" in doc:
-        cells = tuple((int(r), int(c)) for r, c in doc["chain_cells"])
-        shared = dict(
-            split_index=int(doc["split_index"]),
-            noise=noise,
-            seed=seed,
-            max_spacing_cells=float(doc.get("max_spacing_cells", DEFAULT_MAX_EDGE_CELLS)),
-            max_len=int(doc.get("max_len", DEFAULT_MAX_NODES)),
-        )
-        if "chain_values" in doc:
-            values = tuple(float(v) for v in doc["chain_values"])
-            spec = PlantSpec(chain_cells=cells, chain_values=values, **shared)
-        else:
-            spec = chain_spec(cells, band=doc.get("band", "moderate"), **shared)
-        source, target, truth = generate(spec, (int(dims[0]), int(dims[1])))
+
+def cmd_synth(args) -> int:
+    doc = io.read_json(args.spec)
+    try:
+        # The whole instance is made before anything is written.
+        seed, source, target, truth = _synth_instance(doc, args.seed)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"bad synth spec {args.spec}: {exc}",
+            hint='expected {"dims": [rows, cols], "seed", "noise": {"name": "gaussian", '
+            '"sigma" > 0}, "chain_cells", "split_index", "chain_values" or "band": '
+            'moderate|high|anomalous}',
+        ) from exc
+    os.makedirs(args.out_dir, exist_ok=True)
+    if truth is not None:
         truth_doc = {
-            "metadata": metadata,
+            "metadata": io.metadata_block(doc, seed),
             "cells": [list(c) for c in truth.cells],
             "split_index": truth.split_index,
             "values": list(truth.values),
         }
         io.write_json(truth_doc, os.path.join(args.out_dir, "truth.json"))
-    else:
-        source, target = generate_null((int(dims[0]), int(dims[1])), noise, seed)
-
     io.save_grid(source, os.path.join(args.out_dir, "source.raw"))
     io.save_grid(target, os.path.join(args.out_dir, "target.raw"))
-    print(f"synthetic instance ({dims[0]}x{dims[1]}, seed {seed}) -> {args.out_dir}")
+    print(f"synthetic instance ({source.rows}x{source.cols}, seed {seed}) -> {args.out_dir}")
     return 0
 
 

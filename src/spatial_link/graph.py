@@ -21,6 +21,8 @@ from .grid import KIND_SOURCE, KIND_TARGET, CellSet
 
 VARIANT_STANDARD = "standard"
 VARIANT_CMAD = "cmad"
+# The aar rule: a point qualifies when its value reaches the elevation threshold.
+VARIANT_THRESHOLD = "threshold"
 
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_CHEBYSHEV = "chebyshev"
@@ -180,17 +182,18 @@ def filter_edges_by_distance(
     return [(i, j, d) for (i, j), d in zip(edges, dists) if d <= max_dist]
 
 
-def _coherence_weight(u: GraphNode, v: GraphNode) -> int:
-    return 1 if np.sign(u.value) == np.sign(v.value) else -1
+def edge_ok(variant: str, state_u, state_v):
+    """The one edge rule: does an edge between nodes of these states score +1?
 
-
-def _cmad_weight(u: GraphNode, v: GraphNode) -> int:
-    # Source endpoints must be mask-anomalous; target endpoints qualified
-    # at the configured band, which holds by construction of the node set.
-    for node in (u, v):
-        if node.kind == KIND_SOURCE and not node.anomalous:
-            return -1
-    return 1
+    ``standard`` states are value signs, and an edge is ok when they are
+    equal. ``cmad`` and ``threshold`` states say whether a node qualifies,
+    and an edge is ok when both ends do. Works elementwise on arrays.
+    """
+    if variant == VARIANT_STANDARD:
+        return state_u == state_v
+    if variant in (VARIANT_CMAD, VARIANT_THRESHOLD):
+        return state_u & state_v
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def build_graph(
@@ -259,16 +262,19 @@ def build_graph(
         )
 
     points = [(n.row, n.col) for n in nodes]
-    if len(points) < 2:
-        edges: list[GraphEdge] = []
-    else:
+    edges: list[GraphEdge] = []
+    if len(points) >= 2:
         raw = delaunay_triangulate(points)
         kept = filter_edges_by_distance(raw, points, max_edge_cells, metric)
-        weight_fn = _cmad_weight if variant == VARIANT_CMAD else _coherence_weight
-        edges = [
-            GraphEdge(u=i, v=j, weight=weight_fn(nodes[i], nodes[j]), distance=d)
-            for i, j, d in kept
-        ]
+        # One state per node: its sign, or (cmad) whether it qualifies,
+        # which every target node and every anomalous source node does.
+        if variant == VARIANT_CMAD:
+            state = np.asarray([n.kind == KIND_TARGET or n.anomalous for n in nodes])
+        else:
+            state = np.sign([n.value for n in nodes])
+        u, v = np.asarray([(i, j) for i, j, _ in kept], dtype=np.int64).reshape(-1, 2).T
+        weights = np.where(edge_ok(variant, state[u], state[v]), 1, -1).tolist()
+        edges = [GraphEdge(u=i, v=j, weight=w, distance=d) for (i, j, d), w in zip(kept, weights)]
 
     graph_params = {
         "variant": variant,

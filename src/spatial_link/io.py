@@ -262,25 +262,35 @@ def graph_to_json(graph: SpatialGraph, metadata: dict) -> dict:
     return {"metadata": metadata, "params": graph.params, "nodes": nodes, "edges": edges}
 
 
+@contextmanager
+def _layout(what: str, layout: str):
+    """Raise ``MalformedHeader`` for a lookup or conversion failure while reading ``what``."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedHeader(f"malformed {what}: {exc!r}", hint=f"expected {layout}") from exc
+
+
+_GRAPH_LAYOUT = (
+    '{"params": {...}, "nodes": [{"id", "row", "col", "kind", "value"}, ...], '
+    '"edges": [{"u", "v", "weight", "distance"}, ...]}'
+)
+_PATHS_LAYOUT = '{"paths": [{"nodes": [...], "edge_weights": [...], "score"}, ...]}'
+
+
 def graph_from_json(doc: dict) -> SpatialGraph:
-    nodes = [
-        GraphNode(
-            id=int(n["id"]),
-            row=int(n["row"]),
-            col=int(n["col"]),
-            kind=n["kind"],
-            value=float(n["value"]),
-            anomalous=n.get("anomalous"),
-        )
-        for n in doc["nodes"]
-    ]
-    edges = [
-        GraphEdge(
-            u=int(e["u"]), v=int(e["v"]), weight=int(e["weight"]), distance=float(e["distance"])
-        )
-        for e in doc["edges"]
-    ]
-    return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
+    with _layout("graph document", _GRAPH_LAYOUT):
+        nodes = [
+            GraphNode(id=int(n["id"]), row=int(n["row"]), col=int(n["col"]), kind=n["kind"],
+                      value=float(n["value"]), anomalous=n.get("anomalous"))
+            for n in doc["nodes"]
+        ]
+        edges = [
+            GraphEdge(u=int(e["u"]), v=int(e["v"]), weight=int(e["weight"]),
+                      distance=float(e["distance"]))
+            for e in doc["edges"]
+        ]
+        return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
 
 
 def paths_to_json(paths: list[LinkagePath], graph: SpatialGraph, metadata: dict) -> dict:
@@ -299,14 +309,15 @@ def paths_to_json(paths: list[LinkagePath], graph: SpatialGraph, metadata: dict)
 
 
 def paths_from_json(doc: dict) -> list[LinkagePath]:
-    return [
-        LinkagePath(
-            nodes=tuple(int(i) for i in p["nodes"]),
-            edge_weights=tuple(int(w) for w in p["edge_weights"]),
-            score=float(p["score"]),
-        )
-        for p in doc["paths"]
-    ]
+    with _layout("paths document", _PATHS_LAYOUT):
+        return [
+            LinkagePath(
+                nodes=tuple(int(i) for i in p["nodes"]),
+                edge_weights=tuple(int(w) for w in p["edge_weights"]),
+                score=float(p["score"]),
+            )
+            for p in doc["paths"]
+        ]
 
 
 def _result_rows(results: list[SignificanceResult]) -> list[dict]:

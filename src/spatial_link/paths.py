@@ -187,9 +187,8 @@ def linkage_frequency(
     paths: list[LinkagePath], graph: SpatialGraph, shape: tuple[int, int]
 ) -> np.ndarray:
     """Per-cell count of how many of the given paths visit each cell."""
+    cells = np.asarray([(n.row, n.col) for n in graph.nodes], dtype=np.int64).reshape(-1, 2)
+    ids = np.fromiter((i for p in paths for i in p.nodes), dtype=np.int64)
     freq = np.zeros(shape, dtype=np.int64)
-    for path in paths:
-        for node_id in path.nodes:
-            node = graph.nodes[node_id]
-            freq[node.row, node.col] += 1
+    np.add.at(freq, (cells[ids, 0], cells[ids, 1]), 1)
     return freq

@@ -18,7 +18,7 @@ import numpy as np
 from . import io
 from .errors import ConfigError, DimMismatch, EmptySide
 from .grid import (
-    BANDS, DEFAULT_UB_MULTIPLIER, KIND_SOURCE, LOSS_NEGATIVE, ORIENTATIONS, ChangeGrid,
+    BANDS, DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, ChangeGrid,
     RegionWindow, ThresholdBands, classify_cells, compute_threshold_bands, crop_region,
     resample_nearest,
 )
@@ -254,24 +254,6 @@ def build_band_graph(
     )
 
 
-def _check_nodes_on_grids(graph: SpatialGraph, grids: PreparedGrids) -> None:
-    hint = "pass the fields (and mask) the graph was built from"
-    for n in graph.nodes:
-        grid = grids.source if n.kind == KIND_SOURCE else grids.target
-        if not (0 <= n.row < grid.rows and 0 <= n.col < grid.cols):
-            raise DimMismatch(
-                f"graph node {n.id} at cell ({n.row}, {n.col}) lies outside "
-                f"the {grid.rows}x{grid.cols} grids",
-                hint=hint,
-            )
-        if not grid.valid_mask[n.row, n.col]:
-            raise DimMismatch(
-                f"graph node {n.id} at cell ({n.row}, {n.col}) lies on an invalid "
-                f"cell of the {n.kind} field",
-                hint=hint,
-            )
-
-
 def _check_paths_in_graph(graph: SpatialGraph, paths: list[LinkagePath]) -> None:
     hint = "extract the paths from this graph (spatial-link extract-paths --graph ...)"
     ids = [node for path in paths for node in path.nodes]
@@ -293,11 +275,7 @@ def _check_paths_in_graph(graph: SpatialGraph, paths: list[LinkagePath]) -> None
 def score_paths(
     config: RunConfig, graph: SpatialGraph, paths: list[LinkagePath], grids: PreparedGrids
 ) -> list[SignificanceResult]:
-    """Test candidate paths against the permutation null of the two fields."""
-    _check_nodes_on_grids(graph, grids)
-    _check_paths_in_graph(graph, paths)
-    if not paths:
-        return []
+    """Test paths against the permutation null; nodes must sit on valid cells, paths on edges."""
     engine = PermutationNull.for_graph(
         graph,
         grids.source,
@@ -307,6 +285,7 @@ def score_paths(
         threads=config.threads,
         anomaly_mask=grids.anomaly_bits if config.variant == VARIANT_CMAD else None,
     )
+    _check_paths_in_graph(graph, paths)
     return engine.evaluate(
         paths,
         alpha=config.alpha,

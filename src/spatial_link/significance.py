@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from .errors import DimMismatch
 from .grid import KIND_SOURCE, LOSS_NEGATIVE, ORIENTATIONS, ChangeGrid
-from .graph import VARIANT_CMAD, VARIANT_STANDARD, SpatialGraph
+from .graph import VARIANT_CMAD, VARIANT_STANDARD, VARIANT_THRESHOLD, SpatialGraph, edge_ok
 from .paths import LinkagePath
 
 DEFAULT_REPLICATES = 999
@@ -40,18 +41,6 @@ class SeedPolicy:
 
     def generator(self, index: int) -> np.random.Generator:
         return np.random.default_rng(self.replicate_sequence(index))
-
-
-@dataclass(frozen=True)
-class NullDistribution:
-    """Replicate scores of one path under the permutation null."""
-
-    scores: np.ndarray
-    base_seed: int
-
-    @property
-    def n_replicates(self) -> int:
-        return len(self.scores)
 
 
 @dataclass(frozen=True)
@@ -85,6 +74,30 @@ def benjamini_hochberg(p_values, alpha: float) -> np.ndarray:
         k = int(np.nonzero(below)[0][-1])
         decisions[order[: k + 1]] = True
     return decisions
+
+
+def pool_positions(grid: ChangeGrid, cells, ids, field: str) -> np.ndarray:
+    """Pool index of each cell among the valid cells of ``grid``, in row-major order.
+
+    ``cells`` holds one (row, col) per node and ``ids`` the node ids, which
+    name the first cell that lies outside the grid or on an invalid cell
+    of ``field`` in the ``DimMismatch`` raised for it.
+    """
+    rows, cols = np.asarray(cells, dtype=np.int64).reshape(-1, 2).T
+    positions = np.full(grid.shape, -1, dtype=np.int64)
+    positions[grid.valid_mask] = np.arange(int(grid.valid_mask.sum()))
+    off = (rows < 0) | (rows >= grid.rows) | (cols < 0) | (cols >= grid.cols)
+    pos = np.where(off, -1, positions[np.where(off, 0, rows), np.where(off, 0, cols)])
+    bad = np.flatnonzero(pos < 0)
+    if bad.size:
+        k = int(bad[0])
+        where = (f"outside the {grid.rows}x{grid.cols} grids" if off[k]
+                 else f"on an invalid cell of the {field} field")
+        raise DimMismatch(
+            f"graph node {ids[k]} at cell ({rows[k]}, {cols[k]}) lies {where}",
+            hint="pass the fields (and mask) the graph was built from",
+        )
+    return pos
 
 
 def filter_significant(results: list[SignificanceResult]) -> list[SignificanceResult]:
@@ -153,22 +166,12 @@ class PermutationNull:
         values.
         """
         variant = graph.params.get("variant", VARIANT_STANDARD)
-        src_pos = np.full(source.shape, -1, dtype=np.int64)
-        src_pos[source.valid_mask] = np.arange(int(source.valid_mask.sum()))
-        tgt_pos = np.full(target.shape, -1, dtype=np.int64)
-        tgt_pos[target.valid_mask] = np.arange(int(target.valid_mask.sum()))
-
-        node_pool = np.zeros(graph.n_nodes, dtype=np.int64)
+        cells = np.asarray([(n.row, n.col) for n in graph.nodes], dtype=np.int64).reshape(-1, 2)
+        node_pool = np.asarray([n.kind != KIND_SOURCE for n in graph.nodes], dtype=np.int64)
         node_pos = np.zeros(graph.n_nodes, dtype=np.int64)
-        for n in graph.nodes:
-            if n.kind == KIND_SOURCE:
-                node_pool[n.id] = 0
-                node_pos[n.id] = src_pos[n.row, n.col]
-            else:
-                node_pool[n.id] = 1
-                node_pos[n.id] = tgt_pos[n.row, n.col]
-        if (node_pos < 0).any():
-            raise ValueError("graph node on an invalid cell; grids do not match the graph")
+        for k, (grid, field) in enumerate(((source, "source"), (target, "target"))):
+            ids = np.flatnonzero(node_pool == k)
+            node_pos[ids] = pool_positions(grid, cells[ids], ids, field)
 
         kwargs: dict = {}
         if variant == VARIANT_CMAD:
@@ -218,20 +221,15 @@ class PermutationNull:
         every valid cell of the field, not just the point cells, so a null
         replicate can place sub-threshold values onto the path.
         """
-        pos_grid = np.full(values_grid.shape, -1, dtype=np.int64)
-        pos_grid[values_grid.valid_mask] = np.arange(int(values_grid.valid_mask.sum()))
-        node_pos = np.asarray([pos_grid[r, c] for r, c in cells], dtype=np.int64)
-        if (node_pos < 0).any():
-            raise ValueError("point cell lies on an invalid cell of the value field")
         n = len(cells)
         return cls(
             pools=[values_grid.values[values_grid.valid_mask]],
             node_pool=np.zeros(n, dtype=np.int64),
-            node_pos=node_pos,
+            node_pos=pool_positions(values_grid, cells, range(n), "value"),
             policy=policy,
             n_replicates=n_replicates,
             threads=threads,
-            variant="threshold",
+            variant=VARIANT_THRESHOLD,
             threshold=float(threshold),
         )
 
@@ -254,12 +252,12 @@ class PermutationNull:
             tgt = self.pools[1]
             oriented = tgt < 0 if self.target_orientation == LOSS_NEGATIVE else tgt > 0
             return [self.bits, oriented & (np.abs(tgt) >= lo) & (np.abs(tgt) < hi)]
-        if self.variant == "threshold":
+        if self.variant == VARIANT_THRESHOLD:
             return [pool >= self.threshold for pool in self.pools]
         raise ValueError(f"unknown variant {self.variant!r}")
 
     def _run(self, paths: list[LinkagePath], collect: bool):
-        """Count exceedances per path; optionally keep all replicate scores.
+        """Exceedance counts per path and, if ``collect``, every replicate score.
 
         Each replicate sets one state per distinct path node, reduces it
         to one ok-bit per distinct (undirected) path edge, and counts the
@@ -294,7 +292,6 @@ class PermutationNull:
             for k in range(len(self.pools))
         ]
         cell_states = self._cell_states()
-        equal_rule = self.variant == VARIANT_STANDARD
 
         observed = np.asarray([p.score for p in paths], dtype=np.float64)
         m = self.n_replicates
@@ -309,28 +306,22 @@ class PermutationNull:
                 g = self.policy.generator(i)
                 for states, (slots, pos) in zip(cell_states, reads):
                     state[slots] = states[g.permutation(len(states))[pos]]
-                sa, sb = state[end_a], state[end_b]
-                ok = sa == sb if equal_rule else sa & sb
+                ok = edge_ok(self.variant, state[end_a], state[end_b])
                 scores = (incidence @ ok) / n_edges
                 ge += scores >= observed
                 if scores_out is not None:
                     scores_out[:, i] = scores
             return ge
 
-        if self.threads > 1 and m > 1:
-            step = -(-m // self.threads)
-            blocks = [range(s, min(s + step, m)) for s in range(0, m, step)]
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                counts = list(pool.map(run_block, blocks))
-            ge_total = np.sum(counts, axis=0)
-        else:
-            ge_total = run_block(range(m))
-        return ge_total, observed, scores_out
+        step = -(-m // self.threads)
+        blocks = [range(s, min(s + step, m)) for s in range(0, m, step)]
+        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+            ge = np.sum(list(pool.map(run_block, blocks)), axis=0)
+        return ge, scores_out
 
-    def null_scores(self, path: LinkagePath) -> NullDistribution:
+    def null_scores(self, path: LinkagePath) -> np.ndarray:
         """Full null score vector of one path, replicate by replicate."""
-        _, _, scores = self._run([path], collect=True)
-        return NullDistribution(scores=scores[0], base_seed=self.policy.base_seed)
+        return self._run([path], collect=True)[1][0]
 
     def evaluate(
         self,
@@ -353,18 +344,14 @@ class PermutationNull:
             return []
 
         if share_null_by_length:
-            reps: dict[int, int] = {}
-            for k, path in enumerate(paths):
-                reps.setdefault(path.n_nodes, k)
-            rep_paths = [paths[k] for k in sorted(reps.values())]
-            _, _, rep_scores = self._run(rep_paths, collect=True)
-            null_by_len = {p.n_nodes: rep_scores[j] for j, p in enumerate(rep_paths)}
-            pvals = np.asarray(
-                [p_value(path.score, null_by_len[path.n_nodes]) for path in paths]
-            )
+            first: dict[int, LinkagePath] = {}
+            for path in paths:
+                first.setdefault(path.n_nodes, path)
+            null_by_len = dict(zip(first, self._run(list(first.values()), collect=True)[1]))
+            ge = np.asarray([np.count_nonzero(null_by_len[p.n_nodes] >= p.score) for p in paths])
         else:
-            ge, observed, _ = self._run(paths, collect=False)
-            pvals = (1 + ge) / (1 + self.n_replicates)
+            ge, _ = self._run(paths, collect=False)
+        pvals = (1 + ge) / (1 + self.n_replicates)
 
         if bh_correction:
             decisions = benjamini_hochberg(pvals, alpha)

@@ -114,6 +114,23 @@ def brute_force_paths(
     return out
 
 
+def coherence_weight(u, v) -> int:
+    """Standard edge weight of two graph nodes: +1 when their value signs agree."""
+    return 1 if np.sign(u.value) == np.sign(v.value) else -1
+
+
+def cmad_weight(u, v) -> int:
+    """cmad edge weight: -1 when either endpoint is a source node off the anomaly mask.
+
+    Target endpoints qualify at the configured band by construction of the
+    node set, so only source endpoints can break an edge.
+    """
+    for node in (u, v):
+        if node.kind == "source" and not node.anomalous:
+            return -1
+    return 1
+
+
 def quantile_linear(sorted_values, p: float) -> float:
     """Linear-interpolation quantile at h = (n - 1) p, written longhand."""
     vals = sorted(float(v) for v in sorted_values)

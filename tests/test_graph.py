@@ -14,7 +14,7 @@ from spatial_link.graph import (
     filter_edges_by_distance,
 )
 
-from oracles import brute_delaunay_edges
+from oracles import brute_delaunay_edges, cmad_weight, coherence_weight
 
 
 def cellset(kind, cells, band="moderate") -> CellSet:
@@ -268,6 +268,37 @@ class TestCmadWeights:
                 cellset("target", [(0, 2, -1.0)]),
                 variant="cmad",
             )
+
+
+class TestEdgeRuleAgainstOracle:
+    """``build_graph`` weights every edge as the per-node-pair reference rules do."""
+
+    def random_sides(self, rng, dims=(14, 17)):
+        cells = rng.permutation(dims[0] * dims[1])[:90]
+        values = rng.normal(size=90)
+        values[rng.random(90) < 0.1] = 0.0
+        side = [(int(k // dims[1]), int(k % dims[1]), float(v)) for k, v in zip(cells, values)]
+        return cellset("source", side[:50]), cellset("target", side[40:])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_standard_weights(self, seed):
+        source, target = self.random_sides(np.random.default_rng(seed))
+        g = build_graph(source, target, max_edge_cells=4.0)
+        assert g.n_edges > 50
+        assert [e.weight for e in g.edges] == [
+            coherence_weight(g.nodes[e.u], g.nodes[e.v]) for e in g.edges
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cmad_weights(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        source, target = self.random_sides(rng)
+        mask = rng.random((14, 17)) < 0.5
+        g = build_graph(source, target, max_edge_cells=4.0, variant="cmad",
+                        anomaly_mask=mask, grid_shape=(14, 17))
+        weights = [e.weight for e in g.edges]
+        assert weights == [cmad_weight(g.nodes[e.u], g.nodes[e.v]) for e in g.edges]
+        assert 1 in weights and -1 in weights
 
 
 class TestSpatialGraphType:

@@ -1,6 +1,7 @@
 """Grid formats, artifact serializers, and the command line front end."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 
@@ -527,6 +528,20 @@ class TestCli:
         assert "outside the 12x12 grids" in err
         assert "spatial-link: hint: pass the fields" in err
 
+    def test_significance_checks_node_cells_with_no_paths(self, instance_files, tmp_path, capsys):
+        gpath, _ = self.stage_files(instance_files, tmp_path, capsys)
+        empty = tmp_path / "empty_paths.json"
+        empty.write_text(json.dumps({"metadata": {}, "paths": []}))
+        small = []
+        for name in instance_files:
+            path = str(tmp_path / ("small_" + os.path.basename(name)))
+            io.save_grid(grid_of(io.load_grid(name).values[:12, :12]), path)
+            small.append(path)
+        rc, _, err = self.significance(capsys, tmp_path, gpath, str(empty), *small)
+        assert rc == 1
+        assert "outside the 12x12 grids" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_significance_node_on_invalid_cell(self, instance_files, tmp_path, capsys):
         gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
         node = next(n for n in json.loads(open(gpath).read())["nodes"] if n["kind"] == "source")
@@ -696,6 +711,80 @@ class TestCli:
         assert os.path.exists(os.path.join(out_dir, "source.raw"))
         assert not os.path.exists(os.path.join(out_dir, "truth.json"))
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]]}, "must set split_index"),
+        ({"dims": [20, 20], "noise": {"name": "uniform"}}, "unknown noise model 'uniform'"),
+        ({"dims": [20, 20], "noise": {"sigma": 0}}, "sigma must be positive"),
+        ({"dims": [20, "x"]}, "invalid literal for int()"),
+        ({"dims": [20, 0]}, "dims must be [rows, cols] of positive integers"),
+        ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]], "split_index": 1, "band": "huge"},
+         "unknown band 'huge'"),
+        ([20, 20], "the spec is not a JSON object"),
+    ], ids=["no-split-index", "noise-name", "noise-sigma", "dims-type", "dims-zero", "band",
+            "not-object"])
+    def test_synth_bad_spec_fails_before_any_output(self, spec, message, tmp_path, capsys):
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps(spec))
+        out_dir = tmp_path / "inst"
+        rc, _, err = self.run(["synth", "--spec", str(spath), "--out-dir", str(out_dir)], capsys)
+        assert rc == 1
+        assert f"spatial-link: error [io-cli]: bad synth spec {spath}: " in err
+        assert message in err
+        assert "spatial-link: hint: expected {\"dims\": [rows, cols]" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("case", ["paths-without-paths", "node-without-row", "graph-list",
+                                      "config-list"])
+    def test_malformed_input_files_are_typed_errors(self, case, instance_files, tmp_path, capsys):
+        gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
+        bad = tmp_path / "bad.json"
+        graph = json.loads(open(gpath).read())
+        del graph["nodes"][0]["row"]
+        bad.write_text(json.dumps({
+            "paths-without-paths": {"metadata": {}},
+            "node-without-row": graph,
+            "graph-list": [1, 2],
+            "config-list": [["source", instance_files[0]]],
+        }[case]))
+        argv, expected = {
+            "paths-without-paths": (
+                ["significance", "--graph", gpath, "--paths", str(bad), "--source",
+                 instance_files[0], "--target", instance_files[1], "-o", str(tmp_path / "r.json")],
+                ("[grid-core]: malformed paths document: KeyError('paths')", '{"paths": ['),
+            ),
+            "node-without-row": (
+                ["extract-paths", "--graph", str(bad), "-o", str(tmp_path / "p.json")],
+                ("[grid-core]: malformed graph document: KeyError('row')", '"nodes": [{"id", "row"'),
+            ),
+            "graph-list": (
+                ["extract-paths", "--graph", str(bad), "-o", str(tmp_path / "p.json")],
+                ("[grid-core]: malformed graph document: TypeError(", '"nodes": [{"id", "row"'),
+            ),
+            "config-list": (
+                ["pipeline", "--config", str(bad), "--out-dir", str(tmp_path / "out")],
+                ("[io-cli]: the config is not a JSON object", '{"source": ...'),
+            ),
+        }[case]
+        rc, _, err = self.run(argv, capsys)
+        assert rc == 1
+        assert f"spatial-link: error {expected[0]}" in err
+        assert "spatial-link: hint: " in err and expected[1] in err
+        assert not any((tmp_path / name).exists() for name in ("r.json", "p.json", "out"))
+
+    def test_thread_setting_is_not_read_by_build_graph(
+        self, instance_files, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv(cli.ENV_THREADS, "lots")
+        spath, tpath = instance_files
+        gpath = str(tmp_path / "graph.json")
+        rc, _, _ = self.run(["build-graph", "--source", spath, "--target", tpath, "-o", gpath],
+                            capsys)
+        assert rc == 0
+        rc, _, err = self.run(["pipeline", "--source", spath, "--target", tpath,
+                               "--out-dir", str(tmp_path / "out")], capsys)
+        assert rc == 1
+        assert "SPATIAL_LINK_THREADS='lots' is not an integer" in err
+
     def test_aar_end_to_end(self, tmp_path, capsys):
         reg = GridRegistration(lat0=0.0, lon0=0.0, dlat=1.0, dlon=1.0, cell_km=111.11)
         vals = np.full((50, 50), 0.1)
@@ -829,19 +918,20 @@ class TestCli:
 class TestThreadResolution:
     def test_flag_wins(self, monkeypatch):
         monkeypatch.setenv(cli.ENV_THREADS, "6")
-        assert cli._resolve_threads(2, 4) == 2
+        assert cli._resolve_threads(2) == 2
 
     def test_config_beats_env(self, monkeypatch):
         monkeypatch.setenv(cli.ENV_THREADS, "6")
-        assert cli._resolve_threads(None, 4) == 4
+        args = argparse.Namespace(threads=None)
+        assert cli._config(args, {"source": "s.raw", "target": "t.raw", "threads": 4}).threads == 4
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(cli.ENV_THREADS, "6")
-        assert cli._resolve_threads(None, None) == 6
+        assert cli._resolve_threads(None) == 6
 
     def test_default_one(self, monkeypatch):
         monkeypatch.delenv(cli.ENV_THREADS, raising=False)
-        assert cli._resolve_threads(None, None) == 1
+        assert cli._resolve_threads(None) == 1
 
     def test_bad_env_value(self, monkeypatch):
         from spatial_link.errors import ConfigError
@@ -849,5 +939,5 @@ class TestThreadResolution:
         for value in ("lots", "0", "-2"):
             monkeypatch.setenv(cli.ENV_THREADS, value)
             with pytest.raises(ConfigError) as exc_info:
-                cli._resolve_threads(None, None)
+                cli._resolve_threads(None)
             assert cli.ENV_THREADS in f"{exc_info.value} {exc_info.value.hint}"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatial_link.errors import DimMismatch
 from spatial_link.grid import (
     KIND_SOURCE,
     KIND_TARGET,
@@ -30,6 +31,7 @@ from spatial_link.significance import (
     benjamini_hochberg,
     filter_significant,
     p_value,
+    pool_positions,
 )
 from spatial_link.synthetic import generate_null
 
@@ -213,9 +215,9 @@ class TestHandBuiltEngine:
         eng = two_node_engine(pool, list(pool), n_replicates=499)
         path = one_edge_path(1.0)
         dist = eng.null_scores(path)
-        assert dist.n_replicates == 499
+        assert len(dist) == 499
         (res,) = eng.evaluate([path])
-        assert res.p_value == pytest.approx(p_value(path.score, dist.scores))
+        assert res.p_value == pytest.approx(p_value(path.score, dist))
 
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
@@ -334,7 +336,7 @@ class TestEngineAgainstFieldPermutationOracle:
         vals = source.values.copy()
         vals[n0.row, n0.col] = np.nan
         broken = ChangeGrid(values=vals, valid_mask=hole, registration=source.registration)
-        with pytest.raises(ValueError, match="invalid cell"):
+        with pytest.raises(DimMismatch, match="invalid cell"):
             PermutationNull.for_graph(graph, broken, target, SeedPolicy(0))
 
 
@@ -451,8 +453,64 @@ class TestThresholdEngineAgainstOracle:
         vals = np.ones((4, 4))
         vals[1, 1] = np.nan
         field = grid_of(vals, valid)
-        with pytest.raises(ValueError, match="invalid cell"):
+        with pytest.raises(DimMismatch, match="invalid cell"):
             PermutationNull.for_point_field(field, [(1, 1)], 0.5, SeedPolicy(0))
+
+
+class TestNodeCellsOnPools:
+    """Both constructors map nodes to pool slots through one typed check."""
+
+    def holed(self, grid, cell):
+        valid = grid.valid_mask.copy()
+        valid[cell] = False
+        vals = grid.values.copy()
+        vals[cell] = np.nan
+        return grid_of(vals, valid)
+
+    def test_positions_count_valid_cells_in_row_major_order(self):
+        field = self.holed(grid_of(np.ones((3, 4))), (0, 2))
+        got = pool_positions(field, [(0, 0), (0, 3), (2, 3)], [5, 6, 7], "value")
+        assert got.tolist() == [0, 2, 10]
+
+    @pytest.mark.parametrize("kind, field_name", [(KIND_SOURCE, "source"), (KIND_TARGET, "target")])
+    def test_graph_node_on_invalid_cell(self, kind, field_name):
+        source, target, graph, _ = small_instance(seed=4)
+        node = next(n for n in graph.nodes if n.kind == kind)
+        fields = {"source": source, "target": target}
+        fields[field_name] = self.holed(fields[field_name], (node.row, node.col))
+        with pytest.raises(DimMismatch) as info:
+            PermutationNull.for_graph(graph, fields["source"], fields["target"], SeedPolicy(0))
+        assert str(info.value) == (
+            f"graph node {node.id} at cell ({node.row}, {node.col}) lies on an invalid "
+            f"cell of the {field_name} field"
+        )
+        assert info.value.hint == "pass the fields (and mask) the graph was built from"
+
+    def test_graph_node_off_grid(self):
+        source, target, graph, _ = small_instance(seed=4)
+        # Cropping the last node row puts those nodes off the grids; source
+        # nodes are mapped first.
+        rows = max(n.row for n in graph.nodes)
+        off = [n for n in graph.nodes if n.row == rows]
+        node = next((n for n in off if n.kind == KIND_SOURCE), off[0])
+        with pytest.raises(DimMismatch, match=(
+            rf"graph node {node.id} at cell \({node.row}, {node.col}\) lies outside "
+            rf"the {rows}x24 grids"
+        )):
+            PermutationNull.for_graph(
+                graph, grid_of(source.values[:rows]), grid_of(target.values[:rows]), SeedPolicy(0)
+            )
+
+    def test_point_off_grid(self):
+        field = grid_of(np.ones((4, 4)))
+        with pytest.raises(DimMismatch, match=r"graph node 1 at cell \(4, 0\) lies outside the 4x4"):
+            PermutationNull.for_point_field(field, [(0, 0), (4, 0), (1, 1)], 0.5, SeedPolicy(0))
+
+    def test_point_on_invalid_cell(self):
+        field = self.holed(grid_of(np.ones((4, 4))), (1, 1))
+        with pytest.raises(DimMismatch, match=r"graph node 2 at cell \(1, 1\) lies on an invalid "
+                                              r"cell of the value field"):
+            PermutationNull.for_point_field(field, [(0, 0), (3, 3), (1, 1)], 0.5, SeedPolicy(0))
 
 
 def reference_p_values(scores, paths, share_null_by_length) -> list[float]:
@@ -473,7 +531,7 @@ def assert_engine_matches_reference(engine, paths):
         got = [r.p_value for r in engine.evaluate(paths, share_null_by_length=share)]
         assert got == reference_p_values(scores, paths, share)
     for k, path in enumerate(paths):
-        assert np.array_equal(engine.null_scores(path).scores, scores[:, k])
+        assert np.array_equal(engine.null_scores(path), scores[:, k])
 
 
 def path_of(nodes, score) -> LinkagePath:

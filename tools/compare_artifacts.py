@@ -1,0 +1,118 @@
+"""Check that two checkouts write byte-identical artifacts on the benchmark workloads.
+
+    python3 tools/compare_artifacts.py --base DIR --head DIR [--seeds 1 2 7] [--work DIR]
+
+Each of ``--base`` and ``--head`` is the root of a checkout holding
+``src/spatial_link``. The inputs of every workload (``null_dense``,
+``sweep_cmad``, ``aar_corridors``) are prepared once per seed with
+``perfbench/workloads.py``; each checkout's CLI then runs on those same
+inputs from its own ``src/``, with ``PYTHONHASHSEED=0``, into its own
+output path. ``null_dense`` also runs with ``--threads 2 --share-null
+--bh``. Every artifact is compared byte for byte, and standard output is
+compared with each side's output path masked.
+
+Prints one line per run and exits 0 when everything matches; otherwise
+names the first artifact (or standard output) that differs and exits 1.
+"""
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+import workloads  # noqa: E402
+
+EXTRA_RUNS = {"null_dense": [("threads2-share-bh", ["--threads", "2", "--share-null", "--bh"])]}
+OUTPUT_MASK = "<output>"
+
+
+def run_cli(root: str, argv: list[str], output: str) -> tuple[int, str, str]:
+    """Run one checkout's CLI; return (exit code, masked stdout, stderr)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "SPATIAL_LINK_"))}
+    env.update(PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-s", "-m", "spatial_link", *argv],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stdout.replace(output, OUTPUT_MASK), proc.stderr
+
+
+def artifact_files(root: str) -> list[str]:
+    """Paths of every file under ``root``, relative to it."""
+    return sorted(
+        os.path.relpath(os.path.join(dirpath, name), root)
+        for dirpath, _, names in os.walk(root)
+        for name in names
+    )
+
+
+def first_difference(base_dir: str, head_dir: str) -> str | None:
+    base_files, head_files = artifact_files(base_dir), artifact_files(head_dir)
+    if base_files != head_files:
+        only = sorted(set(base_files) ^ set(head_files))
+        return f"file sets differ: {only[0]} is on one side only"
+    for rel in base_files:
+        if not filecmp.cmp(os.path.join(base_dir, rel), os.path.join(head_dir, rel), shallow=False):
+            return f"{rel} differs"
+    return None
+
+
+def compare(wl: workloads.Workload, flags: list[str], roots: dict, work: str) -> str | None:
+    """The first difference between the two sides' runs of one workload, or None."""
+    stdouts = {}
+    for side, root in roots.items():
+        side_dir = os.path.join(work, side)
+        shutil.rmtree(side_dir, ignore_errors=True)
+        os.makedirs(side_dir)
+        output = os.path.join(side_dir, os.path.basename(wl.output))
+        argv = [output if arg == wl.output else arg for arg in wl.argv] + flags
+        code, stdouts[side], stderr = run_cli(root, argv, output)
+        if code != 0:
+            return f"{side} exited {code}: {(stderr.strip().splitlines() or [''])[-1]}"
+    if stdouts["base"] != stdouts["head"]:
+        return "standard output differs"
+    return first_difference(os.path.join(work, "base"), os.path.join(work, "head"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="root of the reference checkout")
+    parser.add_argument("--head", required=True, help="root of the checkout under test")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 7])
+    parser.add_argument("--work", default=None, help="scratch directory (default: a temporary one)")
+    args = parser.parse_args(argv)
+    roots = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
+    for side, root in roots.items():
+        if not os.path.isfile(os.path.join(root, "src", "spatial_link", "cli.py")):
+            print(f"compare_artifacts: --{side} {root} holds no src/spatial_link", file=sys.stderr)
+            return 2
+
+    work = args.work or tempfile.mkdtemp(prefix="compare-artifacts-")
+    try:
+        for seed in args.seeds:
+            for name in workloads.WORKLOADS:
+                inputs = os.path.join(work, f"{name}-{seed}")
+                wl = workloads.prepare(name, seed, inputs)
+                for label, flags in [("", [])] + EXTRA_RUNS.get(name, []):
+                    run_name = f"{name}{' ' + label if label else ''} seed {seed}"
+                    run_dir = os.path.join(inputs, label or "default")
+                    problem = compare(wl, flags, roots, run_dir)
+                    if problem:
+                        print(f"{run_name}: {problem}")
+                        return 1
+                    print(f"{run_name}: identical")
+    finally:
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
