@@ -17,7 +17,12 @@ import numpy as np
 from .errors import DimMismatch, EmptySide, StationUnreachable
 from .grid import ChangeGrid
 from .graph import (
-    VARIANT_THRESHOLD, GraphEdge, GraphNode, SpatialGraph, delaunay_triangulate, edge_ok,
+    VARIANT_THRESHOLD,
+    GraphEdge,
+    GraphNode,
+    SpatialGraph,
+    delaunay_triangulate,
+    edge_ok,
 )
 from .paths import (
     DEFAULT_CAP, DEFAULT_MAX_NODES, enumerate_walks, terminal_hops, to_linkage_paths,

@@ -24,7 +24,7 @@ from .aar import (
     DEFAULT_SNAP_KM,
     run_aar,
 )
-from .errors import ConfigError, SpatialLinkError
+from .errors import ConfigError, SpatialLinkError, reading
 from .graph import DEFAULT_MAX_EDGE_CELLS, METRICS, VARIANT_CMAD, VARIANT_STANDARD
 from .grid import (
     DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, RegionWindow, compute_threshold_bands,
@@ -39,6 +39,10 @@ from .significance import DEFAULT_REPLICATES
 from .synthetic import NoiseModel, PlantSpec, chain_spec, generate, generate_null
 
 ENV_THREADS = "SPATIAL_LINK_THREADS"
+_SYNTH_LAYOUT = (
+    'expected {"dims": [rows, cols], "seed", "noise": {"name": "gaussian", "sigma" > 0}, '
+    '"chain_cells", "split_index", "chain_values" or "band": moderate|high|anomalous}'
+)
 
 
 def _resolve_threads(flag_value: int | None) -> int:
@@ -48,10 +52,8 @@ def _resolve_threads(flag_value: int | None) -> int:
     env = os.environ.get(ENV_THREADS)
     if not env:
         return 1
-    try:
+    with reading(ConfigError, f"{ENV_THREADS}={env!r} is not an integer"):
         threads = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_THREADS}={env!r} is not an integer") from exc
     check_range("threads", threads, given_as=ENV_THREADS)
     return threads
 
@@ -206,15 +208,10 @@ def cmd_pipeline(args) -> int:
 
 def _parse_dims(text: str) -> list[int]:
     parts = text.split("x") if "x" in text else text.split(",")
-    if len(parts) == 2:
-        try:
-            return [int(part) for part in parts]
-        except ValueError:
-            pass
-    raise ConfigError(
-        f"cannot parse dims {text!r}, expected ROWSxCOLS",
-        hint="give two integers, e.g. --resample-source 121x401",
-    )
+    what = f"cannot parse dims {text!r}, expected ROWSxCOLS"
+    with reading(ConfigError, what, hint="give two integers, e.g. --resample-source 121x401"):
+        rows, cols = (int(part) for part in parts)
+    return [rows, cols]
 
 
 def _synth_instance(doc, seed_flag: int | None):
@@ -234,8 +231,6 @@ def _synth_instance(doc, seed_flag: int | None):
     )
     if "chain_cells" not in doc:
         return (seed, *generate_null(dims, noise, seed), None)
-    if "split_index" not in doc:
-        raise ValueError("a spec with chain_cells must set split_index")
     cells = tuple((int(r), int(c)) for r, c in doc["chain_cells"])
     shared = dict(
         split_index=int(doc["split_index"]),
@@ -254,16 +249,9 @@ def _synth_instance(doc, seed_flag: int | None):
 
 def cmd_synth(args) -> int:
     doc = io.read_json(args.spec)
-    try:
-        # The whole instance is made before anything is written.
+    # The whole instance is made before anything is written.
+    with reading(ConfigError, f"bad synth spec {args.spec}", _SYNTH_LAYOUT):
         seed, source, target, truth = _synth_instance(doc, args.seed)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"bad synth spec {args.spec}: {exc}",
-            hint='expected {"dims": [rows, cols], "seed", "noise": {"name": "gaussian", '
-            '"sigma" > 0}, "chain_cells", "split_index", "chain_values" or "band": '
-            'moderate|high|anomalous}',
-        ) from exc
     os.makedirs(args.out_dir, exist_ok=True)
     if truth is not None:
         truth_doc = {
@@ -289,18 +277,15 @@ def cmd_aar(args) -> int:
     mask = io.load_grid(args.mask)
 
     doc = io.read_json(args.origins)
-    if isinstance(doc, dict):
-        if "origins" not in doc:
-            raise ConfigError(
-                f"{args.origins} has no 'origins' key",
-                hint="expected a JSON list or an object with an origins list",
-            )
-        raw_origins = doc["origins"]
-    else:
-        raw_origins = doc
+    if isinstance(doc, dict) and "origins" not in doc:
+        raise ConfigError(
+            f"{args.origins} has no 'origins' key",
+            hint="expected a JSON list or an object with an origins list",
+        )
     origins = []
-    try:
-        for entry in raw_origins:
+    hint = "entries are [lat, lon], {lat, lon}, or {cell: [row, col]}"
+    with reading(ConfigError, f"bad origin entry in {args.origins}", hint):
+        for entry in doc["origins"] if isinstance(doc, dict) else doc:
             if isinstance(entry, dict):
                 if "cell" in entry:
                     r, c = entry["cell"]
@@ -310,15 +295,8 @@ def cmd_aar(args) -> int:
             else:
                 a, b = entry
                 origins.append((float(a), float(b)))
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigError(
-            f"bad origin entry in {args.origins}: {exc}",
-            hint="entries are [lat, lon], {lat, lon}, or {cell: [row, col]}",
-        ) from exc
-    try:
+    with reading(ConfigError, f"cannot parse station {args.station!r}", "give --station lat,lon"):
         st_lat, st_lon = (float(v) for v in args.station.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse station {args.station!r}, expected lat,lon") from exc
 
     report = run_aar(
         values,

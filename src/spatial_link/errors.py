@@ -6,6 +6,8 @@ messages without inspecting exception types individually.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class SpatialLinkError(Exception):
     """Base class for all errors raised by this package."""
@@ -87,3 +89,12 @@ class ConfigError(SpatialLinkError):
     """Run configuration is incomplete or self-contradictory."""
 
     module = "io-cli"
+
+
+@contextmanager
+def reading(error: type[SpatialLinkError], what: str, hint: str | None = None):
+    """Raise ``error`` for a lookup or conversion failure while reading ``what``."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"{what}: {type(exc).__name__}: {exc}", hint=hint) from exc

@@ -274,7 +274,10 @@ def build_graph(
             state = np.sign([n.value for n in nodes])
         u, v = np.asarray([(i, j) for i, j, _ in kept], dtype=np.int64).reshape(-1, 2).T
         weights = np.where(edge_ok(variant, state[u], state[v]), 1, -1).tolist()
-        edges = [GraphEdge(u=i, v=j, weight=w, distance=d) for (i, j, d), w in zip(kept, weights)]
+        edges = [
+            GraphEdge(u=i, v=j, weight=w, distance=d)
+            for (i, j, d), w in zip(kept, weights)
+        ]
 
     graph_params = {
         "variant": variant,

@@ -19,6 +19,7 @@ from .errors import (
     InsufficientData,
     NonFiniteValue,
     WindowOutOfBounds,
+    reading,
 )
 
 # Change orientation: which sign encodes loss of the quantity of interest.
@@ -114,15 +115,11 @@ class RegionWindow:
     @classmethod
     def parse(cls, text: str) -> "RegionWindow":
         """Parse the ``"r0:r1,c0:c1"`` inclusive window syntax."""
-        try:
+        what = f"cannot parse window {text!r}, expected r0:r1,c0:c1"
+        with reading(WindowOutOfBounds, what, hint="example: --window 0:120,200:600"):
             row_part, col_part = text.split(",")
             r0, r1 = (int(v) for v in row_part.split(":"))
             c0, c1 = (int(v) for v in col_part.split(":"))
-        except ValueError as exc:
-            raise WindowOutOfBounds(
-                f"cannot parse window {text!r}, expected r0:r1,c0:c1",
-                hint="example: --window 0:120,200:600",
-            ) from exc
         return cls(r0, r1, c0, c1)
 
     def spec(self) -> str:

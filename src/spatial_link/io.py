@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .aar import AarReport
-from .errors import MalformedHeader
+from .errors import MalformedHeader, reading
 from .grid import ChangeGrid, GridRegistration
 from .graph import GraphEdge, GraphNode, SpatialGraph
 from .paths import LinkagePath
@@ -125,7 +125,7 @@ def _load_grid_raw(payload_path: str, sidecar_path: str) -> ChangeGrid:
     rows, cols = doc["rows"], doc["cols"]
     if not (isinstance(rows, int) and isinstance(cols, int)) or rows <= 0 or cols <= 0:
         raise MalformedHeader(f"sidecar {sidecar_path} declares invalid dims {rows}x{cols}")
-    try:
+    with reading(MalformedHeader, f"sidecar {sidecar_path} has a bad registration"):
         registration = GridRegistration(
             lat0=float(doc["lat0"]),
             lon0=float(doc["lon0"]),
@@ -133,8 +133,6 @@ def _load_grid_raw(payload_path: str, sidecar_path: str) -> ChangeGrid:
             dlon=float(doc["dlon"]),
             cell_km=float(doc["cell_km"]),
         )
-    except (TypeError, ValueError) as exc:
-        raise MalformedHeader(f"sidecar {sidecar_path} has a bad registration: {exc}") from exc
 
     try:
         payload = np.fromfile(payload_path, dtype="<f4")
@@ -187,12 +185,10 @@ def _load_grid_csv(path: str) -> ChangeGrid:
             for lineno, fields in enumerate(reader, start=2):
                 if not fields:
                     continue
-                try:
+                with reading(MalformedHeader, f"{path}:{lineno}: bad record {fields}"):
                     r, c = int(fields[0]), int(fields[1])
                     v = float(fields[2])
                     ok = bool(int(fields[3])) if len(fields) > 3 else True
-                except (ValueError, IndexError) as exc:
-                    raise MalformedHeader(f"{path}:{lineno}: bad record {fields}") from exc
                 if r < 0 or c < 0:
                     raise MalformedHeader(f"{path}:{lineno}: negative cell index ({r}, {c})")
                 entries.append((r, c, v, ok))
@@ -262,32 +258,30 @@ def graph_to_json(graph: SpatialGraph, metadata: dict) -> dict:
     return {"metadata": metadata, "params": graph.params, "nodes": nodes, "edges": edges}
 
 
-@contextmanager
-def _layout(what: str, layout: str):
-    """Raise ``MalformedHeader`` for a lookup or conversion failure while reading ``what``."""
-    try:
-        yield
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedHeader(f"malformed {what}: {exc!r}", hint=f"expected {layout}") from exc
-
-
 _GRAPH_LAYOUT = (
-    '{"params": {...}, "nodes": [{"id", "row", "col", "kind", "value"}, ...], '
+    'expected {"params": {...}, "nodes": [{"id", "row", "col", "kind", "value"}, ...], '
     '"edges": [{"u", "v", "weight", "distance"}, ...]}'
 )
-_PATHS_LAYOUT = '{"paths": [{"nodes": [...], "edge_weights": [...], "score"}, ...]}'
+_PATHS_LAYOUT = 'expected {"paths": [{"nodes": [...], "edge_weights": [...], "score"}, ...]}'
 
 
 def graph_from_json(doc: dict) -> SpatialGraph:
-    with _layout("graph document", _GRAPH_LAYOUT):
+    with reading(MalformedHeader, "malformed graph document", _GRAPH_LAYOUT):
         nodes = [
-            GraphNode(id=int(n["id"]), row=int(n["row"]), col=int(n["col"]), kind=n["kind"],
-                      value=float(n["value"]), anomalous=n.get("anomalous"))
+            GraphNode(
+                id=int(n["id"]),
+                row=int(n["row"]),
+                col=int(n["col"]),
+                kind=n["kind"],
+                value=float(n["value"]),
+                anomalous=n.get("anomalous"),
+            )
             for n in doc["nodes"]
         ]
         edges = [
-            GraphEdge(u=int(e["u"]), v=int(e["v"]), weight=int(e["weight"]),
-                      distance=float(e["distance"]))
+            GraphEdge(
+                u=int(e["u"]), v=int(e["v"]), weight=int(e["weight"]), distance=float(e["distance"])
+            )
             for e in doc["edges"]
         ]
         return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
@@ -309,7 +303,7 @@ def paths_to_json(paths: list[LinkagePath], graph: SpatialGraph, metadata: dict)
 
 
 def paths_from_json(doc: dict) -> list[LinkagePath]:
-    with _layout("paths document", _PATHS_LAYOUT):
+    with reading(MalformedHeader, "malformed paths document", _PATHS_LAYOUT):
         return [
             LinkagePath(
                 nodes=tuple(int(i) for i in p["nodes"]),

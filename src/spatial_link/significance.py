@@ -79,9 +79,12 @@ def benjamini_hochberg(p_values, alpha: float) -> np.ndarray:
 def pool_positions(grid: ChangeGrid, cells, ids, field: str) -> np.ndarray:
     """Pool index of each cell among the valid cells of ``grid``, in row-major order.
 
-    ``cells`` holds one (row, col) per node and ``ids`` the node ids, which
-    name the first cell that lies outside the grid or on an invalid cell
-    of ``field`` in the ``DimMismatch`` raised for it.
+    ``cells`` holds one (row, col) per node and ``ids`` the node ids. The
+    first cell in that order that lies outside the grid or on an invalid
+    cell of ``field`` is named, by its node id, in the ``DimMismatch``
+    raised for it. ``PermutationNull.for_graph`` maps all source nodes
+    before any target node, so it names the lowest bad source node id if
+    there is one, else the lowest bad target node id.
     """
     rows, cols = np.asarray(cells, dtype=np.int64).reshape(-1, 2).T
     positions = np.full(grid.shape, -1, dtype=np.int64)
@@ -91,8 +94,9 @@ def pool_positions(grid: ChangeGrid, cells, ids, field: str) -> np.ndarray:
     bad = np.flatnonzero(pos < 0)
     if bad.size:
         k = int(bad[0])
-        where = (f"outside the {grid.rows}x{grid.cols} grids" if off[k]
-                 else f"on an invalid cell of the {field} field")
+        where = f"on an invalid cell of the {field} field"
+        if off[k]:
+            where = f"outside the {grid.rows}x{grid.cols} grids"
         raise DimMismatch(
             f"graph node {ids[k]} at cell ({rows[k]}, {cols[k]}) lies {where}",
             hint="pass the fields (and mask) the graph was built from",

