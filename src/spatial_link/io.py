@@ -61,10 +61,14 @@ def _replacing(path: str, mode: str = "w", newline: str | None = None):
         raise
 
 
-def write_json(doc: dict, path: str) -> None:
+def write_json(doc: dict | str, path: str) -> None:
+    """Write rendered JSON text as it is, or dump a dict with ``indent=2`` and a newline."""
     with _replacing(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
 
 
 def read_json(path: str) -> dict:
@@ -243,19 +247,93 @@ def load_grid(path: str) -> ChangeGrid:
 
 
 # -- structured artifacts -------------------------------------------------
+#
+# Every JSON artifact holds exactly the bytes of ``json.dumps(doc,
+# indent=2)`` plus a newline: two-space indent, ASCII-escaped strings and
+# ``float.__repr__`` floats. With ``indent`` set, ``json`` always takes its
+# pure-Python encoder, so the writers below render the long lists (nodes,
+# edges, paths, results, features) from per-row templates and per-node
+# fragments, and only the short head (metadata, params, type) goes through
+# ``json.dumps``. tests/oracles.py keeps the documents they must match.
+
+_float = float.__repr__  # json's text for a float; only finite floats reach the rows
 
 
-def graph_to_json(graph: SpatialGraph, metadata: dict) -> dict:
-    nodes = []
-    for n in graph.nodes:
-        node = {"id": n.id, "row": n.row, "col": n.col, "kind": n.kind, "value": n.value}
-        if n.anomalous is not None:
-            node["anomalous"] = n.anomalous
-        nodes.append(node)
-    edges = [
-        {"u": e.u, "v": e.v, "weight": e.weight, "distance": e.distance} for e in graph.edges
+def _bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _array(items, indent: str) -> str:
+    """A JSON array closed at ``indent``, its items one level deeper.
+
+    Each item is rendered text; the lines of an item after its first carry
+    their own indentation.
+    """
+    body = f",\n{indent}  ".join(items)
+    return f"[\n{indent}  {body}\n{indent}]" if body else "[]"
+
+
+def _ints(values, indent: str) -> str:
+    return _array(map(str, values), indent)
+
+
+# A row's list fields close at this indent; their items sit two spaces deeper.
+_FIELD = " " * 6
+
+
+class _Fragments(dict):
+    """The text of each key, rendered once by ``render`` on its first lookup."""
+
+    def __init__(self, render):
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, key):
+        text = self[key] = self._render(key)
+        return text
+
+
+def _field_list(fragments: _Fragments, keys) -> str:
+    return _array(map(fragments.__getitem__, keys), _FIELD)
+
+
+def _document(head: dict, **arrays: str) -> str:
+    """The text of ``{**head, **arrays}``, each array given rendered at depth 1.
+
+    ``head`` is never empty: it holds the metadata.
+    """
+    tail = "".join(f',\n  "{key}": {text}' for key, text in arrays.items())
+    return f"{json.dumps(head, indent=2)[:-2]}{tail}\n}}\n"
+
+
+def _cells(graph: SpatialGraph) -> _Fragments:
+    """Each node's ``[row, col]`` as an item of a row's list field, or as that field."""
+
+    def cell(i: int) -> str:
+        return _ints((graph.nodes[i].row, graph.nodes[i].col), _FIELD + "  ")
+
+    return _Fragments(cell)
+
+
+def graph_to_json(graph: SpatialGraph, metadata: dict) -> str:
+    kinds = _Fragments(json.dumps)
+    nodes = [
+        f'{{\n      "id": {n.id},\n      "row": {n.row},\n      "col": {n.col},\n'
+        f'      "kind": {kinds[n.kind]},\n      "value": {_float(n.value)}'
+        + ("" if n.anomalous is None else f',\n      "anomalous": {_bool(n.anomalous)}')
+        + "\n    }"
+        for n in graph.nodes
     ]
-    return {"metadata": metadata, "params": graph.params, "nodes": nodes, "edges": edges}
+    edges = [
+        f'{{\n      "u": {e.u},\n      "v": {e.v},\n      "weight": {e.weight},\n'
+        f'      "distance": {_float(e.distance)}\n    }}'
+        for e in graph.edges
+    ]
+    return _document(
+        {"metadata": metadata, "params": graph.params},
+        nodes=_array(nodes, "  "),
+        edges=_array(edges, "  "),
+    )
 
 
 _GRAPH_LAYOUT = (
@@ -266,6 +344,7 @@ _PATHS_LAYOUT = 'expected {"paths": [{"nodes": [...], "edge_weights": [...], "sc
 
 
 def graph_from_json(doc: dict) -> SpatialGraph:
+    """The graph of a graph.json document; node ids must be 0..n-1 in order."""
     with reading(MalformedHeader, "malformed graph document", _GRAPH_LAYOUT):
         nodes = [
             GraphNode(
@@ -284,22 +363,33 @@ def graph_from_json(doc: dict) -> SpatialGraph:
             )
             for e in doc["edges"]
         ]
-        return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
+    for k, n in enumerate(nodes):
+        if n.id != k:
+            raise MalformedHeader(
+                f"malformed graph document: node {k} has id {n.id}; ids must be 0..n-1 in order",
+                hint=_GRAPH_LAYOUT,
+            )
+    for e in edges:
+        if not (0 <= e.u < len(nodes) and 0 <= e.v < len(nodes)):
+            raise MalformedHeader(
+                f"malformed graph document: edge ({e.u}, {e.v}) names a node outside "
+                f"0..{len(nodes) - 1}",
+                hint=_GRAPH_LAYOUT,
+            )
+    return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
 
 
-def paths_to_json(paths: list[LinkagePath], graph: SpatialGraph, metadata: dict) -> dict:
-    out = []
-    for p in paths:
-        cells = [[graph.nodes[i].row, graph.nodes[i].col] for i in p.nodes]
-        out.append(
-            {
-                "nodes": list(p.nodes),
-                "cells": cells,
-                "edge_weights": list(p.edge_weights),
-                "score": p.score,
-            }
-        )
-    return {"metadata": metadata, "paths": out}
+def paths_to_json(paths: list[LinkagePath], graph: SpatialGraph, metadata: dict) -> str:
+    ids, cells = _Fragments(str), _cells(graph)
+    weights = _Fragments(lambda w: _ints(w, _FIELD))
+    rows = [
+        f'{{\n      "nodes": {_field_list(ids, p.nodes)},\n'
+        f'      "cells": {_field_list(cells, p.nodes)},\n'
+        f'      "edge_weights": {weights[p.edge_weights]},\n'
+        f'      "score": {_float(p.score)}\n    }}'
+        for p in paths
+    ]
+    return _document({"metadata": metadata}, paths=_array(rows, "  "))
 
 
 def paths_from_json(doc: dict) -> list[LinkagePath]:
@@ -314,25 +404,22 @@ def paths_from_json(doc: dict) -> list[LinkagePath]:
         ]
 
 
-def _result_rows(results: list[SignificanceResult]) -> list[dict]:
-    return [
-        {
-            "path_index": k,
-            "nodes": list(r.path.nodes),
-            "observed": r.observed,
-            "p_value": r.p_value,
-            "significant": r.significant,
-            "alpha": r.alpha,
-        }
+def _result_rows(results: list[SignificanceResult]) -> str:
+    ids = _Fragments(str)
+    rows = [
+        f'{{\n      "path_index": {k},\n      "nodes": {_field_list(ids, r.path.nodes)},\n'
+        f'      "observed": {_float(r.observed)},\n      "p_value": {_float(r.p_value)},\n'
+        f'      "significant": {_bool(r.significant)},\n      "alpha": {_float(r.alpha)}\n    }}'
         for k, r in enumerate(results)
     ]
+    return _array(rows, "  ")
 
 
-def results_to_json(results: list[SignificanceResult], metadata: dict) -> dict:
-    return {"metadata": metadata, "results": _result_rows(results)}
+def results_to_json(results: list[SignificanceResult], metadata: dict) -> str:
+    return _document({"metadata": metadata}, results=_result_rows(results))
 
 
-def aar_report_to_json(report: AarReport, metadata: dict) -> dict:
+def aar_report_to_json(report: AarReport, metadata: dict) -> str:
     """The aar run: station, components with their extents, and path results."""
     station = None
     if report.station_id is not None:
@@ -343,7 +430,7 @@ def aar_report_to_json(report: AarReport, metadata: dict) -> dict:
             "lon": p.lon,
             "cell": list(p.cell) if p.cell else None,
         }
-    return {
+    head = {
         "metadata": metadata,
         "n_points": len(report.points),
         "threshold": report.threshold,
@@ -358,8 +445,8 @@ def aar_report_to_json(report: AarReport, metadata: dict) -> dict:
             for comp in report.components
         ],
         "dropped_origins": report.dropped_origins,
-        "results": _result_rows(report.results),
     }
+    return _document(head, results=_result_rows(report.results))
 
 
 def export_geojson(
@@ -367,34 +454,29 @@ def export_geojson(
     graph: SpatialGraph,
     registration: GridRegistration,
     metadata: dict,
-) -> dict:
+) -> str:
     """Significant paths as a GeoJSON FeatureCollection.
 
     Each path becomes a LineString of (lon, lat) cell centers ordered from
     the source end to the target end.
     """
-    features = []
-    for r in significant:
-        coords = []
-        for node_id in r.path.nodes:
-            n = graph.nodes[node_id]
-            lat, lon = registration.cell_center(n.row, n.col)
-            coords.append([lon, lat])
-        first = graph.nodes[r.path.nodes[0]]
-        last = graph.nodes[r.path.nodes[-1]]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "LineString", "coordinates": coords},
-                "properties": {
-                    "score": r.observed,
-                    "p_value": r.p_value,
-                    "source_cell": [first.row, first.col],
-                    "target_cell": [last.row, last.col],
-                },
-            }
-        )
-    return {"type": "FeatureCollection", "metadata": metadata, "features": features}
+    def lon_lat(i: int) -> str:
+        lat, lon = registration.cell_center(graph.nodes[i].row, graph.nodes[i].col)
+        return _array((_float(lon), _float(lat)), _FIELD + "    ")
+
+    coords, cells = _Fragments(lon_lat), _cells(graph)
+    features = [
+        f'{{\n      "type": "Feature",\n      "geometry": {{\n        "type": "LineString",\n'
+        f'        "coordinates": {_array(map(coords.__getitem__, r.path.nodes), _FIELD + "  ")}'
+        f'\n      }},\n      "properties": {{\n        "score": {_float(r.observed)},\n'
+        f'        "p_value": {_float(r.p_value)},\n'
+        f'        "source_cell": {cells[r.path.nodes[0]]},\n'
+        f'        "target_cell": {cells[r.path.nodes[-1]]}\n      }}\n    }}'
+        for r in significant
+    ]
+    return _document(
+        {"type": "FeatureCollection", "metadata": metadata}, features=_array(features, "  ")
+    )
 
 
 def frequency_to_csv(freq: np.ndarray, metadata: dict, path: str) -> None:

@@ -25,7 +25,9 @@ from .grid import (
 from .graph import (
     DEFAULT_MAX_EDGE_CELLS, METRICS, VARIANT_CMAD, VARIANT_STANDARD, SpatialGraph, build_graph,
 )
-from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, LinkagePath, extract_all_paths, linkage_frequency
+from .paths import (
+    DEFAULT_CAP, DEFAULT_MAX_NODES, LinkagePath, extract_all_paths, linkage_frequency, path_score,
+)
 from .significance import (
     DEFAULT_ALPHA, DEFAULT_REPLICATES, PermutationNull, SeedPolicy, SignificanceResult,
     filter_significant,
@@ -255,6 +257,7 @@ def build_band_graph(
 
 
 def _check_paths_in_graph(graph: SpatialGraph, paths: list[LinkagePath]) -> None:
+    """Raise ``DimMismatch`` unless each path walks graph edges with their weights and score."""
     hint = "extract the paths from this graph (spatial-link extract-paths --graph ...)"
     ids = [node for path in paths for node in path.nodes]
     if ids and not 0 <= min(ids) <= max(ids) < graph.n_nodes:
@@ -264,12 +267,31 @@ def _check_paths_in_graph(graph: SpatialGraph, paths: list[LinkagePath]) -> None
             hint=hint,
         )
     for k, path in enumerate(paths):
-        for u, v in zip(path.nodes, path.nodes[1:]):
+        steps = list(zip(path.nodes, path.nodes[1:]))
+        if not steps or len(path.edge_weights) != len(steps):
+            raise DimMismatch(
+                f"path {k} has {len(path.nodes)} nodes and {len(path.edge_weights)} edge "
+                f"weights; a path needs two or more nodes and one weight per step",
+                hint=hint,
+            )
+        for (u, v), weight in zip(steps, path.edge_weights):
             if not graph.has_edge(u, v):
                 raise DimMismatch(
                     f"path {k} steps from node {u} to node {v}, which is not an edge of the graph",
                     hint=hint,
                 )
+            if weight != graph.edge_weight(u, v):
+                raise DimMismatch(
+                    f"path {k} gives the edge ({u}, {v}) weight {weight}, but the graph gives "
+                    f"it {graph.edge_weight(u, v)}",
+                    hint=hint,
+                )
+        if path.score != path_score(path.edge_weights):
+            raise DimMismatch(
+                f"path {k} has score {path.score!r}, but its edge weights score "
+                f"{path_score(path.edge_weights)!r}",
+                hint=hint,
+            )
 
 
 def score_paths(

@@ -217,3 +217,115 @@ def position_null_scores(engine, paths) -> np.ndarray:
             ok = cond[:, 1:] & cond[:, :-1] & edge_valid
         out[i] = ok.sum(axis=1) / n_edges
     return out
+
+
+# -- reference JSON documents ----------------------------------------------
+#
+# The dicts the artifact writers in ``spatial_link.io`` render as text. Each
+# artifact must equal ``json.dumps(<document>, indent=2) + "\n"`` byte for
+# byte. The builders read only the attributes of their inputs (and the
+# registration's own ``cell_center``), never the writers' templates.
+
+
+def graph_document(graph, metadata: dict) -> dict:
+    """graph.json: metadata, params, nodes (``anomalous`` only when set), edges."""
+    nodes = []
+    for n in graph.nodes:
+        node = {"id": n.id, "row": n.row, "col": n.col, "kind": n.kind, "value": n.value}
+        if n.anomalous is not None:
+            node["anomalous"] = n.anomalous
+        nodes.append(node)
+    edges = [
+        {"u": e.u, "v": e.v, "weight": e.weight, "distance": e.distance} for e in graph.edges
+    ]
+    return {"metadata": metadata, "params": graph.params, "nodes": nodes, "edges": edges}
+
+
+def paths_document(paths, graph, metadata: dict) -> dict:
+    """paths.json: each path's node ids, their [row, col] cells, edge weights and score."""
+    out = []
+    for p in paths:
+        out.append(
+            {
+                "nodes": list(p.nodes),
+                "cells": [[graph.nodes[i].row, graph.nodes[i].col] for i in p.nodes],
+                "edge_weights": list(p.edge_weights),
+                "score": p.score,
+            }
+        )
+    return {"metadata": metadata, "paths": out}
+
+
+def result_rows(results) -> list[dict]:
+    """The rows of results.json, shared by the aar report."""
+    return [
+        {
+            "path_index": k,
+            "nodes": list(r.path.nodes),
+            "observed": r.observed,
+            "p_value": r.p_value,
+            "significant": r.significant,
+            "alpha": r.alpha,
+        }
+        for k, r in enumerate(results)
+    ]
+
+
+def results_document(results, metadata: dict) -> dict:
+    return {"metadata": metadata, "results": result_rows(results)}
+
+
+def aar_report_document(report, metadata: dict) -> dict:
+    """The aar report: station, components with their extents, and path results."""
+    station = None
+    if report.station_id is not None:
+        p = report.points[report.station_id]
+        station = {
+            "id": report.station_id,
+            "lat": p.lat,
+            "lon": p.lon,
+            "cell": list(p.cell) if p.cell else None,
+        }
+    return {
+        "metadata": metadata,
+        "n_points": len(report.points),
+        "threshold": report.threshold,
+        "station": station,
+        "components": [
+            {
+                "size": comp.size,
+                "extent_km": comp.extent_km,
+                "retained": comp.retained,
+                "node_ids": list(comp.node_ids),
+            }
+            for comp in report.components
+        ],
+        "dropped_origins": report.dropped_origins,
+        "results": result_rows(report.results),
+    }
+
+
+def geojson_document(significant, graph, registration, metadata: dict) -> dict:
+    """significant.geojson: one LineString of (lon, lat) cell centers per path."""
+    features = []
+    for r in significant:
+        coords = []
+        for node_id in r.path.nodes:
+            n = graph.nodes[node_id]
+            lat, lon = registration.cell_center(n.row, n.col)
+            coords.append([lon, lat])
+        first = graph.nodes[r.path.nodes[0]]
+        last = graph.nodes[r.path.nodes[-1]]
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {"type": "LineString", "coordinates": coords},
+                "properties": {
+                    "score": r.observed,
+                    "p_value": r.p_value,
+                    "source_cell": [first.row, first.col],
+                    "target_cell": [last.row, last.col],
+                },
+            }
+        )
+    return {"type": "FeatureCollection", "metadata": metadata, "features": features}

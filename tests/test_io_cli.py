@@ -206,7 +206,7 @@ def small_graph(variant="standard"):
 class TestGraphJson:
     def test_round_trip(self):
         graph, _, _ = small_graph()
-        doc = io.graph_to_json(graph, io.metadata_block({}, 0))
+        doc = json.loads(io.graph_to_json(graph, io.metadata_block({}, 0)))
         back = io.graph_from_json(doc)
         assert back.nodes == graph.nodes
         assert back.edges == graph.edges
@@ -215,13 +215,30 @@ class TestGraphJson:
     def test_round_trip_preserves_anomaly_flags(self):
         graph, _, _ = small_graph(variant="cmad")
         assert any(n.anomalous is not None for n in graph.nodes)
-        doc = io.graph_to_json(graph, io.metadata_block({}, 0))
+        doc = json.loads(io.graph_to_json(graph, io.metadata_block({}, 0)))
         back = io.graph_from_json(doc)
         assert back.nodes == graph.nodes
 
+    @pytest.mark.parametrize("edge", [{"u": 0, "v": -1}, {"u": 3, "v": 0}])
+    def test_edge_endpoint_outside_the_nodes(self, edge):
+        nodes = [{"id": k, "row": k, "col": 0, "kind": KIND_SOURCE, "value": -1.0}
+                 for k in range(3)]
+        doc = {"nodes": nodes, "edges": [{**edge, "weight": 1, "distance": 1.0}]}
+        pattern = rf"edge \({edge['u']}, {edge['v']}\) names a node outside 0..2"
+        with pytest.raises(MalformedHeader, match=pattern) as info:
+            io.graph_from_json(doc)
+        assert info.value.hint.startswith('expected {"params"')
+
+    def test_node_ids_not_in_order(self):
+        nodes = [{"id": k, "row": k, "col": 0, "kind": KIND_SOURCE, "value": -1.0}
+                 for k in (0, 2, 1)]
+        with pytest.raises(MalformedHeader, match="node 1 has id 2; ids must be 0..n-1") as info:
+            io.graph_from_json({"nodes": nodes, "edges": []})
+        assert info.value.hint.startswith('expected {"params"')
+
     def test_none_anomalous_is_omitted_from_json(self):
         graph, _, _ = small_graph()
-        doc = io.graph_to_json(graph, io.metadata_block({}, 0))
+        doc = json.loads(io.graph_to_json(graph, io.metadata_block({}, 0)))
         assert all("anomalous" not in n for n in doc["nodes"])
 
 
@@ -230,7 +247,7 @@ class TestPathsJson:
         graph, _, _ = small_graph()
         paths = extract_all_paths(graph, max_nodes=4)
         assert paths
-        doc = io.paths_to_json(paths, graph, io.metadata_block({}, 0))
+        doc = json.loads(io.paths_to_json(paths, graph, io.metadata_block({}, 0)))
         assert io.paths_from_json(doc) == paths
         for entry, p in zip(doc["paths"], paths):
             assert entry["cells"] == [[graph.nodes[i].row, graph.nodes[i].col] for i in p.nodes]
@@ -241,7 +258,7 @@ class TestResultsJson:
         path = LinkagePath(nodes=(0, 1), edge_weights=(1,), score=1.0)
         res = SignificanceResult(path=path, observed=1.0, p_value=0.01,
                                  significant=True, alpha=0.05)
-        doc = io.results_to_json([res], io.metadata_block({}, 0))
+        doc = json.loads(io.results_to_json([res], io.metadata_block({}, 0)))
         (entry,) = doc["results"]
         assert entry == {
             "path_index": 0,
@@ -263,10 +280,10 @@ class TestAarReportJson:
         report = run_aar(grid_of(vals, registration=reg), grid_of(mask, registration=reg),
                          [(12, 5)], (20.0, 5.0), n_replicates=19, alpha=0.1, seed=2)
         meta = io.metadata_block({}, 2)
-        doc = io.aar_report_to_json(report, meta)
+        doc = json.loads(io.aar_report_to_json(report, meta))
         assert list(doc) == ["metadata", "n_points", "threshold", "station",
                              "components", "dropped_origins", "results"]
-        assert doc["results"] == io.results_to_json(report.results, meta)["results"]
+        assert doc["results"] == json.loads(io.results_to_json(report.results, meta))["results"]
         assert doc["station"] == {"id": 20, "lat": 20.0, "lon": 5.0, "cell": [20, 5]}
         assert doc["components"] == [
             {"size": 21, "extent_km": report.components[0].extent_km, "retained": True,
@@ -293,7 +310,9 @@ class TestGeoJson:
 
     def test_antarctic_cell_centers(self):
         graph, res = self.make_result([(0, 200), (0, 211)])
-        doc = io.export_geojson([res], graph, QUARTER_DEGREE_GLOBAL, io.metadata_block({}, 0))
+        doc = json.loads(
+            io.export_geojson([res], graph, QUARTER_DEGREE_GLOBAL, io.metadata_block({}, 0))
+        )
         assert doc["type"] == "FeatureCollection"
         (feat,) = doc["features"]
         assert feat["geometry"]["type"] == "LineString"
@@ -309,7 +328,7 @@ class TestGeoJson:
         cells = [(3, 7), (4, 9), (6, 9)]
         reg = GridRegistration(lat0=-60.0, lon0=10.0, dlat=0.5, dlon=0.5, cell_km=50.0)
         graph, res = self.make_result(cells)
-        doc = io.export_geojson([res], graph, reg, io.metadata_block({}, 0))
+        doc = json.loads(io.export_geojson([res], graph, reg, io.metadata_block({}, 0)))
         back = [
             (round((lat - reg.lat0) / reg.dlat), round((lon - reg.lon0) / reg.dlon))
             for lon, lat in doc["features"][0]["geometry"]["coordinates"]
@@ -317,7 +336,8 @@ class TestGeoJson:
         assert back == cells
 
     def test_empty_result_list(self):
-        doc = io.export_geojson([], None, QUARTER_DEGREE_GLOBAL, io.metadata_block({}, 0))
+        text = io.export_geojson([], None, QUARTER_DEGREE_GLOBAL, io.metadata_block({}, 0))
+        doc = json.loads(text)
         assert doc["features"] == []
 
 
@@ -598,6 +618,31 @@ class TestCli:
         assert rc == 1
         assert "but the graph has 23 nodes" in err
         assert "spatial-link: hint: extract the paths from this graph" in err
+
+    @pytest.mark.parametrize("case", ["scores-zeroed", "one-weight-for-two-steps",
+                                      "weight-flipped"])
+    def test_significance_paths_disagree_with_the_graph(self, case, instance_files, tmp_path,
+                                                         capsys):
+        gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
+        doc = json.loads(open(ppath).read())
+        long = next(p for p in doc["paths"] if len(p["nodes"]) == 3)
+        if case == "scores-zeroed":
+            for p in doc["paths"]:
+                p["score"] = 0.0
+            expected = "has score 0.0, but its edge weights score"
+        elif case == "one-weight-for-two-steps":
+            long["edge_weights"] = long["edge_weights"][:1]
+            expected = "has 3 nodes and 1 edge weights"
+        else:
+            long["edge_weights"][0] *= -1
+            expected = f"gives the edge ({long['nodes'][0]}, {long['nodes'][1]}) weight"
+        with open(ppath, "w") as fh:
+            json.dump(doc, fh)
+        rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
+        assert rc == 1
+        assert "spatial-link: error [grid-core]: path" in err and expected in err
+        assert "spatial-link: hint: extract the paths from this graph" in err
+        assert not os.path.exists(tmp_path / "r.json")
 
     @pytest.mark.parametrize("dims", ["3x4x5", "axb", "12"])
     def test_pipeline_rejects_bad_resample_dims(self, dims, instance_files, tmp_path, capsys):

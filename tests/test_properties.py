@@ -1,4 +1,4 @@
-"""Property tests for the grid and graph round trips."""
+"""Property tests for the grid and graph round trips and the JSON artifact layout."""
 from __future__ import annotations
 
 import json
@@ -11,11 +11,30 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spatial_link import io
+from spatial_link.aar import AarComponent, AarReport, GeoPoint
 from spatial_link.graph import GraphEdge, GraphNode, SpatialGraph
 from spatial_link.grid import KIND_SOURCE, KIND_TARGET, ChangeGrid, GridRegistration
+from spatial_link.paths import LinkagePath
+from spatial_link.significance import SignificanceResult
+
+import oracles
 
 FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Finite floats with the edge cases of their JSON text drawn often.
+FLOATS = st.sampled_from([-0.0, 1e-300, 1e22, 0.1]) | FINITE
+# Text that json must escape: non-ASCII, quotes, control characters.
+TEXT = st.text(max_size=5)
+
+
+REGISTRATIONS = st.builds(
+    GridRegistration,
+    lat0=st.floats(-90, 90),
+    lon0=st.floats(-180, 179),
+    dlat=st.floats(0.01, 2),
+    dlon=st.floats(0.01, 2),
+    cell_km=st.floats(1, 200),
+)
 
 
 @st.composite
@@ -23,14 +42,7 @@ def grids(draw):
     shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
     values = draw(arrays(np.float32, shape, elements=FLOAT32)).astype(np.float64)
     valid = draw(arrays(np.bool_, shape))
-    registration = GridRegistration(
-        lat0=draw(st.floats(-90, 90)),
-        lon0=draw(st.floats(-180, 179)),
-        dlat=draw(st.floats(0.01, 2)),
-        dlon=draw(st.floats(0.01, 2)),
-        cell_km=draw(st.floats(1, 200)),
-    )
-    return ChangeGrid(values=values, valid_mask=valid, registration=registration)
+    return ChangeGrid(values=values, valid_mask=valid, registration=draw(REGISTRATIONS))
 
 
 @settings(max_examples=60, deadline=None)
@@ -57,7 +69,7 @@ def graphs(draw):
     for k, (r, c) in enumerate(cells):
         kind = draw(st.sampled_from([KIND_SOURCE, KIND_TARGET]))
         anomalous = draw(st.none() | st.booleans()) if kind == KIND_SOURCE else None
-        nodes.append(GraphNode(id=k, row=r, col=c, kind=kind, value=draw(FINITE),
+        nodes.append(GraphNode(id=k, row=r, col=c, kind=kind, value=draw(FLOATS),
                                anomalous=anomalous))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -66,17 +78,89 @@ def graphs(draw):
                   distance=draw(st.floats(0, 20)))
         for u, v in sorted(chosen)
     ]
-    params = draw(st.dictionaries(st.text(max_size=5), st.none() | st.integers() | FINITE,
-                                  max_size=3))
+    params = draw(st.dictionaries(TEXT, st.none() | st.integers() | FLOATS | TEXT, max_size=3))
     return SpatialGraph(nodes=nodes, edges=edges, params=params)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_graph_json_round_trip(graph):
-    text = json.dumps(io.graph_to_json(graph, io.metadata_block({}, 0)))
-    back = io.graph_from_json(json.loads(text))
+    back = io.graph_from_json(json.loads(io.graph_to_json(graph, io.metadata_block({}, 0))))
     assert back.nodes == graph.nodes
     assert back.edges == graph.edges
     assert back.params == graph.params
     assert back.adjacency == graph.adjacency
+
+
+@st.composite
+def scored_paths(draw):
+    """A graph, paths over its nodes, their results, a significant subset and a metadata block."""
+    graph = draw(graphs())
+    n = graph.n_nodes
+    paths = []
+    if n:
+        for nodes in draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=6),
+                                   max_size=4)):
+            weights = draw(st.lists(st.sampled_from([1, -1]), min_size=len(nodes) - 1,
+                                    max_size=len(nodes) - 1))
+            paths.append(LinkagePath(nodes=tuple(nodes), edge_weights=tuple(weights),
+                                     score=draw(FLOATS)))
+    results = [
+        SignificanceResult(path=p, observed=draw(FLOATS), p_value=draw(FLOATS),
+                           significant=draw(st.booleans()), alpha=draw(FLOATS))
+        for p in paths
+    ]
+    significant = [r for r in results if draw(st.booleans())]
+    echo = {"note": draw(TEXT), "alpha": draw(FLOATS)}
+    metadata = io.metadata_block(echo, draw(st.integers(0, 9)))
+    return graph, paths, results, significant, metadata
+
+
+def layout(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(scored_paths(), REGISTRATIONS)
+def test_artifact_text_is_the_json_layout_of_the_reference_documents(case, reg):
+    graph, paths, results, significant, meta = case
+    assert io.graph_to_json(graph, meta) == layout(oracles.graph_document(graph, meta))
+    assert io.paths_to_json(paths, graph, meta) == layout(
+        oracles.paths_document(paths, graph, meta)
+    )
+    assert io.results_to_json(results, meta) == layout(oracles.results_document(results, meta))
+    assert io.export_geojson(significant, graph, reg, meta) == layout(
+        oracles.geojson_document(significant, graph, reg, meta)
+    )
+
+
+@st.composite
+def aar_reports(draw):
+    graph, _, results, _, metadata = draw(scored_paths())
+    points = [
+        GeoPoint(lat=draw(st.floats(-90, 90)), lon=draw(st.floats(-180, 179.9)),
+                 cell=draw(st.none() | st.tuples(st.integers(0, 9), st.integers(0, 9))),
+                 value=draw(FLOATS))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    components = [
+        AarComponent(node_ids=tuple(ids), extent_km=draw(FLOATS), retained=draw(st.booleans()))
+        for ids in draw(st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=3))
+    ]
+    report = AarReport(
+        points=points,
+        graph=graph,
+        components=components,
+        station_id=draw(st.none() | st.integers(0, len(points) - 1)) if points else None,
+        threshold=draw(FLOATS),
+        results=results,
+        dropped_origins=draw(st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=2)),
+    )
+    return report, metadata
+
+
+@settings(max_examples=60, deadline=None)
+@given(aar_reports())
+def test_aar_report_text_is_the_json_layout_of_the_reference_document(case):
+    report, meta = case
+    assert io.aar_report_to_json(report, meta) == layout(oracles.aar_report_document(report, meta))

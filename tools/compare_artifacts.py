@@ -8,8 +8,11 @@ Each of ``--base`` and ``--head`` is the root of a checkout holding
 ``perfbench/workloads.py``; each checkout's CLI then runs on those same
 inputs from its own ``src/``, with ``PYTHONHASHSEED=0``, into its own
 output path. ``null_dense`` also runs with ``--threads 2 --share-null
---bh``. Every artifact is compared byte for byte, and standard output is
-compared with each side's output path masked.
+--bh``, and as a ``stages`` run: ``build-graph``, ``extract-paths`` and
+``significance`` with the workload's settings, each stage reading the
+upstream artifact both sides agreed on. Every artifact is compared byte
+for byte, and standard output is compared with each side's output path
+masked.
 
 Prints one line per run and exits 0 when everything matches; otherwise
 names the first artifact (or standard output) that differs and exits 1.
@@ -29,7 +32,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import workloads  # noqa: E402
 
-EXTRA_RUNS = {"null_dense": [("threads2-share-bh", ["--threads", "2", "--share-null", "--bh"])]}
+# Extra runs per workload: (label, pipeline flags), where None stands for
+# the stage commands in place of the pipeline.
+EXTRA_RUNS = {
+    "null_dense": [
+        ("threads2-share-bh", ["--threads", "2", "--share-null", "--bh"]),
+        ("stages", None),
+    ]
+}
 OUTPUT_MASK = "<output>"
 
 
@@ -64,21 +74,57 @@ def first_difference(base_dir: str, head_dir: str) -> str | None:
     return None
 
 
-def compare(wl: workloads.Workload, flags: list[str], roots: dict, work: str) -> str | None:
-    """The first difference between the two sides' runs of one workload, or None."""
+def compare(argv: list[str], output: str, roots: dict, work: str) -> str | None:
+    """The first difference between the two sides' runs of one command, or None.
+
+    Each side writes where ``argv`` names ``output``, but under ``work/<side>``.
+    """
     stdouts = {}
     for side, root in roots.items():
         side_dir = os.path.join(work, side)
         shutil.rmtree(side_dir, ignore_errors=True)
         os.makedirs(side_dir)
-        output = os.path.join(side_dir, os.path.basename(wl.output))
-        argv = [output if arg == wl.output else arg for arg in wl.argv] + flags
-        code, stdouts[side], stderr = run_cli(root, argv, output)
+        side_output = os.path.join(side_dir, os.path.basename(output))
+        side_argv = [side_output if arg == output else arg for arg in argv]
+        code, stdouts[side], stderr = run_cli(root, side_argv, side_output)
         if code != 0:
             return f"{side} exited {code}: {(stderr.strip().splitlines() or [''])[-1]}"
     if stdouts["base"] != stdouts["head"]:
         return "standard output differs"
     return first_difference(os.path.join(work, "base"), os.path.join(work, "head"))
+
+
+def stage_commands(config: dict, shared: str) -> list[list[str]]:
+    """The stage commands that redo a one-pairing pipeline config, in order.
+
+    Each writes its artifact to ``shared`` (its ``-o``) and reads its
+    upstream artifacts from there.
+    """
+    graph, paths = os.path.join(shared, "graph.json"), os.path.join(shared, "paths.json")
+    inputs = ["--source", config["source"], "--target", config["target"]]
+    seed = ["--seed", str(config["seed"])]
+    return [
+        ["build-graph", *inputs, "--variant", config["variant"],
+         "--band-source", config["band_source"], "--band-target", config["band_target"],
+         "--dmax", str(config["dmax"]), *seed, "-o", graph],
+        ["extract-paths", "--graph", graph, "--max-len", str(config["max_len"]), *seed,
+         "-o", paths],
+        ["significance", "--graph", graph, "--paths", paths, *inputs,
+         "--m", str(config["m"]), "--alpha", str(config["alpha"]), *seed,
+         "-o", os.path.join(shared, "results.json")],
+    ]
+
+
+def compare_stages(wl: workloads.Workload, roots: dict, work: str) -> str | None:
+    """The first difference between the two sides' stage commands, or None."""
+    for argv in stage_commands(wl.params["config"], work):
+        output = argv[-1]
+        problem = compare(argv, output, roots, os.path.join(work, argv[0]))
+        if problem:
+            return f"{argv[0]}: {problem}"
+        # Both sides wrote the same bytes; the next stage reads them from here.
+        shutil.copyfile(os.path.join(work, argv[0], "base", os.path.basename(output)), output)
+    return None
 
 
 def main(argv=None) -> int:
@@ -103,7 +149,10 @@ def main(argv=None) -> int:
                 for label, flags in [("", [])] + EXTRA_RUNS.get(name, []):
                     run_name = f"{name}{' ' + label if label else ''} seed {seed}"
                     run_dir = os.path.join(inputs, label or "default")
-                    problem = compare(wl, flags, roots, run_dir)
+                    if flags is None:
+                        problem = compare_stages(wl, roots, run_dir)
+                    else:
+                        problem = compare(wl.argv + flags, wl.output, roots, run_dir)
                     if problem:
                         print(f"{run_name}: {problem}")
                         return 1
