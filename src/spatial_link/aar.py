@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySide, StationUnreachable
+from .errors import DimMismatch, EmptySide, MalformedHeader, StationUnreachable
 from .grid import ChangeGrid
 from .graph import (
     VARIANT_THRESHOLD,
@@ -37,6 +37,8 @@ DEFAULT_SNAP_KM = 150.0
 DEFAULT_AAR_ALPHA = 0.005
 # Point pairs per block when reducing a component's distance matrix.
 EXTENT_BLOCK_PAIRS = 1 << 18
+# Margin of the extent upper bound over the rounding of one distance.
+_BOUND_MARGIN = 1e-9
 
 KIND_POINT = "point"
 
@@ -105,7 +107,8 @@ def elevated_points(values: ChangeGrid, mask: ChangeGrid) -> list[GeoPoint]:
 
     A cell contributes a point when the mask is valid and nonzero there
     and the value field is valid. Coordinates come from the value field's
-    registration.
+    registration; a flagged cell outside [-90, 90] x [-180, 180) raises
+    ``MalformedHeader``.
     """
     if values.shape != mask.shape:
         raise DimMismatch(
@@ -113,11 +116,25 @@ def elevated_points(values: ChangeGrid, mask: ChangeGrid) -> list[GeoPoint]:
         )
     flagged = mask.valid_mask & (mask.values != 0) & values.valid_mask
     reg = values.registration
-    points = []
-    for r, c in np.argwhere(flagged):
-        lat, lon = reg.cell_center(int(r), int(c))
-        points.append(GeoPoint(lat=lat, lon=lon, cell=(int(r), int(c)), value=float(values.values[r, c])))
-    return points
+    rows, cols = np.argwhere(flagged).T
+    lats = reg.lat0 + rows * reg.dlat
+    lons = reg.lon0 + cols * reg.dlon
+    off = ~((lats >= -90.0) & (lats <= 90.0) & (lons >= -180.0) & (lons < 180.0))
+    if off.any():
+        k = int(np.argmax(off))
+        raise MalformedHeader(
+            f"cell ({rows[k]}, {cols[k]}) lies at latitude {float(lats[k])!r}, "
+            f"longitude {float(lons[k])!r}, outside [-90, 90] x [-180, 180)",
+            hint="register the grid (lat0, lon0, dlat, dlon) so that cell latitudes lie in "
+            "[-90, 90] and cell longitudes in [-180, 180)",
+        )
+    return [
+        GeoPoint(lat=lat, lon=lon, cell=(r, c), value=v)
+        for lat, lon, r, c, v in zip(
+            lats.tolist(), lons.tolist(), rows.tolist(), cols.tolist(),
+            values.values[flagged].tolist(),
+        )
+    ]
 
 
 def build_aar_graph(points: list[GeoPoint], max_edge_km: float = DEFAULT_MAX_EDGE_KM) -> SpatialGraph:
@@ -194,15 +211,36 @@ def connected_components(
 def component_extent(node_ids, points: list[GeoPoint]) -> float:
     """Maximum pairwise equirectangular distance over component nodes.
 
-    The distance matrix is reduced a block of rows at a time, each block
-    holding about ``EXTENT_BLOCK_PAIRS`` pairs, so memory stays linear in
-    the component size.
+    Points that cannot end a maximal pair are pruned first, exactly:
+    - A lower bound L is the larger row maximum of two farthest-point
+      sweeps, from the first node to its farthest point a, then from a.
+      Both rows are entries of the distance matrix, so L is at most the
+      extent.
+    - A point's upper bound is ``KM_PER_DEGREE * hypot(latitude span from
+      the point, min(unwrapped longitude gap, 180) * cmax)``, where cmax
+      is the largest cosine over the component's latitude range (1 when
+      the range spans the equator). It holds for every partner because
+      |dlat| is at most the latitude span, the wrapped |dlon| is at most
+      min(unwrapped |dlon|, 180), and cos(mean latitude) is at most cmax.
+    - The bound is raised by a relative margin for rounding; the wrap
+      rounds at the scale of 360 degrees, so the longitude gap also gets
+      an absolute margin of 360 degrees times the same factor.
+    Both ends of a maximal pair have bounds at or above the extent, so
+    they survive the prune, and the maximum over the survivors is the
+    same float. Components of 1 or 2 points are not pruned.
+
+    The surviving distance matrix is reduced a block of rows at a time,
+    each block holding about ``EXTENT_BLOCK_PAIRS`` pairs, so memory stays
+    linear in the component size.
     """
     ids = list(node_ids)
     if not ids:
         raise ValueError("component must be non-empty")
     lats, lons = _coords(points, ids)
-    n = len(ids)
+    if len(ids) > 2:
+        keep = _extent_bound(lats, lons) >= _sweep_lower_bound(lats, lons)
+        lats, lons = lats[keep], lons[keep]
+    n = len(lats)
     step = max(1, EXTENT_BLOCK_PAIRS // n)
     extent = 0.0
     for start in range(0, n, step):
@@ -210,6 +248,27 @@ def component_extent(node_ids, points: list[GeoPoint]) -> float:
         block = _equirect_km(lats[None, :], lons[None, :], lats[rows, None], lons[rows, None])
         extent = max(extent, float(block.max()))
     return extent
+
+
+def _sweep_lower_bound(lats: np.ndarray, lons: np.ndarray) -> float:
+    """Larger row maximum of two farthest-point sweeps.
+
+    The arguments go in the order the blocked reduction uses, so both rows
+    are rows of its distance matrix.
+    """
+    first = _equirect_km(lats, lons, lats[0], lons[0])
+    far = int(np.argmax(first))
+    return max(float(first.max()), float(_equirect_km(lats, lons, lats[far], lons[far]).max()))
+
+
+def _extent_bound(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
+    """Per point, an upper bound on its distance to any other point."""
+    lat_lo, lat_hi = lats.min(), lats.max()
+    lat_span = np.maximum(lats - lat_lo, lat_hi - lats)
+    lon_gap = np.minimum(np.maximum(lons - lons.min(), lons.max() - lons), 180.0)
+    cmax = 1.0 if lat_lo <= 0.0 <= lat_hi else np.cos(np.deg2rad([lat_lo, lat_hi])).max()
+    lon_span = (lon_gap + 360.0 * _BOUND_MARGIN) * cmax
+    return KM_PER_DEGREE * np.hypot(lat_span, lon_span) * (1.0 + _BOUND_MARGIN)
 
 
 def snap_to_node(points: list[GeoPoint], lat: float, lon: float, snap_km: float = DEFAULT_SNAP_KM) -> int:

@@ -295,7 +295,7 @@ def cmd_aar(args) -> int:
             else:
                 a, b = entry
                 origins.append((float(a), float(b)))
-    with reading(ConfigError, f"cannot parse station {args.station!r}", "give --station lat,lon"):
+    with reading(ConfigError, f"cannot parse station {args.station!r}", "give --station=LAT,LON"):
         st_lat, st_lon = (float(v) for v in args.station.split(","))
 
     report = run_aar(
@@ -396,7 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--origins", required=True, help="JSON list of [lat, lon] or {cell: [r, c]}")
-    p.add_argument("--station", required=True, help="lat,lon")
+    p.add_argument(
+        "--station", required=True,
+        help="LAT,LON in degrees; write --station=LAT,LON, as a southern latitude starts with '-'",
+    )
     p.add_argument("--max-edge-km", type=float, default=DEFAULT_MAX_EDGE_KM)
     p.add_argument("--min-extent-km", type=float, default=DEFAULT_MIN_EXTENT_KM)
     p.add_argument("--threshold", type=float, default=None)

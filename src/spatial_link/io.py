@@ -344,7 +344,11 @@ _PATHS_LAYOUT = 'expected {"paths": [{"nodes": [...], "edge_weights": [...], "sc
 
 
 def graph_from_json(doc: dict) -> SpatialGraph:
-    """The graph of a graph.json document; node ids must be 0..n-1 in order."""
+    """The graph of a graph.json document.
+
+    Node ids must be 0..n-1 in order, and each edge must join two distinct
+    nodes and appear once in either direction.
+    """
     with reading(MalformedHeader, "malformed graph document", _GRAPH_LAYOUT):
         nodes = [
             GraphNode(
@@ -369,13 +373,21 @@ def graph_from_json(doc: dict) -> SpatialGraph:
                 f"malformed graph document: node {k} has id {n.id}; ids must be 0..n-1 in order",
                 hint=_GRAPH_LAYOUT,
             )
+    pairs = set()
     for e in edges:
+        pair = (min(e.u, e.v), max(e.u, e.v))
         if not (0 <= e.u < len(nodes) and 0 <= e.v < len(nodes)):
-            raise MalformedHeader(
-                f"malformed graph document: edge ({e.u}, {e.v}) names a node outside "
-                f"0..{len(nodes) - 1}",
-                hint=_GRAPH_LAYOUT,
-            )
+            problem = f"names a node outside 0..{len(nodes) - 1}"
+        elif e.u == e.v:
+            problem = "joins a node to itself"
+        elif pair in pairs:
+            problem = "repeats an edge listed before"
+        else:
+            pairs.add(pair)
+            continue
+        raise MalformedHeader(
+            f"malformed graph document: edge ({e.u}, {e.v}) {problem}", hint=_GRAPH_LAYOUT
+        )
     return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
 
 

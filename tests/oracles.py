@@ -219,6 +219,29 @@ def position_null_scores(engine, paths) -> np.ndarray:
     return out
 
 
+def blocked_extent(node_ids, points, block_pairs: int = 1 << 18) -> float:
+    """Largest equirectangular distance over every ordered pair of the nodes.
+
+    The full distance matrix, without pruning, reduced ``block_pairs``
+    pairs at a time; the arithmetic is the package's, element for element,
+    so the maximum is comparable with ``==``.
+    """
+    lats = np.asarray([points[i].lat for i in node_ids])
+    lons = np.asarray([points[i].lon for i in node_ids])
+    if not len(lats):
+        raise ValueError("component must be non-empty")
+    step = max(1, block_pairs // len(lats))
+    extent = 0.0
+    for start in range(0, len(lats), step):
+        lat_b, lon_b = lats[start:start + step, None], lons[start:start + step, None]
+        dlat = lat_b - lats[None, :]
+        dlon = (lon_b - lons[None, :] + 180.0) % 360.0 - 180.0
+        mean_lat = np.deg2rad((lats[None, :] + lat_b) / 2.0)
+        block = 111.11 * np.hypot(dlat, dlon * np.cos(mean_lat))
+        extent = max(extent, float(block.max()))
+    return extent
+
+
 # -- reference JSON documents ----------------------------------------------
 #
 # The dicts the artifact writers in ``spatial_link.io`` render as text. Each

@@ -1,11 +1,15 @@
 """Transport benchmark: geodesy, component extent, station significance."""
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from spatial_link import aar
 from spatial_link.aar import (
     AarComponent,
@@ -19,7 +23,9 @@ from spatial_link.aar import (
     snap_to_node,
     station_path_significance,
 )
-from spatial_link.errors import DimMismatch, EmptySide, PathExplosion, StationUnreachable
+from spatial_link.errors import (
+    DimMismatch, EmptySide, MalformedHeader, PathExplosion, StationUnreachable,
+)
 from spatial_link.grid import ChangeGrid, GridRegistration
 from spatial_link.paths import enumerate_walks
 
@@ -127,6 +133,31 @@ class TestElevatedPoints:
         values = ChangeGrid(values=vals, valid_mask=vv, registration=values.registration)
         pts = elevated_points(values, mask)
         assert [p.cell for p in pts] == [(0, 0)]
+
+    def test_coordinates_equal_the_registration_per_cell(self):
+        reg = GridRegistration(lat0=-79.875, lon0=-179.9, dlat=0.1, dlon=0.3, cell_km=11.1)
+        rng = np.random.default_rng(2)
+        vals = rng.normal(size=(40, 90))
+        values = grid_of(vals, registration=reg)
+        mask = grid_of(rng.random((40, 90)) < 0.3, registration=reg)
+        pts = elevated_points(values, mask)
+        expected = [
+            GeoPoint(*reg.cell_center(r, c), cell=(r, c), value=float(vals[r, c]))
+            for r, c in zip(*np.nonzero(mask.values))
+        ]
+        assert pts == expected
+        assert all(type(v) is float for p in pts for v in (p.lat, p.lon, p.value))
+
+    @pytest.mark.parametrize("lat0, lon0, bad", [
+        (-70.0, 175.0, "cell (5, 20) lies at latitude -68.75, longitude 180.0"),
+        (89.0, 0.0, "cell (5, 0) lies at latitude 90.25, longitude 0.0"),
+    ])
+    def test_coordinates_off_the_globe(self, lat0, lon0, bad):
+        reg = GridRegistration(lat0=lat0, lon0=lon0, dlat=0.25, dlon=0.25, cell_km=27.8)
+        values, mask = point_grids((10, 40), [(5, c) for c in range(40)], registration=reg)
+        with pytest.raises(MalformedHeader, match=re.escape(bad)) as info:
+            elevated_points(values, mask)
+        assert "[-180, 180)" in info.value.hint
 
     def test_shape_mismatch(self):
         values, _ = point_grids((3, 3), [(0, 0)])
@@ -243,6 +274,62 @@ class TestComponents:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_prune_leaves_few_pairs_on_a_corridor(self, monkeypatch):
+        # 1,500 points along a wavy band 3 cells wide: only points near
+        # the two ends can hold the maximum, so the blocked reduction sees
+        # a small fraction of the 2.25 M ordered pairs.
+        t = np.linspace(0.0, 1.0, 500)
+        pts = [
+            GeoPoint(lat=float(40.0 + 5.0 * np.sin(6.0 * x) + 0.25 * k), lon=float(-60.0 + 100.0 * x))
+            for x in t for k in range(3)
+        ]
+        evaluated = []
+
+        def counting(*args):
+            out = equirect(*args)
+            evaluated.append(np.size(out))
+            return out
+
+        equirect = aar._equirect_km
+        monkeypatch.setattr(aar, "_equirect_km", counting)
+        assert component_extent(range(len(pts)), pts) == oracles.blocked_extent(range(len(pts)), pts)
+        assert sum(evaluated) < 0.05 * len(pts) ** 2
+
+
+def _region_points(rng, n, region):
+    """``n`` valid points in one of the regions the extent prune must handle."""
+    if region == "antimeridian":
+        lats, lons = rng.uniform(-75, -60, n), rng.uniform(170, 190, n)
+    elif region == "equator":
+        lats, lons = rng.uniform(-3, 3, n), rng.uniform(-40, 40, n)
+    elif region == "lattice":
+        # Quarter-degree cells in a small window: many exactly tied distances.
+        lats = -70 + 0.25 * rng.integers(0, 12, n)
+        lons = 179 + 0.25 * rng.integers(0, 12, n)
+    elif region == "pole":
+        lats, lons = rng.uniform(88, 90, n), rng.uniform(-180, 180, n)
+    elif region == "tiny":
+        # A centimetre along one parallel: the longitude wrap rounds at the
+        # scale of 360 degrees, far coarser than these gaps.
+        lats, lons = np.full(n, -68.75), rng.uniform(0, 1e-7, n)
+    else:
+        lats, lons = rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)
+    lons = np.where(lons >= 180.0, lons - 360.0, lons)
+    return [GeoPoint(lat=float(a), lon=float(b)) for a, b in zip(lats, lons)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 3), st.integers(4, 300)),
+    region=st.sampled_from(["antimeridian", "equator", "lattice", "pole", "tiny", "globe"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_extent_equals_blocked_extent(n, region, seed):
+    rng = np.random.default_rng(seed)
+    pts = _region_points(rng, n + 5, region)
+    ids = rng.permutation(n + 5)[:n].tolist()
+    assert component_extent(ids, pts) == oracles.blocked_extent(ids, pts)
 
 
 class TestSnap:

@@ -229,6 +229,20 @@ class TestGraphJson:
             io.graph_from_json(doc)
         assert info.value.hint.startswith('expected {"params"')
 
+    @pytest.mark.parametrize("edges, pattern", [
+        ([(0, 1, 1), (0, 1, 1)], r"edge \(0, 1\) repeats an edge listed before"),
+        ([(0, 1, 1), (1, 0, -1)], r"edge \(1, 0\) repeats an edge listed before"),
+        ([(0, 0, 1)], r"edge \(0, 0\) joins a node to itself"),
+    ])
+    def test_repeated_edge_or_self_loop(self, edges, pattern):
+        nodes = [{"id": k, "row": k, "col": 0, "kind": KIND_SOURCE, "value": -1.0}
+                 for k in range(2)]
+        doc = {"nodes": nodes,
+               "edges": [{"u": u, "v": v, "weight": w, "distance": 1.0} for u, v, w in edges]}
+        with pytest.raises(MalformedHeader, match=pattern) as info:
+            io.graph_from_json(doc)
+        assert info.value.hint.startswith('expected {"params"')
+
     def test_node_ids_not_in_order(self):
         nodes = [{"id": k, "row": k, "col": 0, "kind": KIND_SOURCE, "value": -1.0}
                  for k in (0, 2, 1)]
@@ -860,6 +874,38 @@ class TestCli:
         assert [44.5, 30.5] in doc["dropped_origins"]
         assert len(doc["results"]) == 2
         assert all(r["significant"] for r in doc["results"])
+
+    def southern_row(self, tmp_path, lon0):
+        """A 10x40 quarter-degree field from 70 S whose row 5 is elevated."""
+        reg = GridRegistration(lat0=-70.0, lon0=lon0, dlat=0.25, dlon=0.25, cell_km=27.8)
+        vals, mask = np.full((10, 40), 0.1), np.zeros((10, 40))
+        vals[5], mask[5] = 2.0, 1.0
+        vpath, mpath = str(tmp_path / "v.raw"), str(tmp_path / "m.raw")
+        io.save_grid(grid_of(vals, registration=reg), vpath)
+        io.save_grid(grid_of(mask, registration=reg), mpath)
+        opath = tmp_path / "origins.json"
+        opath.write_text(json.dumps([{"cell": [5, 0]}]))
+        return ["aar", "--values", vpath, "--mask", mpath, "--origins", str(opath)]
+
+    def test_southern_station(self, tmp_path, capsys):
+        argv = self.southern_row(tmp_path, lon0=-70.0)
+        rpath = str(tmp_path / "report.json")
+        rc, out, _ = self.run(argv + ["--station=-68.75,-60", "--min-extent-km", "100",
+                                      "--max-len", "40", "--m", "19", "-o", rpath], capsys)
+        assert rc == 0
+        assert "40 points, 1 components (1 retained)" in out
+        doc = json.loads(open(rpath).read())
+        assert doc["station"]["cell"] == [5, 39]
+        assert len(doc["results"]) == 1
+
+    def test_cell_longitude_past_180(self, tmp_path, capsys):
+        argv = self.southern_row(tmp_path, lon0=175.0)
+        rpath = tmp_path / "report.json"
+        rc, _, err = self.run(argv + ["--station=-68.75,-179.5", "-o", str(rpath)], capsys)
+        assert rc == 1
+        assert "error [grid-core]: cell (5, 20) lies at latitude -68.75, longitude 180.0" in err
+        assert "Traceback" not in err
+        assert not rpath.exists()
 
     def test_bad_station_string(self, tmp_path, capsys):
         vpath = str(tmp_path / "v.raw")
