@@ -273,6 +273,11 @@ def _extent_bound(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
 
 def snap_to_node(points: list[GeoPoint], lat: float, lon: float, snap_km: float = DEFAULT_SNAP_KM) -> int:
     """Nearest point id within the snap radius; smallest id wins ties."""
+    if not np.isfinite((lat, lon)).all():
+        raise StationUnreachable(
+            f"coordinate ({lat:g}, {lon:g}) is not finite",
+            hint="give the latitude and longitude in finite degrees",
+        )
     lats, lons = _coords(points)
     dists = _equirect_km(lats, lons, lat, lon)
     best = int(np.argmin(dists))

@@ -60,6 +60,9 @@ class GridRegistration:
     cell_km: float
 
     def __post_init__(self):
+        fields = (self.lat0, self.lon0, self.dlat, self.dlon, self.cell_km)
+        if not np.isfinite(fields).all():
+            raise ValueError(f"registration fields must be finite, got {fields}")
         if self.dlat <= 0 or self.dlon <= 0:
             raise ValueError("dlat and dlon must be positive")
         if self.cell_km <= 0:
@@ -269,26 +272,23 @@ def classify_cells(
     bands: ThresholdBands,
     band: str,
     kind: str,
-    window: RegionWindow | None = None,
     orientation: str = LOSS_NEGATIVE,
 ) -> CellSet:
-    """Select the valid, oriented window cells whose magnitude is in a band.
+    """Select the valid, oriented cells whose magnitude is in a band.
 
-    Returned cell coordinates are window-relative when a window is given,
-    matching the coordinate frame of a cropped grid. Cells come back in
-    row-major order with their signed change values.
+    Cells come back in row-major order with their signed change values;
+    crop the grid first (``crop_region``) to classify one window of it.
     """
     if band not in BANDS:
         raise ValueError(f"unknown band {band!r}, expected one of {BANDS}")
     if kind not in (KIND_SOURCE, KIND_TARGET):
         raise ValueError(f"unknown kind {kind!r}")
-    sub = crop_region(grid, window) if window is not None else grid
-    eligible = oriented_mask(sub, orientation)
+    eligible = oriented_mask(grid, orientation)
     lo, hi = bands.interval(band)
-    mags = np.abs(sub.values)
+    mags = np.abs(grid.values)
     selected = eligible & (mags >= lo) & (mags < hi)
     rows, cols = np.nonzero(selected)
-    values = sub.values[rows, cols]
+    values = grid.values[rows, cols]
     cells = [(int(r), int(c), float(v)) for r, c, v in zip(rows, cols, values)]
     return CellSet(kind=kind, band=band, cells=cells)
 

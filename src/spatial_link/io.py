@@ -215,16 +215,6 @@ def _load_grid_csv(path: str) -> ChangeGrid:
     return ChangeGrid(values=values, valid_mask=mask)
 
 
-def save_grid_csv(grid: ChangeGrid, path: str) -> None:
-    """Write every cell of a grid as format B rows (all cells listed)."""
-    with _replacing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value", "valid"])
-        for r in range(grid.rows):
-            for c in range(grid.cols):
-                writer.writerow([r, c, repr(float(grid.values[r, c])), int(grid.valid_mask[r, c])])
-
-
 def load_grid(path: str) -> ChangeGrid:
     """Load a grid in format A (raw+json) or B (csv), chosen by extension.
 
@@ -497,7 +487,3 @@ def frequency_to_csv(freq: np.ndarray, metadata: dict, path: str) -> None:
         fh.write("# metadata: " + json.dumps(metadata) + "\n")
         for row in freq:
             fh.write(",".join(str(int(v)) for v in row) + "\n")
-
-
-def load_frequency_csv(path: str) -> np.ndarray:
-    return np.loadtxt(path, dtype=np.int64, delimiter=",", comments="#", ndmin=2)

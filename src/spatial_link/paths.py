@@ -143,18 +143,6 @@ def to_linkage_paths(
     return paths
 
 
-def bfs_paths(
-    graph: SpatialGraph, source: int, max_nodes: int = DEFAULT_MAX_NODES
-) -> list[LinkagePath]:
-    """All bounded simple paths from one source node to any target node."""
-    node = graph.nodes[source]
-    if node.kind != KIND_SOURCE:
-        raise ValueError(f"node {source} is not a source node (kind={node.kind!r})")
-    targets = frozenset(graph.nodes_of_kind(KIND_TARGET))
-    walks = enumerate_walks(graph.adjacency, source, targets, max_nodes)
-    return to_linkage_paths(walks, graph.edge_weight)
-
-
 def extract_all_paths(
     graph: SpatialGraph,
     max_nodes: int = DEFAULT_MAX_NODES,

@@ -30,7 +30,6 @@ from .paths import (
 )
 from .significance import (
     DEFAULT_ALPHA, DEFAULT_REPLICATES, PermutationNull, SeedPolicy, SignificanceResult,
-    filter_significant,
 )
 
 SCOPE_WINDOW = "window"
@@ -231,10 +230,12 @@ def build_band_graph(
     the cells were banded with.
     """
     source_cells = classify_cells(
-        grids.source, grids.bands_source, band_source, "source", None, config.orientation_source
+        grids.source, grids.bands_source, band_source, "source",
+        orientation=config.orientation_source,
     )
     target_cells = classify_cells(
-        grids.target, grids.bands_target, band_target, "target", None, config.orientation_target
+        grids.target, grids.bands_target, band_target, "target",
+        orientation=config.orientation_target,
     )
     return build_graph(
         source_cells,
@@ -361,7 +362,7 @@ def _run_band_pair(
     results = score_paths(config, graph, paths, grids)
     io.write_json(io.results_to_json(results, metadata), os.path.join(out_dir, "results.json"))
 
-    significant = filter_significant(results)
+    significant = [r for r in results if r.significant]
     io.write_json(
         io.export_geojson(significant, graph, grids.source.registration, metadata),
         os.path.join(out_dir, "significant.geojson"),

@@ -11,7 +11,7 @@ never zero and is exact under the discrete permutation distribution.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -52,12 +52,12 @@ class SignificanceResult:
     alpha: float
 
 
-def p_value(observed: float, null_scores: np.ndarray) -> float:
+def p_value(observed: float, null: np.ndarray) -> float:
     """Add-one upper-tail p-value of an observed score against null scores."""
-    null_scores = np.asarray(null_scores)
-    if null_scores.size == 0:
+    null = np.asarray(null)
+    if null.size == 0:
         raise ValueError("p_value requires at least one null replicate")
-    return float((1 + np.count_nonzero(null_scores >= observed)) / (1 + null_scores.size))
+    return float((1 + np.count_nonzero(null >= observed)) / (1 + null.size))
 
 
 def benjamini_hochberg(p_values, alpha: float) -> np.ndarray:
@@ -102,10 +102,6 @@ def pool_positions(grid: ChangeGrid, cells, ids, field: str) -> np.ndarray:
             hint="pass the fields (and mask) the graph was built from",
         )
     return pos
-
-
-def filter_significant(results: list[SignificanceResult]) -> list[SignificanceResult]:
-    return [r for r in results if r.significant]
 
 
 class PermutationNull:
@@ -260,8 +256,8 @@ class PermutationNull:
             return [pool >= self.threshold for pool in self.pools]
         raise ValueError(f"unknown variant {self.variant!r}")
 
-    def _run(self, paths: list[LinkagePath], collect: bool):
-        """Exceedance counts per path and, if ``collect``, every replicate score.
+    def _run(self, paths: list[LinkagePath]) -> np.ndarray:
+        """Exceedance counts per path: replicates scoring at least the observed score.
 
         Each replicate sets one state per distinct path node, reduces it
         to one ok-bit per distinct (undirected) path edge, and counts the
@@ -299,7 +295,6 @@ class PermutationNull:
 
         observed = np.asarray([p.score for p in paths], dtype=np.float64)
         m = self.n_replicates
-        scores_out = np.zeros((n_paths, m), dtype=np.float64) if collect else None
 
         def run_block(indices: range) -> np.ndarray:
             ge = np.zeros(n_paths, dtype=np.int64)
@@ -313,19 +308,12 @@ class PermutationNull:
                 ok = edge_ok(self.variant, state[end_a], state[end_b])
                 scores = (incidence @ ok) / n_edges
                 ge += scores >= observed
-                if scores_out is not None:
-                    scores_out[:, i] = scores
             return ge
 
         step = -(-m // self.threads)
         blocks = [range(s, min(s + step, m)) for s in range(0, m, step)]
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            ge = np.sum(list(pool.map(run_block, blocks)), axis=0)
-        return ge, scores_out
-
-    def null_scores(self, path: LinkagePath) -> np.ndarray:
-        """Full null score vector of one path, replicate by replicate."""
-        return self._run([path], collect=True)[1][0]
+            return np.sum(list(pool.map(run_block, blocks)), axis=0)
 
     def evaluate(
         self,
@@ -341,6 +329,9 @@ class PermutationNull:
         reused for all equal-length paths, which is a valid shortcut
         because under value permutation the null score law of a path
         depends on the path only through its length and node composition.
+        The first path of a length stands in once per distinct observed
+        score of that length; as every pool is permuted in full in each
+        replicate, its replicate scores depend only on its own nodes.
         """
         if not 0 < alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
@@ -349,12 +340,14 @@ class PermutationNull:
 
         if share_null_by_length:
             first: dict[int, LinkagePath] = {}
+            stand_ins: dict[tuple[int, float], LinkagePath] = {}
             for path in paths:
-                first.setdefault(path.n_nodes, path)
-            null_by_len = dict(zip(first, self._run(list(first.values()), collect=True)[1]))
-            ge = np.asarray([np.count_nonzero(null_by_len[p.n_nodes] >= p.score) for p in paths])
+                rep = first.setdefault(path.n_nodes, path)
+                stand_ins.setdefault((path.n_nodes, path.score), replace(rep, score=path.score))
+            ge_by_key = dict(zip(stand_ins, self._run(list(stand_ins.values()))))
+            ge = np.asarray([ge_by_key[p.n_nodes, p.score] for p in paths])
         else:
-            ge, _ = self._run(paths, collect=False)
+            ge = self._run(paths)
         pvals = (1 + ge) / (1 + self.n_replicates)
 
         if bh_correction:

@@ -192,13 +192,13 @@ class TestClassifyCells:
         vals[0, 0] = -5.0
         g = grid_from(vals)
         window = RegionWindow(2, 3, 2, 3)
-        cells = classify_cells(g, self.bands, BAND_MODERATE, "source", window)
+        cells = classify_cells(crop_region(g, window), self.bands, BAND_MODERATE, "source")
         assert [(r, c) for r, c, _ in cells.cells] == [(0, 0)]
 
     def test_empty_window_intersection(self):
         g = grid_from(-5.0 * np.ones((4, 4)))
-        window = RegionWindow(3, 3, 3, 3)
-        cells = classify_cells(g, ThresholdBands(6, 7, 8), BAND_MODERATE, "source", window)
+        sub = crop_region(g, RegionWindow(3, 3, 3, 3))
+        cells = classify_cells(sub, ThresholdBands(6, 7, 8), BAND_MODERATE, "source")
         assert cells.cells == []
 
 

@@ -131,13 +131,13 @@ class TestGridFormatA:
 
 class TestGridFormatB:
     def test_round_trip(self, tmp_path):
-        vals = np.array([[0.1 + 0.2, -1.0], [np.nan, 4.0]])
-        grid = grid_of(vals, ~np.isnan(vals))
-        path = str(tmp_path / "g.csv")
-        io.save_grid_csv(grid, path)
-        back = io.load_grid(path)
-        assert np.array_equal(back.valid_mask, grid.valid_mask)
-        assert back.values[0, 0] == vals[0, 0]
+        """Every cell listed, values as ``repr`` text, read back exactly."""
+        path = tmp_path / "g.csv"
+        path.write_text(f"row,col,value,valid\n0,0,{0.1 + 0.2!r},1\n0,1,-1.0,1\n"
+                        "1,0,nan,0\n1,1,4.0,1\n")
+        back = io.load_grid(str(path))
+        assert np.array_equal(back.valid_mask, [[True, True], [False, True]])
+        assert back.values[0, 0] == 0.1 + 0.2
         assert back.values[1, 1] == 4.0
 
     def test_unlisted_cells_are_invalid(self, tmp_path):
@@ -363,12 +363,14 @@ class TestFrequencyCsv:
         first = open(path).readline()
         assert first.startswith("# metadata: ")
         assert json.loads(first[len("# metadata: "):])["config"] == {"m": 9}
-        assert np.array_equal(io.load_frequency_csv(path), freq)
+        back = np.loadtxt(path, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
+        assert np.array_equal(back, freq)
 
     def test_single_row_keeps_two_dims(self, tmp_path):
         path = str(tmp_path / "freq.csv")
         io.frequency_to_csv(np.array([[1, 2]]), io.metadata_block({}, 0), path)
-        assert io.load_frequency_csv(path).shape == (1, 2)
+        back = np.loadtxt(path, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
+        assert back.shape == (1, 2)
 
 
 class TestAtomicWrites:
@@ -906,6 +908,46 @@ class TestCli:
         assert "error [grid-core]: cell (5, 20) lies at latitude -68.75, longitude 180.0" in err
         assert "Traceback" not in err
         assert not rpath.exists()
+
+    @pytest.mark.parametrize("station", ["nan,nan", "-68.75,inf"])
+    def test_non_finite_station_is_unreachable(self, station, tmp_path, capsys):
+        argv = self.southern_row(tmp_path, lon0=-70.0)
+        rpath = tmp_path / "report.json"
+        rc, _, err = self.run(argv + [f"--station={station}", "--min-extent-km", "100",
+                                      "--max-len", "40", "--m", "19", "-o", str(rpath)], capsys)
+        assert rc == 1
+        lat, lon = station.split(",")
+        assert f"spatial-link: error [aar-benchmark]: coordinate ({lat}, {lon}) is not finite" in err
+        assert "Traceback" not in err
+        assert not rpath.exists()
+
+    def test_nan_origin_is_dropped(self, tmp_path, capsys):
+        argv = self.southern_row(tmp_path, lon0=-70.0)
+        (tmp_path / "origins.json").write_text('[{"cell": [5, 0]}, [NaN, NaN]]')
+        rpath = str(tmp_path / "report.json")
+        rc, _, _ = self.run(argv + ["--station=-68.75,-60", "--min-extent-km", "100",
+                                    "--max-len", "40", "--m", "19", "-o", rpath], capsys)
+        assert rc == 0
+        doc = json.loads(open(rpath).read())
+        (dropped,) = doc["dropped_origins"]
+        assert all(np.isnan(dropped))
+        assert len(doc["results"]) == 1
+
+    @pytest.mark.parametrize("key, value", [("lat0", float("nan")), ("cell_km", float("inf"))])
+    def test_non_finite_registration(self, key, value, instance_files, tmp_path, capsys):
+        spath, tpath = instance_files
+        sidecar = json.loads(open(spath + ".json").read())
+        sidecar[key] = value
+        with open(spath + ".json", "w") as fh:
+            json.dump(sidecar, fh)
+        out = tmp_path / "out"
+        rc, _, err = self.run(["pipeline", "--source", spath, "--target", tpath, "--dmax", "2.0",
+                               "--max-len", "4", "--m", "9", "--out-dir", str(out)], capsys)
+        assert rc == 1
+        assert f"spatial-link: error [grid-core]: sidecar {spath}.json has a bad registration" in err
+        assert "registration fields must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_station_string(self, tmp_path, capsys):
         vpath = str(tmp_path / "v.raw")

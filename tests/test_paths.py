@@ -18,11 +18,11 @@ from spatial_link.grid import (
 )
 from spatial_link.paths import (
     LinkagePath,
-    bfs_paths,
     enumerate_walks,
     extract_all_paths,
     linkage_frequency,
     path_score,
+    to_linkage_paths,
 )
 from spatial_link.synthetic import generate_null
 
@@ -62,36 +62,39 @@ def random_graph(rng) -> SpatialGraph:
     return make_graph(n, edges, target_ids, weights)
 
 
+def walks_from(g: SpatialGraph, start: int, max_nodes: int) -> list[tuple[int, ...]]:
+    """Every bounded walk from ``start`` to the first target it reaches."""
+    return enumerate_walks(g.adjacency, start, frozenset(g.nodes_of_kind(KIND_TARGET)), max_nodes)
+
+
 class TestBfsPaths:
+    """Breadth-first walks from one source node (``enumerate_walks``)."""
+
     def test_three_node_chain(self):
         g = make_graph(3, [(0, 1), (1, 2)], target_ids=[2])
-        paths = bfs_paths(g, 0, max_nodes=3)
-        assert [p.nodes for p in paths] == [(0, 1, 2)]
+        assert walks_from(g, 0, max_nodes=3) == [(0, 1, 2)]
 
     def test_length_bound_cuts_chain(self):
         g = make_graph(3, [(0, 1), (1, 2)], target_ids=[2])
-        assert bfs_paths(g, 0, max_nodes=2) == []
+        assert walks_from(g, 0, max_nodes=2) == []
 
     def test_diamond_has_two_paths(self):
         g = make_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], target_ids=[3])
-        paths = bfs_paths(g, 0, max_nodes=3)
-        assert {p.nodes for p in paths} == {(0, 1, 3), (0, 2, 3)}
+        assert set(walks_from(g, 0, max_nodes=3)) == {(0, 1, 3), (0, 2, 3)}
 
     def test_target_interior_forbidden(self):
         """A path must stop at the first target even if more lie beyond."""
         g = make_graph(3, [(0, 1), (1, 2)], target_ids=[1, 2])
-        paths = bfs_paths(g, 0, max_nodes=3)
-        assert [p.nodes for p in paths] == [(0, 1)]
+        assert walks_from(g, 0, max_nodes=3) == [(0, 1)]
 
     def test_source_start_required(self):
         g = make_graph(2, [(0, 1)], target_ids=[1])
         with pytest.raises(ValueError):
-            bfs_paths(g, 1)
+            walks_from(g, 1, max_nodes=11)
 
     def test_expansion_order_is_ascending(self):
         g = make_graph(5, [(0, 3), (0, 1), (1, 4), (3, 4)], target_ids=[4])
-        paths = bfs_paths(g, 0, max_nodes=3)
-        assert [p.nodes for p in paths] == [(0, 1, 4), (0, 3, 4)]
+        assert walks_from(g, 0, max_nodes=3) == [(0, 1, 4), (0, 3, 4)]
 
 
 class TestExtractAllPaths:
@@ -208,7 +211,7 @@ class TestScores:
         g = make_graph(
             3, [(0, 1), (1, 2)], target_ids=[2], weights={(0, 1): 1, (1, 2): -1}
         )
-        (path,) = bfs_paths(g, 0, max_nodes=3)
+        (path,) = to_linkage_paths(walks_from(g, 0, max_nodes=3), g.edge_weight)
         assert path.edge_weights == (1, -1)
         assert path.score == pytest.approx(0.5)
         assert path.score == path_score(path.edge_weights)

@@ -7,6 +7,8 @@ the per-(path, position) reference scorer in oracles.py.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ from spatial_link.significance import (
     PermutationNull,
     SeedPolicy,
     benjamini_hochberg,
-    filter_significant,
     p_value,
     pool_positions,
 )
@@ -210,15 +211,6 @@ class TestHandBuiltEngine:
         (res,) = eng.evaluate([one_edge_path(1.0)])
         assert res.p_value == pytest.approx(0.5, abs=0.05)
 
-    def test_null_scores_match_evaluate(self):
-        pool = [-1.0] * 10 + [1.0] * 30
-        eng = two_node_engine(pool, list(pool), n_replicates=499)
-        path = one_edge_path(1.0)
-        dist = eng.null_scores(path)
-        assert len(dist) == 499
-        (res,) = eng.evaluate([path])
-        assert res.p_value == pytest.approx(p_value(path.score, dist))
-
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
             two_node_engine([1.0], [1.0], n_replicates=0)
@@ -320,13 +312,13 @@ class TestEngineAgainstFieldPermutationOracle:
         assert [r.significant for r in corrected] == want.tolist()
 
     def test_filter_significant(self):
+        """Without BH a result is significant exactly when its p-value is below alpha."""
         source, target, graph, paths = small_instance(seed=4)
         policy = SeedPolicy(base_seed=123)
         eng = PermutationNull.for_graph(graph, source, target, policy, n_replicates=99)
-        results = eng.evaluate(paths[:10])
-        kept = filter_significant(results)
-        assert all(r.significant for r in kept)
-        assert len(kept) == sum(r.significant for r in results)
+        results = eng.evaluate(paths[:10], alpha=0.5)
+        assert [r.significant for r in results] == [r.p_value < 0.5 for r in results]
+        assert all(r.alpha == 0.5 for r in results)
 
     def test_mismatched_grids_rejected(self):
         source, target, graph, _ = small_instance(seed=4)
@@ -525,13 +517,22 @@ def reference_p_values(scores, paths, share_null_by_length) -> list[float]:
 
 
 def assert_engine_matches_reference(engine, paths):
-    """Exceedance counts, shared-null p-values and every null vector agree exactly."""
+    """Exceedance counts, shared-null p-values and the full null law agree exactly.
+
+    Each path is also scored at every level j / n_edges its null scores
+    can take; equal exceedance counts at every level pin its null law.
+    """
     scores = position_null_scores(engine, paths)
     for share in (False, True):
         got = [r.p_value for r in engine.evaluate(paths, share_null_by_length=share)]
         assert got == reference_p_values(scores, paths, share)
-    for k, path in enumerate(paths):
-        assert np.array_equal(engine.null_scores(path), scores[:, k])
+    levels = [replace(p, score=j / (p.n_nodes - 1)) for p in paths for j in range(p.n_nodes)]
+    level_scores = scores[:, [k for k, p in enumerate(paths) for _ in p.nodes]]
+    m = engine.n_replicates
+    counts = [round(r.p_value * (1 + m)) - 1 for r in engine.evaluate(levels)]
+    assert counts == (level_scores >= [p.score for p in levels]).sum(axis=0).tolist()
+    shared = [r.p_value for r in engine.evaluate(levels, share_null_by_length=True)]
+    assert shared == reference_p_values(level_scores, levels, True)
 
 
 def path_of(nodes, score) -> LinkagePath:

@@ -10,7 +10,8 @@ inputs from its own ``src/``, with ``PYTHONHASHSEED=0``, into its own
 output path. ``null_dense`` also runs with ``--threads 2 --share-null
 --bh``, and as a ``stages`` run: ``build-graph``, ``extract-paths`` and
 ``significance`` with the workload's settings, each stage reading the
-upstream artifact both sides agreed on. Every artifact is compared byte
+upstream artifact both sides agreed on. ``sweep_cmad`` also runs with
+``--share-null``. Every artifact is compared byte
 for byte, and standard output is compared with each side's output path
 masked.
 
@@ -38,7 +39,9 @@ EXTRA_RUNS = {
     "null_dense": [
         ("threads2-share-bh", ["--threads", "2", "--share-null", "--bh"]),
         ("stages", None),
-    ]
+    ],
+    # sweep_cmad paths of one length score differently, unlike null_dense's.
+    "sweep_cmad": [("share", ["--share-null"])],
 }
 OUTPUT_MASK = "<output>"
 
