@@ -137,27 +137,34 @@ def elevated_points(values: ChangeGrid, mask: ChangeGrid) -> list[GeoPoint]:
     ]
 
 
-def build_aar_graph(points: list[GeoPoint], max_edge_km: float = DEFAULT_MAX_EDGE_KM) -> SpatialGraph:
+def build_aar_graph(
+    points: list[GeoPoint], max_edge_km: float = DEFAULT_MAX_EDGE_KM, threshold: float | None = None
+) -> SpatialGraph:
     """Triangulate observation points and prune geographically long edges.
 
     Triangulation runs on (lat, lon) treated as planar coordinates; the
     pruning cutoff uses the equirectangular distance, keeping edges at or
-    below ``max_edge_km``. Nodes are untyped in this mode and edge weights
-    are placeholders: scoring applies the elevation threshold rule at
-    significance time.
+    below ``max_edge_km``. Nodes are untyped in this mode. An edge weighs
+    +1 when both endpoint values reach the elevation ``threshold`` (default:
+    the smallest point value, the loosest threshold consistent with the
+    mask, so every edge is +1), else -1; ``params`` records the threshold.
     """
     if len(points) < 2:
         raise EmptySide(
             f"point graph needs at least 2 points, got {len(points)}",
             hint="check the elevation mask",
         )
+    if threshold is None:
+        threshold = min(p.value for p in points)
     raw = delaunay_triangulate([(p.lat, p.lon) for p in points])
     lats, lons = _coords(points)
     u, v = np.asarray(raw, dtype=np.int64).T
     dists = _equirect_km(lats[u], lons[u], lats[v], lons[v]).tolist()
+    elevated = np.asarray([p.value for p in points]) >= threshold
+    weights = np.where(edge_ok(VARIANT_THRESHOLD, elevated[u], elevated[v]), 1, -1).tolist()
     edges = [
-        GraphEdge(u=i, v=j, weight=1, distance=d)
-        for (i, j), d in zip(raw, dists)
+        GraphEdge(u=i, v=j, weight=w, distance=d)
+        for (i, j), d, w in zip(raw, dists, weights)
         if d <= max_edge_km
     ]
     nodes = [
@@ -168,7 +175,7 @@ def build_aar_graph(points: list[GeoPoint], max_edge_km: float = DEFAULT_MAX_EDG
     return SpatialGraph(
         nodes=nodes,
         edges=edges,
-        params={"variant": "aar", "max_edge_km": float(max_edge_km)},
+        params={"variant": "aar", "max_edge_km": float(max_edge_km), "threshold": float(threshold)},
     )
 
 
@@ -271,14 +278,20 @@ def _extent_bound(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
     return KM_PER_DEGREE * np.hypot(lat_span, lon_span) * (1.0 + _BOUND_MARGIN)
 
 
-def snap_to_node(points: list[GeoPoint], lat: float, lon: float, snap_km: float = DEFAULT_SNAP_KM) -> int:
-    """Nearest point id within the snap radius; smallest id wins ties."""
+def snap_to_node(
+    columns: tuple[np.ndarray, np.ndarray], lat: float, lon: float, snap_km: float = DEFAULT_SNAP_KM
+) -> int:
+    """Nearest point id within the snap radius; smallest id wins ties.
+
+    ``columns`` holds the latitudes and longitudes of the points, in id
+    order, as ``_coords(points)`` builds them once per run.
+    """
     if not np.isfinite((lat, lon)).all():
         raise StationUnreachable(
             f"coordinate ({lat:g}, {lon:g}) is not finite",
             hint="give the latitude and longitude in finite degrees",
         )
-    lats, lons = _coords(points)
+    lats, lons = columns
     dists = _equirect_km(lats, lons, lat, lon)
     best = int(np.argmin(dists))
     if dists[best] > snap_km:
@@ -295,35 +308,27 @@ def station_path_significance(
     points: list[GeoPoint],
     values_grid: ChangeGrid,
     origin_ids,
-    station: tuple[float, float] | GeoPoint,
+    station_id: int,
     max_nodes: int = DEFAULT_MAX_NODES,
     n_replicates: int = DEFAULT_REPLICATES,
     alpha: float = DEFAULT_AAR_ALPHA,
     seed: int = 0,
     threads: int = 1,
-    threshold: float | None = None,
-    snap_km: float = DEFAULT_SNAP_KM,
     cap: int = DEFAULT_CAP,
-) -> tuple[list[SignificanceResult], int]:
+) -> list[SignificanceResult]:
     """Significance of origin-to-station paths under the permutation null.
 
-    The station snaps to its nearest point within ``snap_km``. Candidate
-    paths run from each origin node to the station node, bounded at
-    ``max_nodes`` nodes. A path's score is the fraction of its edges whose
-    two endpoint values both reach the elevation threshold (default: the
-    smallest value over the graph's points, i.e. the loosest threshold
-    consistent with the mask). The null permutes the value field over all
-    its valid cells. Returns the results and the snapped station node id.
-    Enumeration shares one budget of ``cap`` paths across the origins and
-    raises ``PathExplosion`` as soon as it is passed, before any scoring.
+    Candidate paths run from each origin node to the station node, bounded
+    at ``max_nodes`` nodes. A path's score is the fraction of its +1 edges:
+    edges whose two endpoint values both reach the elevation threshold the
+    graph was built with (``graph.params["threshold"]``). The null permutes
+    the value field over all its valid cells. Enumeration shares one budget
+    of ``cap`` paths across the origins and raises ``PathExplosion`` as soon
+    as it is passed, before any scoring.
     """
     if not origin_ids:
         raise ValueError("origins must be non-empty")
-    st_lat, st_lon = _latlon(station)
-    station_id = snap_to_node(points, st_lat, st_lon, snap_km)
     origins = sorted(set(int(o) for o in origin_ids) - {station_id})
-    if threshold is None:
-        threshold = min(p.value for p in points)
 
     hops = terminal_hops(graph.adjacency, {station_id})
     walks = walks_within_cap(
@@ -334,21 +339,18 @@ def station_path_significance(
         cap,
         hint="lower --max-len or --max-edge-km, or raise --cap",
     )
-    elevated = [p.value >= threshold for p in points]
-    paths = to_linkage_paths(
-        walks, lambda u, v: 1 if edge_ok(VARIANT_THRESHOLD, elevated[u], elevated[v]) else -1
-    )
+    paths = to_linkage_paths(walks, graph.edge_weight)
     if not paths:
-        return [], station_id
+        return []
     engine = PermutationNull.for_point_field(
         values_grid,
         cells=[p.cell for p in points],
-        threshold=float(threshold),
+        threshold=graph.params["threshold"],
         policy=SeedPolicy(base_seed=seed),
         n_replicates=n_replicates,
         threads=threads,
     )
-    return engine.evaluate(paths, alpha=alpha), station_id
+    return engine.evaluate(paths, alpha=alpha)
 
 
 @dataclass
@@ -382,17 +384,18 @@ def run_aar(
 ) -> AarReport:
     """End-to-end benchmark: points, graph, components, station paths.
 
-    Origins may be (lat, lon) pairs or (row, col) cells; each snaps to its
-    nearest point within the snap radius. Origins that fail to snap or
+    Origins may be (lat, lon) pairs or (row, col) cells; each (lat, lon)
+    origin and the station snap to the nearest point within the snap
+    radius, against point columns built once. Origins that fail to snap or
     fall outside retained components are dropped (recorded in the report);
-    path testing proceeds with the rest. Only components whose extent
-    exceeds ``min_extent_km`` take part in path analysis.
+    path testing proceeds with the rest. A station that fails to snap
+    raises ``StationUnreachable`` unless no origin is left. Only components
+    whose extent exceeds ``min_extent_km`` take part in path analysis.
     """
     points = elevated_points(values_grid, mask_grid)
-    graph = build_aar_graph(points, max_edge_km=max_edge_km)
+    graph = build_aar_graph(points, max_edge_km=max_edge_km, threshold=threshold)
     components = connected_components(graph, points, min_extent_km=min_extent_km)
-    if threshold is None:
-        threshold = min(p.value for p in points)
+    columns = _coords(points)
 
     retained_nodes: set[int] = set()
     for comp in components:
@@ -411,7 +414,7 @@ def run_aar(
                 continue
         else:
             try:
-                node = snap_to_node(points, float(a), float(b), snap_km)
+                node = snap_to_node(columns, float(a), float(b), snap_km)
             except StationUnreachable:
                 dropped.append([float(a), float(b)])
                 continue
@@ -425,33 +428,29 @@ def run_aar(
         graph=graph,
         components=components,
         station_id=None,
-        threshold=float(threshold),
+        threshold=graph.params["threshold"],
         dropped_origins=dropped,
     )
-    if not origin_ids:
-        # Nothing to test: either no origin snapped or none lies in a
-        # retained component; an empty result set is a valid outcome.
-        try:
-            report.station_id = snap_to_node(points, station[0], station[1], snap_km)
-        except StationUnreachable:
-            report.station_id = None
+    try:
+        report.station_id = snap_to_node(columns, station[0], station[1], snap_km)
+    except StationUnreachable:
+        if origin_ids:
+            raise
+        # Nothing to test: no origin snapped or none lies in a retained
+        # component, so an empty result set is a valid outcome.
         return report
-
-    results, station_id = station_path_significance(
-        graph,
-        points,
-        values_grid,
-        origin_ids,
-        station,
-        max_nodes=max_nodes,
-        n_replicates=n_replicates,
-        alpha=alpha,
-        seed=seed,
-        threads=threads,
-        threshold=threshold,
-        snap_km=snap_km,
-        cap=cap,
-    )
-    report.station_id = station_id
-    report.results = results
+    if origin_ids:
+        report.results = station_path_significance(
+            graph,
+            points,
+            values_grid,
+            origin_ids,
+            report.station_id,
+            max_nodes=max_nodes,
+            n_replicates=n_replicates,
+            alpha=alpha,
+            seed=seed,
+            threads=threads,
+            cap=cap,
+        )
     return report

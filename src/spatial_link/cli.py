@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -283,18 +284,18 @@ def cmd_aar(args) -> int:
             hint="expected a JSON list or an object with an origins list",
         )
     origins = []
-    hint = "entries are [lat, lon], {lat, lon}, or {cell: [row, col]}"
+    hint = "entries are [lat, lon] or {lat, lon} in finite degrees, or {cell: [row, col]}"
     with reading(ConfigError, f"bad origin entry in {args.origins}", hint):
         for entry in doc["origins"] if isinstance(doc, dict) else doc:
-            if isinstance(entry, dict):
-                if "cell" in entry:
-                    r, c = entry["cell"]
-                    origins.append((int(r), int(c)))
-                else:
-                    origins.append((float(entry["lat"]), float(entry["lon"])))
-            else:
-                a, b = entry
-                origins.append((float(a), float(b)))
+            if isinstance(entry, dict) and "cell" in entry:
+                r, c = entry["cell"]
+                origins.append((int(r), int(c)))
+                continue
+            lat, lon = (entry["lat"], entry["lon"]) if isinstance(entry, dict) else entry
+            lat, lon = float(lat), float(lon)
+            if not math.isfinite(lat) or not math.isfinite(lon):
+                raise ValueError(f"coordinate ({lat:g}, {lon:g}) is not finite")
+            origins.append((lat, lon))
     with reading(ConfigError, f"cannot parse station {args.station!r}", "give --station=LAT,LON"):
         st_lat, st_lon = (float(v) for v in args.station.split(","))
 

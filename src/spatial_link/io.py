@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .aar import AarReport
-from .errors import MalformedHeader, reading
+from .errors import ConfigError, MalformedHeader, reading
 from .grid import ChangeGrid, GridRegistration
 from .graph import GraphEdge, GraphNode, SpatialGraph
 from .paths import LinkagePath
@@ -49,16 +49,28 @@ def _replacing(path: str, mode: str = "w", newline: str | None = None):
 
     Readers see either the previous file or the complete new one; on any
     failure the temporary file is removed and ``path`` is left untouched.
+    An ``OSError`` from opening the temporary file or from the replace (a
+    missing directory, say) becomes a ``ConfigError`` naming the directory;
+    one from writing the file propagates as it is.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
+    writing = False
     try:
         with open(tmp, mode, newline=newline) as fh:
+            writing = True
             yield fh
+        writing = False
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(FileNotFoundError):
             os.remove(tmp)
-        raise
+        if writing or not isinstance(exc, OSError):
+            raise
+        directory = os.path.dirname(os.path.abspath(path))
+        raise ConfigError(
+            f"cannot write {path}: {exc.strerror or exc}",
+            hint=f"check that the directory {directory} exists and is writable",
+        ) from exc
 
 
 def write_json(doc: dict | str, path: str) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import DimMismatch
+from .errors import DimMismatch, MalformedHeader, reading
 from .grid import KIND_SOURCE, LOSS_NEGATIVE, ORIENTATIONS, ChangeGrid
 from .graph import VARIANT_CMAD, VARIANT_STANDARD, VARIANT_THRESHOLD, SpatialGraph, edge_ok
 from .paths import LinkagePath
@@ -107,12 +107,17 @@ def pool_positions(grid: ChangeGrid, cells, ids, field: str) -> np.ndarray:
 class PermutationNull:
     """Vectorized permutation-null engine over a batch of paths.
 
-    One replicate draws a fresh permutation of each value pool (source
-    field first, target field second, from the replicate's generator),
-    reads the permuted state of each distinct path node, and rescores
-    every path from one ok-bit per distinct path edge. Scores are exact
-    fractions k / n_edges, so comparing a null score against an observed
-    score of the same path is an exact integer comparison in disguise.
+    ``pools`` holds, per permuted field, the rule state of each valid
+    cell: its sign (``standard``), its anomaly bit for the source field or
+    its oriented in-band test for the target field (``cmad``), or whether
+    it reaches the threshold (``threshold``). The constructors derive the
+    states; permuting the states is permuting the values. One replicate
+    draws a fresh permutation of each pool (source field first, target
+    field second, from the replicate's generator), reads the permuted
+    state of each distinct path node, and rescores every path from one
+    ok-bit per distinct path edge. Scores are exact fractions k / n_edges,
+    so comparing a null score against an observed score of the same path
+    is an exact integer comparison in disguise.
     """
 
     def __init__(
@@ -125,24 +130,16 @@ class PermutationNull:
         n_replicates: int = DEFAULT_REPLICATES,
         threads: int = 1,
         variant: str = VARIANT_STANDARD,
-        bits: np.ndarray | None = None,
-        target_interval: tuple[float, float] | None = None,
-        target_orientation: str | None = None,
-        threshold: float | None = None,
     ):
         if n_replicates < 1:
             raise ValueError("n_replicates must be at least 1")
-        self.pools = [np.asarray(p, dtype=np.float64) for p in pools]
+        self.pools = [np.asarray(p) for p in pools]
         self.node_pool = np.asarray(node_pool, dtype=np.int64)
         self.node_pos = np.asarray(node_pos, dtype=np.int64)
         self.policy = policy
         self.n_replicates = int(n_replicates)
         self.threads = max(1, int(threads))
         self.variant = variant
-        self.bits = None if bits is None else np.asarray(bits, dtype=bool)
-        self.target_interval = target_interval
-        self.target_orientation = target_orientation
-        self.threshold = threshold
 
     # -- constructors ---------------------------------------------------
 
@@ -161,9 +158,9 @@ class PermutationNull:
 
         The grids must be the same (already cropped) fields the graph was
         built from. Under the ``cmad`` variant the graph params must carry
-        the target band interval and orientation, and the anomaly mask
-        must be supplied so its bits can be permuted alongside the source
-        values.
+        the target band interval and orientation (else ``MalformedHeader``),
+        and the anomaly mask must be supplied: its bits are the source
+        states.
         """
         variant = graph.params.get("variant", VARIANT_STANDARD)
         cells = np.asarray([(n.row, n.col) for n in graph.nodes], dtype=np.int64).reshape(-1, 2)
@@ -173,7 +170,6 @@ class PermutationNull:
             ids = np.flatnonzero(node_pool == k)
             node_pos[ids] = pool_positions(grid, cells[ids], ids, field)
 
-        kwargs: dict = {}
         if variant == VARIANT_CMAD:
             if anomaly_mask is None:
                 raise ValueError("cmad variant requires the anomaly mask")
@@ -182,27 +178,29 @@ class PermutationNull:
                 raise ValueError(
                     f"anomaly mask shape {mask.shape} does not match grid shape {source.shape}"
                 )
-            interval = graph.params.get("target_interval")
-            orientation = graph.params.get("orientation_target")
-            if interval is None or orientation is None:
-                raise ValueError(
-                    "cmad graph params must record target_interval and orientation_target"
-                )
-            kwargs = {
-                "bits": mask[source.valid_mask],
-                "target_interval": (float(interval[0]), float(interval[1])),
-                "target_orientation": orientation,
-            }
+            hint = (
+                'a cmad graph records "target_interval": [lo, hi] and "orientation_target": '
+                f"one of {list(ORIENTATIONS)} in its params; rebuild it with build-graph"
+            )
+            with reading(MalformedHeader, "cmad graph params do not give the target band", hint):
+                lo, hi = (float(bound) for bound in graph.params["target_interval"])
+                orientation = graph.params["orientation_target"]
+                if orientation not in ORIENTATIONS:
+                    raise ValueError(f"unknown orientation_target {orientation!r}")
+            tgt = target.values[target.valid_mask]
+            oriented = tgt < 0 if orientation == LOSS_NEGATIVE else tgt > 0
+            pools = [mask[source.valid_mask], oriented & (np.abs(tgt) >= lo) & (np.abs(tgt) < hi)]
+        else:
+            pools = [np.sign(g.values[g.valid_mask]).astype(np.int8) for g in (source, target)]
 
         return cls(
-            pools=[source.values[source.valid_mask], target.values[target.valid_mask]],
+            pools=pools,
             node_pool=node_pool,
             node_pos=node_pos,
             policy=policy,
             n_replicates=n_replicates,
             threads=threads,
             variant=variant,
-            **kwargs,
         )
 
     @classmethod
@@ -217,44 +215,23 @@ class PermutationNull:
     ) -> "PermutationNull":
         """Engine for a single-field point graph scored by a threshold rule.
 
-        ``cells[i]`` is the grid cell of node i. The permutation pool is
-        every valid cell of the field, not just the point cells, so a null
-        replicate can place sub-threshold values onto the path.
+        ``cells[i]`` is the grid cell of node i. The permutation pool holds
+        ``value >= threshold`` for every valid cell of the field, not just
+        the point cells, so a null replicate can place sub-threshold values
+        onto the path.
         """
         n = len(cells)
         return cls(
-            pools=[values_grid.values[values_grid.valid_mask]],
+            pools=[values_grid.values[values_grid.valid_mask] >= float(threshold)],
             node_pool=np.zeros(n, dtype=np.int64),
             node_pos=pool_positions(values_grid, cells, range(n), "value"),
             policy=policy,
             n_replicates=n_replicates,
             threads=threads,
             variant=VARIANT_THRESHOLD,
-            threshold=float(threshold),
         )
 
     # -- scoring --------------------------------------------------------
-
-    def _cell_states(self) -> list[np.ndarray]:
-        """Per-pool-cell state that the edge rule compares.
-
-        ``standard``: the sign of the value. ``cmad``: the anomaly bit of
-        a source cell, and the oriented in-band test of a target cell.
-        ``threshold``: value >= threshold. A permutation moves each
-        cell's state with its value.
-        """
-        if self.variant == VARIANT_STANDARD:
-            return [np.sign(pool).astype(np.int8) for pool in self.pools]
-        if self.variant == VARIANT_CMAD:
-            if self.target_orientation not in ORIENTATIONS:
-                raise ValueError(f"unknown orientation {self.target_orientation!r}")
-            lo, hi = self.target_interval
-            tgt = self.pools[1]
-            oriented = tgt < 0 if self.target_orientation == LOSS_NEGATIVE else tgt > 0
-            return [self.bits, oriented & (np.abs(tgt) >= lo) & (np.abs(tgt) < hi)]
-        if self.variant == VARIANT_THRESHOLD:
-            return [pool >= self.threshold for pool in self.pools]
-        raise ValueError(f"unknown variant {self.variant!r}")
 
     def _run(self, paths: list[LinkagePath]) -> np.ndarray:
         """Exceedance counts per path: replicates scoring at least the observed score.
@@ -291,19 +268,18 @@ class PermutationNull:
             (np.nonzero(node_pool == k)[0], self.node_pos[nodes[node_pool == k]])
             for k in range(len(self.pools))
         ]
-        cell_states = self._cell_states()
 
         observed = np.asarray([p.score for p in paths], dtype=np.float64)
         m = self.n_replicates
 
         def run_block(indices: range) -> np.ndarray:
             ge = np.zeros(n_paths, dtype=np.int64)
-            state = np.empty(len(nodes), dtype=cell_states[0].dtype)
+            state = np.empty(len(nodes), dtype=self.pools[0].dtype)
             for i in indices:
                 # Pools are permuted in order (source, then target) from
                 # the replicate's own stream; only path nodes are read.
                 g = self.policy.generator(i)
-                for states, (slots, pos) in zip(cell_states, reads):
+                for states, (slots, pos) in zip(self.pools, reads):
                     state[slots] = states[g.permutation(len(states))[pos]]
                 ok = edge_ok(self.variant, state[end_a], state[end_b])
                 scores = (incidence @ ok) / n_edges

@@ -2,9 +2,10 @@
 
 Nothing here shares code with the package: triangulation is re-derived
 from the empty-circumcircle definition, path enumeration from a recursive
-depth-first search, and the permutation null from full-pool permutations
-rescored path position by path position, so agreement between the two
-routes is evidence rather than tautology.
+depth-first search, each rule's cell states from the raw grids cell by
+cell, the permutation null from full-pool permutations rescored path
+position by path position, and the score-1.0 null law in closed form, so
+agreement between the two routes is evidence rather than tautology.
 """
 from __future__ import annotations
 
@@ -159,18 +160,47 @@ def permute_fields(source, target, seed):
     return out[0], out[1]
 
 
+def reference_states(variant, grids, mask=None, interval=None, orientation=None, threshold=None):
+    """Per-cell rule state of each permuted pool, read cell by cell from the raw grids.
+
+    One pool per grid (source first), over its valid cells in row-major
+    order. ``standard``: the sign of the value. ``cmad``: the anomaly bit
+    of a source cell; for a target cell, whether its value has the target
+    orientation and a magnitude in ``[lo, hi)``. ``threshold``: whether
+    the value reaches the threshold.
+    """
+    pools = []
+    for k, grid in enumerate(grids):
+        states = []
+        for r in range(grid.values.shape[0]):
+            for c in range(grid.values.shape[1]):
+                if not grid.valid_mask[r, c]:
+                    continue
+                v = float(grid.values[r, c])
+                if variant == "standard":
+                    states.append((v > 0) - (v < 0))
+                elif variant == "threshold":
+                    states.append(v >= threshold)
+                elif k == 0:
+                    states.append(bool(mask[r, c]))
+                else:
+                    oriented = v < 0 if orientation == "loss-negative" else v > 0
+                    states.append(oriented and interval[0] <= abs(v) < interval[1])
+        pools.append(np.array(states))
+    return pools
+
+
 def position_null_scores(engine, paths) -> np.ndarray:
     """Null scores of every path, rescored path position by path position.
 
-    Reads only the inputs of a permutation-null engine (its value pools,
-    each node's pool and pool position, anomaly bits, rule and seed
-    policy), never its scoring code. Each replicate permutes every pool
-    in full, source pool first, from the replicate's generator; gathers
-    the permuted value at every (path, position) pair; and applies the
-    rule edge by edge: equal signs for ``standard``, both ends qualified
-    for ``cmad`` (source: anomaly bit, target: oriented and in the band)
-    and ``threshold`` (value >= threshold). Returns an
-    (n_replicates, n_paths) array of fractions k / n_edges.
+    Reads only the inputs of a permutation-null engine (its per-cell state
+    pools, each node's pool and pool position, rule and seed policy),
+    never its scoring code. Each replicate permutes every pool in full,
+    source pool first, from the replicate's generator; gathers the
+    permuted state at every (path, position) pair; and applies the rule
+    edge by edge: equal states (signs) for ``standard``, both states true
+    for ``cmad`` and ``threshold``. Returns an (n_replicates, n_paths)
+    array of fractions k / n_edges.
     """
     n_paths = len(paths)
     width = max(len(p.nodes) for p in paths)
@@ -193,30 +223,51 @@ def position_null_scores(engine, paths) -> np.ndarray:
     out = np.zeros((engine.n_replicates, n_paths))
     for i in range(engine.n_replicates):
         g = engine.policy.generator(i)
-        permuted, bits_perm = [], None
-        for pool_id, pool in enumerate(engine.pools):
-            perm = g.permutation(len(pool))
-            permuted.append(pool[perm])
-            if pool_id == 0 and engine.bits is not None:
-                bits_perm = engine.bits[perm]
+        permuted = [pool[g.permutation(len(pool))] for pool in engine.pools]
         if len(permuted) == 1:
-            vals = permuted[0][pos_a]
+            states = permuted[0][pos_a]
         else:
-            vals = np.where(in_a, permuted[0][pos_a], permuted[1][pos_b])
+            states = np.where(in_a, permuted[0][pos_a], permuted[1][pos_b])
         if engine.variant == "standard":
-            sg = np.sign(vals)
-            ok = (sg[:, 1:] == sg[:, :-1]) & edge_valid
+            ok = (states[:, 1:] == states[:, :-1]) & edge_valid
         else:
-            if engine.variant == "cmad":
-                lo, hi = engine.target_interval
-                oriented = vals < 0 if engine.target_orientation == "loss-negative" else vals > 0
-                in_band = oriented & (np.abs(vals) >= lo) & (np.abs(vals) < hi)
-                cond = np.where(in_a, bits_perm[pos_a], in_band)
-            else:
-                cond = vals >= engine.threshold
-            ok = cond[:, 1:] & cond[:, :-1] & edge_valid
+            ok = states[:, 1:] & states[:, :-1] & edge_valid
         out[i] = ok.sum(axis=1) / n_edges
     return out
+
+
+def falling(n: int, k: int) -> int:
+    """Falling factorial n (n - 1) ... (n - k + 1)."""
+    out = 1
+    for j in range(k):
+        out *= n - j
+    return out
+
+
+def exact_full_score_p(variant, pools, k: int) -> float:
+    """Exact chance that one replicate scores a k-node path 1.0 (every edge ok).
+
+    ``pools`` are per-cell state pools as ``reference_states`` gives them.
+    A graph path (``standard``, ``cmad``) stops at its first target, so it
+    is k - 1 source cells drawn without replacement plus one target cell:
+    - standard: sum over signs s of falling(S_s, k-1) / falling(N_S, k-1)
+      * T_s / N_T, all k states equal;
+    - cmad: falling(bits, k-1) / falling(N_S, k-1) * in_band / N_T.
+    An aar path (``threshold``) is k cells drawn from one pool, E of N
+    elevated: falling(E, k) / falling(N, k).
+    """
+    if variant == "threshold":
+        (pool,) = pools
+        return falling(int(pool.sum()), k) / falling(len(pool), k)
+    src, tgt = pools
+    if variant == "cmad":
+        return (falling(int(src.sum()), k - 1) / falling(len(src), k - 1)
+                * int(tgt.sum()) / len(tgt))
+    return sum(
+        falling(int((src == s).sum()), k - 1) / falling(len(src), k - 1)
+        * int((tgt == s).sum()) / len(tgt)
+        for s in np.unique(src)
+    )
 
 
 def blocked_extent(node_ids, points, block_pairs: int = 1 << 18) -> float:

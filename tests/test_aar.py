@@ -196,6 +196,20 @@ class TestBuildAarGraph:
         g = build_aar_graph(elevated_points(values, mask))
         assert g.params["variant"] == "aar"
 
+    def test_edges_carry_the_threshold_rule(self):
+        # A meridian chain whose values step 1, 2, 3, 4: edges at or above
+        # the threshold weigh +1; the default threshold is the smallest value.
+        vals, mask = np.zeros((6, 3)), np.zeros((6, 3))
+        for i in range(4):
+            vals[i, 0], mask[i, 0] = float(i + 1), 1.0
+        pts = elevated_points(grid_of(vals), grid_of(mask))
+        default = build_aar_graph(pts, max_edge_km=250.0)
+        assert default.params["threshold"] == 1.0
+        assert [e.weight for e in default.edges] == [1, 1, 1]
+        raised = build_aar_graph(pts, max_edge_km=250.0, threshold=2.5)
+        assert raised.params["threshold"] == 2.5
+        assert [(e.u, e.v, e.weight) for e in raised.edges] == [(0, 1, -1), (1, 2, -1), (2, 3, 1)]
+
 
 class TestComponents:
     def build_two_clusters(self):
@@ -333,21 +347,31 @@ def test_pruned_extent_equals_blocked_extent(n, region, seed):
 
 
 class TestSnap:
-    PTS = [GeoPoint(lat=0.0, lon=0.0), GeoPoint(lat=1.0, lon=0.0), GeoPoint(lat=0.0, lon=1.0)]
+    # (latitudes, longitudes) of three points, in id order.
+    COLUMNS = (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
 
     def test_exact_hit(self):
-        assert snap_to_node(self.PTS, 1.0, 0.0) == 1
+        assert snap_to_node(self.COLUMNS, 1.0, 0.0) == 1
 
     def test_nearest_within_radius(self):
-        assert snap_to_node(self.PTS, 0.9, 0.05) == 1
+        assert snap_to_node(self.COLUMNS, 0.9, 0.05) == 1
 
     def test_tie_prefers_smallest_id(self):
-        pts = [GeoPoint(lat=0.0, lon=-1.0), GeoPoint(lat=0.0, lon=1.0)]
-        assert snap_to_node(pts, 0.0, 0.0, snap_km=200.0) == 0
+        columns = (np.array([0.0, 0.0]), np.array([-1.0, 1.0]))
+        assert snap_to_node(columns, 0.0, 0.0, snap_km=200.0) == 0
 
     def test_out_of_range(self):
         with pytest.raises(StationUnreachable, match="nearest is"):
-            snap_to_node(self.PTS, 30.0, 30.0, snap_km=150.0)
+            snap_to_node(self.COLUMNS, 30.0, 30.0, snap_km=150.0)
+
+    def test_run_snaps_against_one_set_of_columns(self, monkeypatch):
+        values, mask = TestRunAar().build_inputs()
+        snapped, snap = [], aar.snap_to_node
+        monkeypatch.setattr(aar, "snap_to_node", lambda *a: snapped.append(a[0]) or snap(*a))
+        run_aar(values, mask, origins=[(12.1, 5.0), (14.1, 5.2), (15.0, 5.0)],
+                station=(20.2, 5.3), n_replicates=9)
+        assert len(snapped) == 4
+        assert all(columns is snapped[0] for columns in snapped)
 
 
 class TestStationPaths:
@@ -360,11 +384,9 @@ class TestStationPaths:
 
     def test_single_path_chain_significance(self):
         g, pts, values = self.chain_setup()
-        results, sid = station_path_significance(
-            g, pts, values, origin_ids=[0], station=(5.0, 0.0), n_replicates=999, seed=3
+        (res,) = station_path_significance(
+            g, pts, values, origin_ids=[0], station_id=5, n_replicates=999, seed=3
         )
-        assert sid == 5
-        (res,) = results
         assert res.path.nodes == (0, 1, 2, 3, 4, 5)
         assert res.observed == 1.0
         # only 6 of 100 grid cells reach the threshold, so the null
@@ -373,12 +395,14 @@ class TestStationPaths:
         assert res.significant
 
     def test_threshold_override_can_zero_the_score(self):
-        g, pts, values = self.chain_setup(value=5.0)
-        results, _ = station_path_significance(
-            g, pts, values, origin_ids=[0], station=(5.0, 0.0),
-            n_replicates=49, threshold=6.0,
+        cells = [(i, 0) for i in range(6)]
+        values, mask = point_grids((10, 10), cells, value=5.0, background=0.0)
+        pts = elevated_points(values, mask)
+        g = build_aar_graph(pts, max_edge_km=250.0, threshold=6.0)
+        assert {e.weight for e in g.edges} == {-1}
+        (res,) = station_path_significance(
+            g, pts, values, origin_ids=[0], station_id=5, n_replicates=49,
         )
-        (res,) = results
         assert res.observed == 0.0
         assert res.p_value == 1.0
 
@@ -389,24 +413,23 @@ class TestStationPaths:
         values, mask = point_grids((6, 10), cells, background=0.0)
         pts = elevated_points(values, mask)
         g = build_aar_graph(pts, max_edge_km=250.0)
-        assert pts[0].cell == (0, 0) and pts[2].cell == (1, 0)
-        results, sid = station_path_significance(
-            g, pts, values, origin_ids=[0, 2], station=(3.0, 8.0), n_replicates=9
+        assert pts[0].cell == (0, 0) and pts[2].cell == (1, 0) and pts[7].cell == (3, 8)
+        results = station_path_significance(
+            g, pts, values, origin_ids=[0, 2], station_id=7, n_replicates=9
         )
         assert results == []
-        assert pts[sid].cell == (3, 8)
 
     def test_origin_equal_to_station_is_dropped(self):
         g, pts, values = self.chain_setup()
-        results, sid = station_path_significance(
-            g, pts, values, origin_ids=[5], station=(5.0, 0.0), n_replicates=9
+        results = station_path_significance(
+            g, pts, values, origin_ids=[5], station_id=5, n_replicates=9
         )
-        assert results == [] and sid == 5
+        assert results == []
 
     def test_origins_required(self):
         g, pts, values = self.chain_setup()
         with pytest.raises(ValueError):
-            station_path_significance(g, pts, values, origin_ids=[], station=(5.0, 0.0))
+            station_path_significance(g, pts, values, origin_ids=[], station_id=5)
 
     def test_cap_stops_enumeration_before_scoring(self, monkeypatch):
         # A two-column ladder: many walks from each origin to the station.
@@ -428,7 +451,7 @@ class TestStationPaths:
         monkeypatch.setattr(aar.PermutationNull, "for_point_field", no_scoring)
         with pytest.raises(PathExplosion, match="cap of 3"):
             station_path_significance(
-                g, pts, values, origin_ids=list(range(11)), station=(5.0, 1.0),
+                g, pts, values, origin_ids=list(range(11)), station_id=11,
                 max_nodes=6, n_replicates=9, cap=3,
             )
         assert sum(found) == 4

@@ -578,6 +578,56 @@ class TestCli:
         assert "outside the 12x12 grids" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("interval, expected", [
+        (None, "KeyError: 'target_interval'"),
+        (["a", "b"], "ValueError: could not convert string to float: 'a'"),
+        ([0.5], "ValueError: not enough values to unpack"),
+    ], ids=["missing", "strings", "one-bound"])
+    def test_significance_bad_cmad_params(self, interval, expected, instance_files, tmp_path,
+                                          capsys):
+        mpath = str(tmp_path / "mask.raw")
+        io.save_grid(grid_of((np.random.default_rng(2).random((20, 20)) < 0.5) * 1.0), mpath)
+        gpath, ppath = self.stage_files(instance_files, tmp_path, capsys,
+                                        "--variant", "cmad", "--mask", mpath)
+        doc = json.loads(open(gpath).read())
+        if interval is None:
+            del doc["params"]["target_interval"]
+        else:
+            doc["params"]["target_interval"] = interval
+        with open(gpath, "w") as fh:
+            json.dump(doc, fh)
+        rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files,
+                                       "--mask", mpath)
+        assert rc == 1
+        assert "spatial-link: error [grid-core]: cmad graph params do not give the target " \
+               f"band: {expected}" in err
+        assert 'spatial-link: hint: a cmad graph records "target_interval": [lo, hi]' in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["build-graph", "extract-paths", "significance", "aar"])
+    def test_output_in_a_missing_directory(self, command, instance_files, tmp_path, capsys):
+        spath, tpath = instance_files
+        gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
+        (tmp_path / "origins.json").write_text(json.dumps([{"cell": [4, 4]}]))
+        out = str(tmp_path / "nodir" / "out.json")
+        argv = {
+            "build-graph": ["--source", spath, "--target", tpath],
+            "extract-paths": ["--graph", gpath],
+            "significance": ["--graph", gpath, "--paths", ppath, "--source", spath,
+                             "--target", tpath, "--m", "9"],
+            "aar": ["--values", spath, "--mask", tpath, "--origins",
+                    str(tmp_path / "origins.json"), "--station=1,1", "--m", "9"],
+        }[command]
+        rc, stdout, err = self.run([command, *argv, "-o", out], capsys)
+        assert rc == 1
+        assert f"spatial-link: error [io-cli]: cannot write {out}: No such file or directory" in err
+        assert f"spatial-link: hint: check that the directory {tmp_path / 'nodir'} exists" in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not (tmp_path / "nodir").exists()
+
     def test_significance_node_on_invalid_cell(self, instance_files, tmp_path, capsys):
         gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
         node = next(n for n in json.loads(open(gpath).read())["nodes"] if n["kind"] == "source")
@@ -921,17 +971,21 @@ class TestCli:
         assert "Traceback" not in err
         assert not rpath.exists()
 
-    def test_nan_origin_is_dropped(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entry, shown", [
+        ("[NaN, NaN]", "(nan, nan)"), ('{"lat": -68.75, "lon": Infinity}', "(-68.75, inf)"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_origin_is_rejected(self, entry, shown, tmp_path, capsys):
         argv = self.southern_row(tmp_path, lon0=-70.0)
-        (tmp_path / "origins.json").write_text('[{"cell": [5, 0]}, [NaN, NaN]]')
-        rpath = str(tmp_path / "report.json")
-        rc, _, _ = self.run(argv + ["--station=-68.75,-60", "--min-extent-km", "100",
-                                    "--max-len", "40", "--m", "19", "-o", rpath], capsys)
-        assert rc == 0
-        doc = json.loads(open(rpath).read())
-        (dropped,) = doc["dropped_origins"]
-        assert all(np.isnan(dropped))
-        assert len(doc["results"]) == 1
+        (tmp_path / "origins.json").write_text(f'[{{"cell": [5, 0]}}, {entry}]')
+        rpath = tmp_path / "report.json"
+        rc, _, err = self.run(argv + ["--station=-68.75,-60", "--min-extent-km", "100",
+                                      "--max-len", "40", "--m", "19", "-o", str(rpath)], capsys)
+        assert rc == 1
+        assert (f"spatial-link: error [io-cli]: bad origin entry in {tmp_path / 'origins.json'}: "
+                f"ValueError: coordinate {shown} is not finite") in err
+        assert "in finite degrees" in err
+        assert "Traceback" not in err
+        assert not rpath.exists()
 
     @pytest.mark.parametrize("key, value", [("lat0", float("nan")), ("cell_km", float("inf"))])
     def test_non_finite_registration(self, key, value, instance_files, tmp_path, capsys):

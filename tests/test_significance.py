@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from spatial_link.errors import DimMismatch
 from spatial_link.grid import (
     KIND_SOURCE,
     KIND_TARGET,
     LOSS_NEGATIVE,
-    ORIENTATIONS,
     ChangeGrid,
     QUARTER_DEGREE_GLOBAL,
     classify_cells,
@@ -36,7 +36,9 @@ from spatial_link.significance import (
 )
 from spatial_link.synthetic import generate_null
 
-from oracles import permute_fields, position_null_scores
+from oracles import (
+    exact_full_score_p, permute_fields, position_null_scores, reference_states,
+)
 
 
 def grid_of(values, valid=None) -> ChangeGrid:
@@ -45,10 +47,10 @@ def grid_of(values, valid=None) -> ChangeGrid:
     return ChangeGrid(values=values, valid_mask=valid, registration=QUARTER_DEGREE_GLOBAL)
 
 
-def two_node_engine(src_pool, tgt_pool, **kw) -> PermutationNull:
-    """Hand-built engine: node 0 reads source pool slot 0, node 1 target slot 0."""
+def two_node_engine(src_signs, tgt_signs, **kw) -> PermutationNull:
+    """Hand-built standard engine: node 0 reads source sign slot 0, node 1 target slot 0."""
     return PermutationNull(
-        pools=[np.asarray(src_pool, float), np.asarray(tgt_pool, float)],
+        pools=[np.asarray(src_signs, np.int8), np.asarray(tgt_signs, np.int8)],
         node_pool=np.array([0, 1]),
         node_pos=np.array([0, 0]),
         policy=SeedPolicy(base_seed=7),
@@ -194,34 +196,34 @@ class TestHandBuiltEngine:
     def test_p_floor_when_null_never_reaches_observed(self):
         # Source pool all negative, target pool all positive: a sign-match
         # edge is impossible under any permutation.
-        eng = two_node_engine([-1.0] * 50, [1.0] * 50, n_replicates=999)
+        eng = two_node_engine([-1] * 50, [1] * 50, n_replicates=999)
         (res,) = eng.evaluate([one_edge_path(1.0)])
         assert res.p_value == pytest.approx(0.001)
         assert res.significant
 
     def test_p_one_when_observed_at_minimum(self):
-        eng = two_node_engine([-1.0] * 50, [1.0] * 50, n_replicates=999)
+        eng = two_node_engine([-1] * 50, [1] * 50, n_replicates=999)
         (res,) = eng.evaluate([one_edge_path(0.0)])
         assert res.p_value == 1.0
         assert not res.significant
 
     def test_half_and_half_pools_put_observed_near_median(self):
-        pool = [-1.0] * 40 + [1.0] * 40
+        pool = [-1] * 40 + [1] * 40
         eng = two_node_engine(pool, list(pool), n_replicates=999)
         (res,) = eng.evaluate([one_edge_path(1.0)])
         assert res.p_value == pytest.approx(0.5, abs=0.05)
 
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
-            two_node_engine([1.0], [1.0], n_replicates=0)
+            two_node_engine([1], [1], n_replicates=0)
 
     def test_alpha_domain(self):
-        eng = two_node_engine([1.0, -1.0], [1.0, -1.0], n_replicates=9)
+        eng = two_node_engine([1, -1], [1, -1], n_replicates=9)
         with pytest.raises(ValueError):
             eng.evaluate([one_edge_path(1.0)], alpha=1.0)
 
     def test_empty_batch(self):
-        eng = two_node_engine([1.0], [1.0], n_replicates=9)
+        eng = two_node_engine([1], [1], n_replicates=9)
         assert eng.evaluate([]) == []
 
 
@@ -535,20 +537,30 @@ def assert_engine_matches_reference(engine, paths):
     assert shared == reference_p_values(level_scores, levels, True)
 
 
+def assert_pools_equal(engine, expected):
+    """The engine's state pools equal the states derived from the raw grids."""
+    assert len(engine.pools) == len(expected)
+    for got, want in zip(engine.pools, expected):
+        assert got.tolist() == want.tolist()
+
+
 def path_of(nodes, score) -> LinkagePath:
     return LinkagePath(nodes=tuple(nodes), edge_weights=(1,) * (len(nodes) - 1), score=score)
 
 
 @st.composite
 def null_instances(draw):
-    """A hand-built engine over small pools of tied values, and paths through its nodes.
+    """A hand-built engine over small pools of tied states, and paths through its nodes.
 
-    Values are small integers, so signs tie and zeros occur; the paths
-    may share nodes and edges, and one path is the reverse of another,
-    so an edge is traversed in both directions.
+    States are signs (zeros included) under ``standard`` and booleans
+    under ``cmad`` and ``threshold``; the paths may share nodes and edges,
+    and one path is the reverse of another, so an edge is traversed in
+    both directions.
     """
     variant = draw(st.sampled_from(["standard", "cmad", "threshold"]))
     n_pools = 1 if variant == "threshold" else 2
+    states = st.integers(-1, 1) if variant == "standard" else st.booleans()
+    dtype = np.int8 if variant == "standard" else bool
     n_nodes = draw(st.integers(2, 7))
     node_pool = np.array(draw(st.lists(st.integers(0, n_pools - 1), min_size=n_nodes,
                                        max_size=n_nodes)))
@@ -556,19 +568,8 @@ def null_instances(draw):
     for k in range(n_pools):
         members = np.nonzero(node_pool == k)[0]
         size = len(members) + draw(st.integers(1, 5))
-        values = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
-        pools.append(np.array(values, dtype=float))
+        pools.append(np.array(draw(st.lists(states, min_size=size, max_size=size)), dtype=dtype))
         node_pos[members] = draw(st.permutations(range(size)))[: len(members)]
-    kwargs = {}
-    if variant == "cmad":
-        kwargs = {
-            "bits": np.array(draw(st.lists(st.booleans(), min_size=len(pools[0]),
-                                           max_size=len(pools[0])))),
-            "target_interval": draw(st.sampled_from([(0.5, 1.5), (1.0, 2.5), (0.0, 9.0)])),
-            "target_orientation": draw(st.sampled_from(ORIENTATIONS)),
-        }
-    elif variant == "threshold":
-        kwargs = {"threshold": draw(st.sampled_from([-1.0, 0.0, 1.5]))}
     engine = PermutationNull(
         pools=pools,
         node_pool=node_pool,
@@ -577,7 +578,6 @@ def null_instances(draw):
         n_replicates=draw(st.sampled_from([1, 7, 10, 11])),
         threads=draw(st.sampled_from([1, 3])),
         variant=variant,
-        **kwargs,
     )
     walks = []
     for _ in range(draw(st.integers(1, 6))):
@@ -609,16 +609,21 @@ class TestEngineAgainstPositionReference:
         engine = PermutationNull.for_graph(
             graph, source, target, SeedPolicy(base_seed=3), n_replicates=31, threads=threads
         )
+        assert_pools_equal(engine, reference_states("standard", (source, target)))
         assert_engine_matches_reference(engine, paths)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_cmad_graph(self, threads):
-        source, target, mask, _, graph, paths = TestCmadEngineAgainstOracle().build(seed=5)
+        source, target, mask, bands_t, graph, paths = TestCmadEngineAgainstOracle().build(seed=5)
         paths = paths[:30] + [path_of(p.nodes[::-1], p.score) for p in paths[:3]]
         engine = PermutationNull.for_graph(
             graph, source, target, SeedPolicy(base_seed=8), n_replicates=20,
             threads=threads, anomaly_mask=mask,
         )
+        assert_pools_equal(engine, reference_states(
+            "cmad", (source, target), mask=mask, interval=bands_t.interval("moderate"),
+            orientation=LOSS_NEGATIVE,
+        ))
         assert_engine_matches_reference(engine, paths)
 
     @pytest.mark.parametrize("threads", [1, 3])
@@ -629,12 +634,13 @@ class TestEngineAgainstPositionReference:
         engine = PermutationNull.for_point_field(
             field, cells, 12.0, SeedPolicy(base_seed=9), n_replicates=16, threads=threads
         )
+        assert_pools_equal(engine, reference_states("threshold", (field,), threshold=12.0))
         paths = [path_of(w, 1.0) for w in self.WALKS] + [path_of((4, 3, 2, 1, 0), 0.5)]
         assert_engine_matches_reference(engine, paths)
 
     def test_hand_built_ties_and_zeros(self):
         engine = PermutationNull(
-            pools=[np.array([-1.0, 0.0, 1.0, 0.0, -2.0]), np.array([0.0, 1.0, -1.0, 2.0])],
+            pools=[np.array([-1, 0, 1, 0, -1], np.int8), np.array([0, 1, -1, 1], np.int8)],
             node_pool=np.array([0, 1, 0, 1]),
             node_pos=np.array([4, 0, 1, 3]),
             policy=SeedPolicy(base_seed=1),
@@ -643,3 +649,66 @@ class TestEngineAgainstPositionReference:
         )
         paths = [path_of(w, s) for w, s in zip(self.WALKS, (0.5, 1.0, 0.0, 0.5, 1.0))]
         assert_engine_matches_reference(engine, paths)
+
+
+class TestExactLaw:
+    """Exceedance counts of score-1.0 paths follow the closed-form null law.
+
+    A score-1.0 path exceeds in a replicate exactly when every edge is ok,
+    an event of chance ``exact_full_score_p`` that depends only on the
+    node count k and the pools' state counts. Replicates are independent,
+    so each path's count is Binomial(M, p); each must lie inside the
+    central interval of mass 1 - 1e-6. The fields are lopsided (source
+    mostly negative, target mostly positive), so a null that leaves the
+    target pool in place reads 0.73 instead of 0.39 at k = 2.
+    """
+
+    M = 999
+
+    def fields(self, seed, dims=(30, 40)):
+        rng = np.random.default_rng(seed)
+        source = grid_of(rng.normal(-0.6, 1.0, dims))
+        target = grid_of(rng.normal(0.6, 1.0, dims))
+        return source, target, rng.random(dims) < 0.5
+
+    def assert_within_law(self, engine, paths, variant, pools):
+        paths = [p for p in paths if p.score == 1.0]
+        assert {p.n_nodes for p in paths} >= {2, 3, 4}
+        counts = [round(r.p_value * (1 + self.M)) - 1 for r in engine.evaluate(paths)]
+        for path, count in zip(paths, counts):
+            p_exact = exact_full_score_p(variant, pools, path.n_nodes)
+            lo, hi = binom.interval(1 - 1e-6, self.M, p_exact)
+            assert lo <= count <= hi, (path.nodes, count, lo, hi)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("variant", ["standard", "cmad"])
+    def test_graph_rules(self, variant, seed):
+        source, target, mask = self.fields(seed)
+        bands_t = compute_threshold_bands(target, LOSS_NEGATIVE)
+        src = classify_cells(source, compute_threshold_bands(source, LOSS_NEGATIVE),
+                             "moderate", KIND_SOURCE)
+        tgt = classify_cells(target, bands_t, "moderate", KIND_TARGET)
+        interval = bands_t.interval("moderate")
+        kw = {}
+        if variant == "cmad":
+            kw = {"variant": VARIANT_CMAD, "anomaly_mask": mask, "grid_shape": mask.shape,
+                  "params": {"target_interval": interval, "orientation_target": LOSS_NEGATIVE}}
+        graph = build_graph(src, tgt, max_edge_cells=2.5, **kw)
+        engine = PermutationNull.for_graph(
+            graph, source, target, SeedPolicy(base_seed=seed), n_replicates=self.M,
+            anomaly_mask=mask if variant == "cmad" else None,
+        )
+        pools = reference_states(variant, (source, target), mask=mask, interval=interval,
+                                 orientation=LOSS_NEGATIVE)
+        self.assert_within_law(engine, extract_all_paths(graph, max_nodes=5), variant, pools)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_threshold_rule(self, seed):
+        field = grid_of(np.random.default_rng(seed).random((30, 40)))
+        cells = [tuple(c) for c in np.argwhere(field.values >= 0.4)[:40].tolist()]
+        engine = PermutationNull.for_point_field(
+            field, cells, 0.4, SeedPolicy(base_seed=seed), n_replicates=self.M
+        )
+        paths = [path_of(range(j, j + k), 1.0) for k in range(2, 7) for j in range(0, 30, 3)]
+        pools = reference_states("threshold", (field,), threshold=0.4)
+        self.assert_within_law(engine, paths, "threshold", pools)

@@ -11,9 +11,11 @@ output path. ``null_dense`` also runs with ``--threads 2 --share-null
 --bh``, and as a ``stages`` run: ``build-graph``, ``extract-paths`` and
 ``significance`` with the workload's settings, each stage reading the
 upstream artifact both sides agreed on. ``sweep_cmad`` also runs with
-``--share-null``. Every artifact is compared byte
-for byte, and standard output is compared with each side's output path
-masked.
+``--share-null``, and as a ``stages`` run of its moderate/moderate
+pairing with its anomaly mask. ``aar_corridors`` also runs with
+``--threshold 1.0``, so that its edges weigh both +1 and -1. Every
+artifact is compared byte for byte, and standard output is compared with
+each side's output path masked.
 
 Prints one line per run and exits 0 when everything matches; otherwise
 names the first artifact (or standard output) that differs and exits 1.
@@ -33,15 +35,22 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import workloads  # noqa: E402
 
-# Extra runs per workload: (label, pipeline flags), where None stands for
-# the stage commands in place of the pipeline.
+# Extra runs per workload: (label, flags). A list holds flags added to the
+# workload's command; a dict stands for the stage commands in place of the
+# pipeline, and holds the config entries it overrides.
 EXTRA_RUNS = {
     "null_dense": [
         ("threads2-share-bh", ["--threads", "2", "--share-null", "--bh"]),
-        ("stages", None),
+        ("stages", {}),
     ],
-    # sweep_cmad paths of one length score differently, unlike null_dense's.
-    "sweep_cmad": [("share", ["--share-null"])],
+    "sweep_cmad": [
+        # sweep_cmad paths of one length score differently, unlike null_dense's.
+        ("share", ["--share-null"]),
+        # significance reads the cmad target band back from graph.json.
+        ("stages", {"band_source": "moderate", "band_target": "moderate"}),
+    ],
+    # At the default threshold every aar edge weighs +1.
+    "aar_corridors": [("threshold", ["--threshold", "1.0"])],
 }
 OUTPUT_MASK = "<output>"
 
@@ -105,6 +114,8 @@ def stage_commands(config: dict, shared: str) -> list[list[str]]:
     """
     graph, paths = os.path.join(shared, "graph.json"), os.path.join(shared, "paths.json")
     inputs = ["--source", config["source"], "--target", config["target"]]
+    if "mask" in config:
+        inputs += ["--mask", config["mask"]]
     seed = ["--seed", str(config["seed"])]
     return [
         ["build-graph", *inputs, "--variant", config["variant"],
@@ -118,9 +129,9 @@ def stage_commands(config: dict, shared: str) -> list[list[str]]:
     ]
 
 
-def compare_stages(wl: workloads.Workload, roots: dict, work: str) -> str | None:
+def compare_stages(wl: workloads.Workload, overrides: dict, roots: dict, work: str) -> str | None:
     """The first difference between the two sides' stage commands, or None."""
-    for argv in stage_commands(wl.params["config"], work):
+    for argv in stage_commands({**wl.params["config"], **overrides}, work):
         output = argv[-1]
         problem = compare(argv, output, roots, os.path.join(work, argv[0]))
         if problem:
@@ -152,8 +163,8 @@ def main(argv=None) -> int:
                 for label, flags in [("", [])] + EXTRA_RUNS.get(name, []):
                     run_name = f"{name}{' ' + label if label else ''} seed {seed}"
                     run_dir = os.path.join(inputs, label or "default")
-                    if flags is None:
-                        problem = compare_stages(wl, roots, run_dir)
+                    if isinstance(flags, dict):
+                        problem = compare_stages(wl, flags, roots, run_dir)
                     else:
                         problem = compare(wl.argv + flags, wl.output, roots, run_dir)
                     if problem:
