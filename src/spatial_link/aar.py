@@ -72,13 +72,6 @@ class AarComponent:
         return len(self.node_ids)
 
 
-def _latlon(p) -> tuple[float, float]:
-    if isinstance(p, GeoPoint):
-        return p.lat, p.lon
-    lat, lon = p
-    return float(lat), float(lon)
-
-
 def _equirect_km(lat_a, lon_a, lat_b, lon_b):
     """Equirectangular distance from a to b over broadcastable degree arrays."""
     dlat = lat_b - lat_a
@@ -92,14 +85,14 @@ def _coords(points: list[GeoPoint], ids=None) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray([p.lat for p in chosen]), np.asarray([p.lon for p in chosen])
 
 
-def equirect_distance(a, b) -> float:
-    """Equirectangular distance in km: 111.11 km per degree of arc.
+def equirect_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Equirectangular distance in km between (lat, lon) pairs: 111.11 km per degree of arc.
 
     The longitude difference is wrapped to [-180, 180) and scaled by the
     cosine of the mean latitude before combining with the latitude
     difference in quadrature.
     """
-    return float(_equirect_km(*_latlon(a), *_latlon(b)))
+    return float(_equirect_km(*a, *b))
 
 
 def elevated_points(values: ChangeGrid, mask: ChangeGrid) -> list[GeoPoint]:
@@ -115,10 +108,8 @@ def elevated_points(values: ChangeGrid, mask: ChangeGrid) -> list[GeoPoint]:
             f"mask shape {mask.shape} does not match value field shape {values.shape}"
         )
     flagged = mask.valid_mask & (mask.values != 0) & values.valid_mask
-    reg = values.registration
     rows, cols = np.argwhere(flagged).T
-    lats = reg.lat0 + rows * reg.dlat
-    lons = reg.lon0 + cols * reg.dlon
+    lats, lons = values.registration.cell_center(rows, cols)
     off = ~((lats >= -90.0) & (lats <= 90.0) & (lons >= -180.0) & (lons < 180.0))
     if off.any():
         k = int(np.argmax(off))
@@ -355,13 +346,15 @@ def station_path_significance(
 
 @dataclass
 class AarReport:
-    """Everything the benchmark run produced, ready for serialization."""
+    """Everything the benchmark run produced, ready for serialization.
+
+    The elevation threshold is the one the graph records, ``graph.params["threshold"]``.
+    """
 
     points: list[GeoPoint]
     graph: SpatialGraph
     components: list[AarComponent]
     station_id: int | None
-    threshold: float
     results: list[SignificanceResult] = field(default_factory=list)
     dropped_origins: list = field(default_factory=list)
 
@@ -428,7 +421,6 @@ def run_aar(
         graph=graph,
         components=components,
         station_id=None,
-        threshold=graph.params["threshold"],
         dropped_origins=dropped,
     )
     try:

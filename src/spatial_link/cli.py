@@ -33,8 +33,8 @@ from .grid import (
 )
 from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, extract_all_paths
 from .pipeline import (
-    SCOPE_GLOBAL, SCOPE_WINDOW, RunConfig, build_band_graph, check_range, prepare_grids,
-    run_pipeline, score_paths,
+    RANGE_RULES, SCOPE_GLOBAL, SCOPE_WINDOW, RunConfig, build_band_graph, check_range,
+    prepare_grids, run_pipeline, score_paths,
 )
 from .significance import DEFAULT_REPLICATES
 from .synthetic import NoiseModel, PlantSpec, chain_spec, generate, generate_null
@@ -59,17 +59,10 @@ def _resolve_threads(flag_value: int | None) -> int:
     return threads
 
 
-def _check_flags(args, *names) -> None:
-    """Apply the range rule of each named setting to its flag's value."""
-    for name in names:
-        check_range(name, getattr(args, name))
-
-
 # -- subcommand implementations -------------------------------------------
 
 
 def cmd_thresholds(args) -> int:
-    _check_flags(args, "ub_multiplier")
     grid = io.load_grid(args.grid)
     window = RegionWindow.parse(args.window) if args.window else None
     if window is not None:
@@ -94,11 +87,11 @@ def cmd_diff(args) -> int:
     return 0
 
 
-# Every RunConfig field has a flag of the same name (--max-len sets
-# max_len); this table holds the options of the flags that are not plain
-# strings or that carry help. Each default is None, so a flag left out
-# keeps the config file's entry or else the RunConfig default; a command
-# that runs without a RunConfig sets its defaults with set_defaults.
+# Every RunConfig field, and each aar setting, has a flag of the same name
+# (--max-len sets max_len); this table holds the options of the flags that
+# are not plain strings or that carry help. Each default is None, so a flag
+# left out keeps the config file's entry or else the RunConfig default; a
+# command that runs without a RunConfig sets its defaults with set_defaults.
 FLAG_OPTIONS = {
     "variant": {"choices": [VARIANT_STANDARD, VARIANT_CMAD]},
     "window": {"help": "inclusive r0:r1,c0:c1"},
@@ -116,6 +109,10 @@ FLAG_OPTIONS = {
     "bh": {"action": "store_true", "help": "Benjamini-Hochberg correction"},
     "sweep_bands": {"action": "store_true"},
     "resample_source": {"help": "ROWSxCOLS for the source grid"},
+    "max_edge_km": {"type": float},
+    "min_extent_km": {"type": float},
+    "threshold": {"type": float},
+    "snap_km": {"type": float},
 }
 RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
 GRAPH_FIELDS = (
@@ -128,11 +125,13 @@ INPUT_FIELDS = ("source", "target")
 
 
 def _add_config_flags(parser, names, required=()) -> None:
+    """Declare one flag per setting, once per command; main range-checks those with a rule."""
     for name in names:
         parser.add_argument(
             "--" + name.replace("_", "-"), default=None, required=name in required,
             **FLAG_OPTIONS.get(name, {}),
         )
+    parser.set_defaults(checked=tuple(name for name in names if name in RANGE_RULES))
 
 
 def _config(args, doc: dict | None = None) -> RunConfig:
@@ -162,7 +161,6 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_extract_paths(args) -> int:
-    _check_flags(args, "max_len", "cap", "seed")
     graph = io.graph_from_json(io.read_json(args.graph))
     paths = extract_all_paths(graph, max_nodes=args.max_len, cap=args.cap)
     echo = {
@@ -179,7 +177,7 @@ def cmd_extract_paths(args) -> int:
 
 def cmd_significance(args) -> int:
     graph = io.graph_from_json(io.read_json(args.graph))
-    paths = io.paths_from_json(io.read_json(args.paths))
+    paths = io.paths_from_json(io.read_json(args.paths), graph)
     # The fields are windowed and rescored exactly as the graph was built.
     built_with = ("variant", "orientation_source", "orientation_target", "window", "band_scope")
     config = _config(args, {k: graph.params[k] for k in built_with if k in graph.params})
@@ -269,11 +267,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_aar(args) -> int:
-    _check_flags(
-        args, "max_edge_km", "min_extent_km", "max_len", "m", "alpha", "snap_km", "cap", "seed"
-    )
     threads = _resolve_threads(args.threads)
-    check_range("threads", threads)
     values = io.load_grid(args.values)
     mask = io.load_grid(args.mask)
 
@@ -327,7 +321,7 @@ def cmd_aar(args) -> int:
         "max_len": args.max_len,
         "m": args.m,
         "alpha": args.alpha,
-        "threshold": report.threshold,
+        "threshold": report.graph.params["threshold"],
         "snap_km": args.snap_km,
     }
     io.write_json(io.aar_report_to_json(report, io.metadata_block(echo, args.seed)), args.output)
@@ -401,15 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--station", required=True,
         help="LAT,LON in degrees; write --station=LAT,LON, as a southern latitude starts with '-'",
     )
-    p.add_argument("--max-edge-km", type=float, default=DEFAULT_MAX_EDGE_KM)
-    p.add_argument("--min-extent-km", type=float, default=DEFAULT_MIN_EXTENT_KM)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--snap-km", type=float, default=DEFAULT_SNAP_KM)
-    _add_config_flags(p, ("max_len", "m", "alpha", "cap", "seed", "threads"))
+    _add_config_flags(p, (
+        "max_edge_km", "min_extent_km", "threshold", "snap_km", "max_len", "m", "alpha", "cap",
+        "seed", "threads",
+    ))
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(
-        func=cmd_aar, max_len=DEFAULT_MAX_NODES, m=DEFAULT_REPLICATES, alpha=DEFAULT_AAR_ALPHA,
-        cap=DEFAULT_CAP, seed=0,
+        func=cmd_aar, max_edge_km=DEFAULT_MAX_EDGE_KM, min_extent_km=DEFAULT_MIN_EXTENT_KM,
+        snap_km=DEFAULT_SNAP_KM, max_len=DEFAULT_MAX_NODES, m=DEFAULT_REPLICATES,
+        alpha=DEFAULT_AAR_ALPHA, cap=DEFAULT_CAP, seed=0,
     )
 
     return parser
@@ -419,6 +413,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in getattr(args, "checked", ()):
+            if getattr(args, name) is not None:
+                check_range(name, getattr(args, name))
         return args.func(args)
     except SpatialLinkError as exc:
         print(f"spatial-link: error [{exc.module}]: {exc}", file=sys.stderr)

@@ -91,10 +91,8 @@ class SpatialGraph:
         return len(self.edges)
 
     def edge_weight(self, u: int, v: int) -> int:
+        """Weight of the edge (u, v); ``KeyError`` when there is no such edge."""
         return self._weights[(u, v)]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._weights
 
     def nodes_of_kind(self, kind: str) -> list[int]:
         return [n.id for n in self.nodes if n.kind == kind]

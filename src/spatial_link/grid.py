@@ -38,11 +38,6 @@ KIND_SOURCE = "source"
 KIND_TARGET = "target"
 
 
-def _check_orientation(orientation: str) -> None:
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown orientation {orientation!r}, expected one of {ORIENTATIONS}")
-
-
 @dataclass(frozen=True)
 class GridRegistration:
     """Affine mapping from (row, col) indices to geographic coordinates.
@@ -68,21 +63,16 @@ class GridRegistration:
         if self.cell_km <= 0:
             raise ValueError("cell_km must be positive")
 
-    def latitude(self, row: float) -> float:
-        return self.lat0 + row * self.dlat
-
-    def longitude(self, col: float) -> float:
-        return self.lon0 + col * self.dlon
-
-    def cell_center(self, row: float, col: float) -> tuple[float, float]:
-        """Return (lat, lon) of the center of cell (row, col)."""
-        return self.latitude(row), self.longitude(col)
+    def cell_center(self, row, col):
+        """Return (lat, lon) of the center of cell (row, col); works elementwise on arrays."""
+        return self.lat0 + row * self.dlat, self.lon0 + col * self.dlon
 
     def shifted(self, row0: int, col0: int) -> "GridRegistration":
         """Registration of a subgrid whose cell (0, 0) was (row0, col0)."""
+        lat0, lon0 = self.cell_center(row0, col0)
         return GridRegistration(
-            lat0=self.latitude(row0),
-            lon0=self.longitude(col0),
+            lat0=lat0,
+            lon0=lon0,
             dlat=self.dlat,
             dlon=self.dlon,
             cell_km=self.cell_km,
@@ -227,23 +217,22 @@ class CellSet:
         return len(self.cells)
 
 
-def oriented_mask(grid: ChangeGrid, orientation: str) -> np.ndarray:
-    """Boolean mask of valid cells whose change has the loss sign.
+def in_band(values, orientation: str, lo: float, hi: float):
+    """Which values have the loss sign and a magnitude in [lo, hi); works elementwise.
 
-    Zero-valued cells carry no loss signal and are excluded under either
+    Zero carries no loss signal and is out of every band under either
     orientation.
     """
-    _check_orientation(orientation)
-    if orientation == LOSS_NEGATIVE:
-        signed = grid.values < 0
-    else:
-        signed = grid.values > 0
-    return grid.valid_mask & signed
+    if orientation not in ORIENTATIONS:
+        raise ValueError(f"unknown orientation {orientation!r}, expected one of {ORIENTATIONS}")
+    signed = values < 0 if orientation == LOSS_NEGATIVE else values > 0
+    mags = np.abs(values)
+    return signed & (mags >= lo) & (mags < hi)
 
 
-def loss_magnitudes(grid: ChangeGrid, orientation: str) -> np.ndarray:
-    """Magnitudes |value| of the oriented cells, as a flat array."""
-    return np.abs(grid.values[oriented_mask(grid, orientation)])
+def oriented_mask(grid: ChangeGrid, orientation: str) -> np.ndarray:
+    """Boolean mask of valid cells whose change has the loss sign."""
+    return grid.valid_mask & in_band(grid.values, orientation, 0.0, np.inf)
 
 
 def compute_threshold_bands(
@@ -256,7 +245,7 @@ def compute_threshold_bands(
     q3 + ub_multiplier * (q3 - q1). Requires at least four oriented cells
     so that every quartile is determined by the data.
     """
-    mags = loss_magnitudes(grid, orientation)
+    mags = np.abs(grid.values[oriented_mask(grid, orientation)])
     if mags.size < 4:
         raise InsufficientData(
             f"banding needs at least 4 oriented valid cells, found {mags.size}",
@@ -279,14 +268,9 @@ def classify_cells(
     Cells come back in row-major order with their signed change values;
     crop the grid first (``crop_region``) to classify one window of it.
     """
-    if band not in BANDS:
-        raise ValueError(f"unknown band {band!r}, expected one of {BANDS}")
     if kind not in (KIND_SOURCE, KIND_TARGET):
         raise ValueError(f"unknown kind {kind!r}")
-    eligible = oriented_mask(grid, orientation)
-    lo, hi = bands.interval(band)
-    mags = np.abs(grid.values)
-    selected = eligible & (mags >= lo) & (mags < hi)
+    selected = grid.valid_mask & in_band(grid.values, orientation, *bands.interval(band))
     rows, cols = np.nonzero(selected)
     values = grid.values[rows, cols]
     cells = [(int(r), int(c), float(v)) for r, c, v in zip(rows, cols, values)]

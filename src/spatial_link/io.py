@@ -20,10 +20,10 @@ import numpy as np
 
 from . import __version__
 from .aar import AarReport
-from .errors import ConfigError, MalformedHeader, reading
+from .errors import ConfigError, DimMismatch, MalformedHeader, reading
 from .grid import ChangeGrid, GridRegistration
 from .graph import GraphEdge, GraphNode, SpatialGraph
-from .paths import LinkagePath
+from .paths import LinkagePath, to_linkage_paths
 from .significance import SignificanceResult
 
 TOOL_NAME = "spatial-link"
@@ -406,9 +406,15 @@ def paths_to_json(paths: list[LinkagePath], graph: SpatialGraph, metadata: dict)
     return _document({"metadata": metadata}, paths=_array(rows, "  "))
 
 
-def paths_from_json(doc: dict) -> list[LinkagePath]:
+def paths_from_json(doc: dict, graph: SpatialGraph) -> list[LinkagePath]:
+    """The paths of a paths.json document, each rebuilt from its walk on ``graph``.
+
+    Raises ``DimMismatch`` when a walk names a node outside the graph, has
+    fewer than two nodes or steps off an edge, or when the document's edge
+    weights and score are not the ones the graph gives the walk.
+    """
     with reading(MalformedHeader, "malformed paths document", _PATHS_LAYOUT):
-        return [
+        recorded = [
             LinkagePath(
                 nodes=tuple(int(i) for i in p["nodes"]),
                 edge_weights=tuple(int(w) for w in p["edge_weights"]),
@@ -416,6 +422,35 @@ def paths_from_json(doc: dict) -> list[LinkagePath]:
             )
             for p in doc["paths"]
         ]
+    hint = "extract the paths from this graph (spatial-link extract-paths --graph ...)"
+    ids = [node for path in recorded for node in path.nodes]
+    if ids and not 0 <= min(ids) <= max(ids) < graph.n_nodes:
+        raise DimMismatch(
+            f"the paths name node ids {min(ids)} to {max(ids)}, but the graph has "
+            f"{graph.n_nodes} nodes",
+            hint=hint,
+        )
+    for k, path in enumerate(recorded):
+        if path.n_nodes < 2:
+            raise DimMismatch(
+                f"path {k} is {list(path.nodes)}; a path needs two or more nodes", hint=hint
+            )
+    try:
+        paths = to_linkage_paths([path.nodes for path in recorded], graph.edge_weight)
+    except KeyError as exc:
+        u, v = exc.args[0]
+        raise DimMismatch(
+            f"path steps from node {u} to node {v}, which is not an edge of the graph", hint=hint
+        ) from exc
+    for k, (path, rebuilt) in enumerate(zip(recorded, paths)):
+        if path != rebuilt:
+            raise DimMismatch(
+                f"path {k} records edge weights {list(path.edge_weights)} and score "
+                f"{path.score!r}, but the graph gives it {list(rebuilt.edge_weights)} and "
+                f"{rebuilt.score!r}",
+                hint=hint,
+            )
+    return paths
 
 
 def _result_rows(results: list[SignificanceResult]) -> str:
@@ -447,7 +482,7 @@ def aar_report_to_json(report: AarReport, metadata: dict) -> str:
     head = {
         "metadata": metadata,
         "n_points": len(report.points),
-        "threshold": report.threshold,
+        "threshold": report.graph.params["threshold"],
         "station": station,
         "components": [
             {

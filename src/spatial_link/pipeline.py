@@ -9,6 +9,8 @@ for all nine band pairings into per-pairing subdirectories.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -26,7 +28,7 @@ from .graph import (
     DEFAULT_MAX_EDGE_CELLS, METRICS, VARIANT_CMAD, VARIANT_STANDARD, SpatialGraph, build_graph,
 )
 from .paths import (
-    DEFAULT_CAP, DEFAULT_MAX_NODES, LinkagePath, extract_all_paths, linkage_frequency, path_score,
+    DEFAULT_CAP, DEFAULT_MAX_NODES, LinkagePath, extract_all_paths, linkage_frequency,
 )
 from .significance import (
     DEFAULT_ALPHA, DEFAULT_REPLICATES, PermutationNull, SeedPolicy, SignificanceResult,
@@ -35,34 +37,41 @@ from .significance import (
 SCOPE_WINDOW = "window"
 SCOPE_GLOBAL = "global"
 
+
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 # The one range rule of each numeric run setting: (requirement, test).
-# The last three are settings of the aar mode.
+# A bool is neither an integer nor a number here. The last four are
+# settings of the aar mode.
 RANGE_RULES = {
-    "dmax": ("> 0", lambda v: v > 0),
-    "max_len": (">= 2", lambda v: v >= 2),
-    "cap": ("> 0", lambda v: v > 0),
-    "m": (">= 1", lambda v: v >= 1),
-    "alpha": ("strictly between 0 and 1", lambda v: 0 < v < 1),
-    "threads": (">= 1", lambda v: v >= 1),
-    "seed": (">= 0", lambda v: v >= 0),
-    "ub_multiplier": (">= 0", lambda v: v >= 0),
-    "max_edge_km": ("> 0", lambda v: v > 0),
-    "snap_km": ("> 0", lambda v: v > 0),
-    "min_extent_km": (">= 0", lambda v: v >= 0),
+    "dmax": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
+    "max_len": ("an integer >= 2", lambda v: _is_integer(v) and v >= 2),
+    "cap": ("an integer > 0", lambda v: _is_integer(v) and v > 0),
+    "m": ("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    "alpha": ("a number strictly between 0 and 1", lambda v: _is_finite(v) and 0 < v < 1),
+    "threads": ("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    "seed": ("an integer >= 0", lambda v: _is_integer(v) and v >= 0),
+    "ub_multiplier": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
+    "max_edge_km": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
+    "snap_km": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
+    "min_extent_km": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
+    "threshold": ("a finite number", _is_finite),
 }
 
 
 def check_range(name: str, value, given_as: str | None = None) -> None:
     """Raise ``ConfigError``, naming ``given_as`` or else the flag, if ``value`` is out of range."""
     rule, test = RANGE_RULES[name]
-    try:
-        ok = test(value)
-    except TypeError:
-        ok = False
-    if not ok:
+    if not test(value):
         raise ConfigError(
             f"{name} must be {rule}, got {value!r}",
-            hint=f"give {given_as or '--' + name.replace('_', '-')} a value {rule}",
+            hint=f"give {given_as or '--' + name.replace('_', '-')} a value that is {rule}",
         )
 
 
@@ -257,48 +266,10 @@ def build_band_graph(
     )
 
 
-def _check_paths_in_graph(graph: SpatialGraph, paths: list[LinkagePath]) -> None:
-    """Raise ``DimMismatch`` unless each path walks graph edges with their weights and score."""
-    hint = "extract the paths from this graph (spatial-link extract-paths --graph ...)"
-    ids = [node for path in paths for node in path.nodes]
-    if ids and not 0 <= min(ids) <= max(ids) < graph.n_nodes:
-        raise DimMismatch(
-            f"the paths name node ids {min(ids)} to {max(ids)}, but the graph has "
-            f"{graph.n_nodes} nodes",
-            hint=hint,
-        )
-    for k, path in enumerate(paths):
-        steps = list(zip(path.nodes, path.nodes[1:]))
-        if not steps or len(path.edge_weights) != len(steps):
-            raise DimMismatch(
-                f"path {k} has {len(path.nodes)} nodes and {len(path.edge_weights)} edge "
-                f"weights; a path needs two or more nodes and one weight per step",
-                hint=hint,
-            )
-        for (u, v), weight in zip(steps, path.edge_weights):
-            if not graph.has_edge(u, v):
-                raise DimMismatch(
-                    f"path {k} steps from node {u} to node {v}, which is not an edge of the graph",
-                    hint=hint,
-                )
-            if weight != graph.edge_weight(u, v):
-                raise DimMismatch(
-                    f"path {k} gives the edge ({u}, {v}) weight {weight}, but the graph gives "
-                    f"it {graph.edge_weight(u, v)}",
-                    hint=hint,
-                )
-        if path.score != path_score(path.edge_weights):
-            raise DimMismatch(
-                f"path {k} has score {path.score!r}, but its edge weights score "
-                f"{path_score(path.edge_weights)!r}",
-                hint=hint,
-            )
-
-
 def score_paths(
     config: RunConfig, graph: SpatialGraph, paths: list[LinkagePath], grids: PreparedGrids
 ) -> list[SignificanceResult]:
-    """Test paths against the permutation null; nodes must sit on valid cells, paths on edges."""
+    """Test paths of ``graph`` against the permutation null; nodes must sit on valid cells."""
     engine = PermutationNull.for_graph(
         graph,
         grids.source,
@@ -308,7 +279,6 @@ def score_paths(
         threads=config.threads,
         anomaly_mask=grids.anomaly_bits if config.variant == VARIANT_CMAD else None,
     )
-    _check_paths_in_graph(graph, paths)
     return engine.evaluate(
         paths,
         alpha=config.alpha,

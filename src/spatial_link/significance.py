@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import DimMismatch, MalformedHeader, reading
-from .grid import KIND_SOURCE, LOSS_NEGATIVE, ORIENTATIONS, ChangeGrid
+from .grid import KIND_SOURCE, ORIENTATIONS, ChangeGrid, in_band
 from .graph import VARIANT_CMAD, VARIANT_STANDARD, VARIANT_THRESHOLD, SpatialGraph, edge_ok
 from .paths import LinkagePath
 
@@ -184,12 +184,10 @@ class PermutationNull:
             )
             with reading(MalformedHeader, "cmad graph params do not give the target band", hint):
                 lo, hi = (float(bound) for bound in graph.params["target_interval"])
-                orientation = graph.params["orientation_target"]
-                if orientation not in ORIENTATIONS:
-                    raise ValueError(f"unknown orientation_target {orientation!r}")
-            tgt = target.values[target.valid_mask]
-            oriented = tgt < 0 if orientation == LOSS_NEGATIVE else tgt > 0
-            pools = [mask[source.valid_mask], oriented & (np.abs(tgt) >= lo) & (np.abs(tgt) < hi)]
+                in_target_band = in_band(
+                    target.values[target.valid_mask], graph.params["orientation_target"], lo, hi
+                )
+            pools = [mask[source.valid_mask], in_target_band]
         else:
             pools = [np.sign(g.values[g.valid_mask]).astype(np.int8) for g in (source, target)]
 

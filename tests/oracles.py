@@ -363,7 +363,7 @@ def aar_report_document(report, metadata: dict) -> dict:
     return {
         "metadata": metadata,
         "n_points": len(report.points),
-        "threshold": report.threshold,
+        "threshold": report.graph.params["threshold"],
         "station": station,
         "components": [
             {

@@ -83,11 +83,6 @@ class TestEquirectDistance:
             b = (rng.uniform(-90, 90), rng.uniform(-180, 180))
             assert equirect_distance(a, b) == pytest.approx(equirect_distance(b, a))
 
-    def test_accepts_geopoints(self):
-        a = GeoPoint(lat=45.0, lon=0.0)
-        b = GeoPoint(lat=45.0, lon=10.0)
-        assert equirect_distance(a, b) == equirect_distance((45.0, 0.0), (45.0, 10.0))
-
     def test_near_metric_in_bounded_midlatitude_box(self):
         """Within a 10-degree box below 60 deg lat the planar approximation
         respects the triangle inequality to a fraction of a percent."""
@@ -269,7 +264,10 @@ class TestComponents:
             for la, lo in zip(rng.uniform(-89, 89, 70), rng.uniform(-180, 180, 70))
         ]
         ids = list(range(3, 64))
-        brute = max(equirect_distance(pts[i], pts[j]) for i in ids for j in ids)
+        brute = max(
+            equirect_distance((pts[i].lat, pts[i].lon), (pts[j].lat, pts[j].lon))
+            for i in ids for j in ids
+        )
         monkeypatch.setattr(aar, "EXTENT_BLOCK_PAIRS", 3 * len(ids))
         assert component_extent(ids, pts) == brute
 
@@ -483,7 +481,7 @@ class TestRunAar:
         )
         assert len(report.points) == 30
         assert [c.retained for c in report.components] == [True, False]
-        assert report.threshold == 2.0
+        assert report.graph.params["threshold"] == 2.0
         assert report.points[report.station_id].cell == (20, 5)
         # blob origin falls outside the retained component; far origin
         # fails to snap at all

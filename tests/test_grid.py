@@ -25,6 +25,7 @@ from spatial_link.grid import (
     compute_threshold_bands,
     crop_region,
     diff_grids,
+    in_band,
     oriented_mask,
     resample_nearest,
 )
@@ -66,10 +67,15 @@ class TestRegistration:
     def test_antarctic_index_correspondence(self):
         """Row 0 is 90S; col 200 is 130W; col 600 is 30W on the global grid."""
         reg = QUARTER_DEGREE_GLOBAL
-        assert reg.latitude(0) == -90.0
-        assert reg.latitude(120) == -60.0
-        assert reg.longitude(200) == -130.0
-        assert reg.longitude(600) == -30.0
+        assert reg.cell_center(0, 200) == (-90.0, -130.0)
+        assert reg.cell_center(120, 600) == (-60.0, -30.0)
+
+    def test_cell_center_of_index_arrays_is_the_per_cell_center(self):
+        reg = GridRegistration(lat0=-78.3, lon0=170.1, dlat=0.25, dlon=0.7, cell_km=25.0)
+        rows, cols = np.meshgrid(np.arange(6), np.arange(9), indexing="ij")
+        lats, lons = reg.cell_center(rows, cols)
+        for r, c in zip(rows.ravel().tolist(), cols.ravel().tolist()):
+            assert (lats[r, c], lons[r, c]) == reg.cell_center(r, c)
 
 
 class TestRegionWindow:
@@ -132,6 +138,15 @@ class TestThresholdBands:
         g = grid_from([[0.0, -1.0, -2.0, -3.0, -4.0]])
         assert oriented_mask(g, LOSS_NEGATIVE).sum() == 4
         assert oriented_mask(g, LOSS_POSITIVE).sum() == 0
+
+    def test_in_band_is_the_loss_sign_and_a_half_open_magnitude_interval(self):
+        values = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+        assert np.flatnonzero(in_band(values, LOSS_NEGATIVE, 1.0, 3.0)).tolist() == [1, 2]
+        assert np.flatnonzero(in_band(values, LOSS_POSITIVE, 1.0, 3.0)).tolist() == [4, 5]
+        for orientation in (LOSS_NEGATIVE, LOSS_POSITIVE):
+            assert not in_band(0.0, orientation, 0.0, np.inf)
+        with pytest.raises(ValueError, match="unknown orientation 'bogus'"):
+            in_band(values, "bogus", 0.0, 1.0)
 
     def test_interval_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -272,7 +287,8 @@ class TestResample:
         out = resample_nearest(g, 8, 8)
         r = g.registration
         o = out.registration
-        assert o.latitude(0) == pytest.approx(r.latitude(0) - r.dlat / 2 + o.dlat / 2)
+        (lat_in, _), (lat_out, _) = r.cell_center(0, 0), o.cell_center(0, 0)
+        assert lat_out == pytest.approx(lat_in - r.dlat / 2 + o.dlat / 2)
         span_in = 4 * r.dlat
         span_out = 8 * o.dlat
         assert span_out == pytest.approx(span_in)

@@ -10,7 +10,7 @@ import pytest
 
 from spatial_link import __version__, cli, io
 from spatial_link.aar import run_aar
-from spatial_link.errors import MalformedHeader
+from spatial_link.errors import DimMismatch, MalformedHeader
 from spatial_link.graph import build_graph
 from spatial_link.grid import (
     KIND_SOURCE,
@@ -262,9 +262,19 @@ class TestPathsJson:
         paths = extract_all_paths(graph, max_nodes=4)
         assert paths
         doc = json.loads(io.paths_to_json(paths, graph, io.metadata_block({}, 0)))
-        assert io.paths_from_json(doc) == paths
+        assert io.paths_from_json(doc, graph) == paths
         for entry, p in zip(doc["paths"], paths):
             assert entry["cells"] == [[graph.nodes[i].row, graph.nodes[i].col] for i in p.nodes]
+
+    def test_a_step_off_the_graph_is_named(self):
+        graph, _, _ = small_graph()
+        u = next(i for i in range(graph.n_nodes) if len(graph.adjacency[i]) < graph.n_nodes - 1)
+        v = next(j for j in range(graph.n_nodes) if j != u and j not in graph.adjacency[u])
+        doc = {"paths": [{"nodes": [u, v], "edge_weights": [1], "score": 1.0}]}
+        with pytest.raises(DimMismatch, match=f"path steps from node {u} to node {v}, which is "
+                           "not an edge of the graph") as info:
+            io.paths_from_json(doc, graph)
+        assert info.value.hint.startswith("extract the paths from this graph")
 
 
 class TestResultsJson:
@@ -686,22 +696,27 @@ class TestCli:
         assert "spatial-link: hint: extract the paths from this graph" in err
 
     @pytest.mark.parametrize("case", ["scores-zeroed", "one-weight-for-two-steps",
-                                      "weight-flipped"])
+                                      "weight-flipped", "single-node"])
     def test_significance_paths_disagree_with_the_graph(self, case, instance_files, tmp_path,
                                                          capsys):
         gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
         doc = json.loads(open(ppath).read())
-        long = next(p for p in doc["paths"] if len(p["nodes"]) == 3)
+        k, long = next((k, p) for k, p in enumerate(doc["paths"]) if len(p["nodes"]) == 3)
+        weights, score = long["edge_weights"], long["score"]
         if case == "scores-zeroed":
             for p in doc["paths"]:
                 p["score"] = 0.0
-            expected = "has score 0.0, but its edge weights score"
-        elif case == "one-weight-for-two-steps":
-            long["edge_weights"] = long["edge_weights"][:1]
-            expected = "has 3 nodes and 1 edge weights"
+            expected = "and score 0.0, but the graph gives it"
+        elif case == "single-node":
+            long["nodes"] = long["nodes"][:1]
+            expected = f"path {k} is {long['nodes']}; a path needs two or more nodes"
         else:
-            long["edge_weights"][0] *= -1
-            expected = f"gives the edge ({long['nodes'][0]}, {long['nodes'][1]}) weight"
+            if case == "one-weight-for-two-steps":
+                long["edge_weights"] = weights[:1]
+            else:
+                long["edge_weights"] = [-weights[0], *weights[1:]]
+            expected = (f"path {k} records edge weights {long['edge_weights']} and score "
+                        f"{score!r}, but the graph gives it {weights} and {score!r}")
         with open(ppath, "w") as fh:
             json.dump(doc, fh)
         rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
@@ -1037,16 +1052,24 @@ class TestCli:
         ("aar", "--snap-km", "0"),
         ("aar", "--min-extent-km", "-1"),
         ("aar", "--cap", "0"),
+        ("aar", "--max-edge-km", "inf"),
+        ("aar", "--snap-km", "inf"),
+        ("aar", "--min-extent-km", "inf"),
+        ("aar", "--threshold", "nan"),
+        ("aar", "--threshold", "inf"),
         ("extract-paths", "--max-len", "1"),
         ("extract-paths", "--cap", "0"),
         ("extract-paths", "--seed", "-1"),
         ("thresholds", "--ub-multiplier", "-1"),
+        ("thresholds", "--ub-multiplier", "inf"),
         ("synth", "--seed", "-1"),
         ("pipeline", "--ub-multiplier", "-1"),
         ("pipeline", "--seed", "-1"),
         ("pipeline", "--dmax", "0"),
         ("pipeline", "--alpha", "0"),
         ("pipeline", "--threads", "0"),
+        ("pipeline", "--dmax", "inf"),
+        ("pipeline", "--ub-multiplier", "inf"),
     ])
     def test_out_of_range_setting_fails_before_any_output(
         self, command, flag, value, instance_files, tmp_path, capsys
@@ -1075,16 +1098,25 @@ class TestCli:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("m", "nine"), ("m", 19.5), ("m", True), ("seed", 1.5), ("max_len", 4.0),
+        ("threads", 2.0), ("dmax", True), ("dmax", float("inf")),
+    ])
     def test_config_setting_of_the_wrong_type_is_a_config_error(
-        self, instance_files, tmp_path, capsys
+        self, name, value, instance_files, tmp_path, capsys
     ):
+        requirement = {
+            "m": "an integer >= 1", "seed": "an integer >= 0", "max_len": "an integer >= 2",
+            "threads": "an integer >= 1", "dmax": "a finite number > 0",
+        }[name]
         spath, tpath = instance_files
         cpath = tmp_path / "config.json"
-        cpath.write_text(json.dumps({"source": spath, "target": tpath, "m": "nine"}))
+        cpath.write_text(json.dumps({"source": spath, "target": tpath, name: value}))
         rc, _, err = self.run(["pipeline", "--config", str(cpath),
                                "--out-dir", str(tmp_path / "out")], capsys)
         assert rc == 1
-        assert "spatial-link: error [io-cli]: m must be >= 1, got 'nine'" in err
+        assert f"spatial-link: error [io-cli]: {name} must be {requirement}, got {value!r}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -149,10 +150,9 @@ def aar_reports(draw):
     ]
     report = AarReport(
         points=points,
-        graph=graph,
+        graph=replace(graph, params={**graph.params, "threshold": draw(FLOATS)}),
         components=components,
         station_id=draw(st.none() | st.integers(0, len(points) - 1)) if points else None,
-        threshold=draw(FLOATS),
         results=results,
         dropped_origins=draw(st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=2)),
     )

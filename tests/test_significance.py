@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from spatial_link.errors import DimMismatch
+from spatial_link.errors import DimMismatch, MalformedHeader
 from spatial_link.grid import (
     KIND_SOURCE,
     KIND_TARGET,
@@ -358,6 +358,13 @@ class TestCmadEngineAgainstOracle:
         )
         paths = extract_all_paths(graph, max_nodes=4)
         return source, target, mask, bands_t, graph, paths
+
+    def test_unknown_target_orientation_is_a_malformed_header(self):
+        source, target, mask, _, graph, _ = self.build()
+        graph.params["orientation_target"] = "sideways"
+        with pytest.raises(MalformedHeader, match="unknown orientation 'sideways'") as info:
+            PermutationNull.for_graph(graph, source, target, SeedPolicy(0), anomaly_mask=mask)
+        assert info.value.hint.startswith('a cmad graph records "target_interval"')
 
     def test_mask_bits_travel_with_source_cells(self):
         source, target, mask, bands_t, graph, paths = self.build()
