@@ -366,8 +366,8 @@ def run_aar(
     station: tuple[float, float],
     max_edge_km: float = DEFAULT_MAX_EDGE_KM,
     min_extent_km: float = DEFAULT_MIN_EXTENT_KM,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    n_replicates: int = DEFAULT_REPLICATES,
+    max_len: int = DEFAULT_MAX_NODES,
+    m: int = DEFAULT_REPLICATES,
     alpha: float = DEFAULT_AAR_ALPHA,
     seed: int = 0,
     threads: int = 1,
@@ -384,6 +384,8 @@ def run_aar(
     path testing proceeds with the rest. A station that fails to snap
     raises ``StationUnreachable`` unless no origin is left. Only components
     whose extent exceeds ``min_extent_km`` take part in path analysis.
+    Paths have at most ``max_len`` nodes and the null draws ``m``
+    replicates; the settings carry the names of the ``aar`` flags.
     """
     points = elevated_points(values_grid, mask_grid)
     graph = build_aar_graph(points, max_edge_km=max_edge_km, threshold=threshold)
@@ -438,8 +440,8 @@ def run_aar(
             values_grid,
             origin_ids,
             report.station_id,
-            max_nodes=max_nodes,
-            n_replicates=n_replicates,
+            max_nodes=max_len,
+            n_replicates=m,
             alpha=alpha,
             seed=seed,
             threads=threads,

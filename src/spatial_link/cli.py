@@ -11,20 +11,15 @@ replicates.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import __version__, io
-from .aar import (
-    DEFAULT_AAR_ALPHA,
-    DEFAULT_MAX_EDGE_KM,
-    DEFAULT_MIN_EXTENT_KM,
-    DEFAULT_SNAP_KM,
-    run_aar,
-)
+from .aar import run_aar
 from .errors import ConfigError, SpatialLinkError, reading
 from .graph import DEFAULT_MAX_EDGE_CELLS, METRICS, VARIANT_CMAD, VARIANT_STANDARD
 from .grid import (
@@ -34,9 +29,8 @@ from .grid import (
 from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, extract_all_paths
 from .pipeline import (
     RANGE_RULES, SCOPE_GLOBAL, SCOPE_WINDOW, RunConfig, build_band_graph, check_range,
-    prepare_grids, run_pipeline, score_paths,
+    is_dims, is_integer, prepare_grids, run_pipeline, score_paths,
 )
-from .significance import DEFAULT_REPLICATES
 from .synthetic import NoiseModel, PlantSpec, chain_spec, generate, generate_null
 
 ENV_THREADS = "SPATIAL_LINK_THREADS"
@@ -68,15 +62,8 @@ def cmd_thresholds(args) -> int:
     if window is not None:
         grid = crop_region(grid, window)
     bands = compute_threshold_bands(grid, args.orientation, args.ub_multiplier)
-    doc = {
-        "grid": args.grid,
-        "orientation": args.orientation,
-        "window": args.window,
-        "median": bands.median,
-        "q3": bands.q3,
-        "ub": bands.ub,
-    }
-    print(json.dumps(doc, indent=2))
+    doc = {name: getattr(args, name) for name in ("grid", "orientation", "window")}
+    print(json.dumps({**doc, **asdict(bands)}, indent=2))
     return 0
 
 
@@ -122,6 +109,14 @@ GRAPH_FIELDS = (
 )
 NULL_FIELDS = ("source", "target", "mask", "m", "alpha", "share_null", "bh")
 INPUT_FIELDS = ("source", "target")
+PATHS_FIELDS = ("max_len", "cap", "seed")
+# aar's settings, each a flag and a keyword of run_aar, in the order the
+# report's metadata echoes them. The echo leaves out the last two, cap and
+# seed; the seed has a metadata entry of its own.
+AAR_FIELDS = (
+    "max_edge_km", "min_extent_km", "max_len", "m", "alpha", "threshold", "snap_km", "cap", "seed",
+)
+AAR_ECHO = ("values", "mask", "origins", "station") + AAR_FIELDS[:-2]
 
 
 def _add_config_flags(parser, names, required=()) -> None:
@@ -163,12 +158,8 @@ def cmd_build_graph(args) -> int:
 def cmd_extract_paths(args) -> int:
     graph = io.graph_from_json(io.read_json(args.graph))
     paths = extract_all_paths(graph, max_nodes=args.max_len, cap=args.cap)
-    echo = {
-        "command": "extract-paths",
-        "graph": args.graph,
-        "max_len": args.max_len,
-        "cap": args.cap,
-    }
+    echo = {"command": "extract-paths", "graph": args.graph}
+    echo.update((name, getattr(args, name)) for name in PATHS_FIELDS if name != "seed")
     metadata = io.metadata_block(echo, args.seed)
     io.write_json(io.paths_to_json(paths, graph, metadata), args.output)
     print(f"paths: {len(paths)} candidates -> {args.output}")
@@ -217,11 +208,11 @@ def _synth_instance(doc, seed_flag: int | None):
     """Seed, source and target fields, and planted truth (or None) of a synth spec."""
     if not isinstance(doc, dict):
         raise ValueError("the spec is not a JSON object")
-    seed = seed_flag if seed_flag is not None else int(doc.get("seed", 0))
-    check_range("seed", seed)
-    dims = tuple(int(d) for d in doc.get("dims") or ())
-    if len(dims) != 2 or min(dims) <= 0:
-        raise ValueError(f"dims must be [rows, cols] of positive integers, got {doc.get('dims')!r}")
+    seed = seed_flag if seed_flag is not None else doc.get("seed", 0)
+    check_range("seed", seed, given_as="the spec's seed")
+    dims = doc.get("dims")
+    if not is_dims(dims):
+        raise ValueError(f"dims must be [rows, cols] of positive integers, got {dims!r}")
     noise_doc = doc.get("noise", {})
     noise = NoiseModel(
         name=noise_doc.get("name", "gaussian"),
@@ -231,12 +222,16 @@ def _synth_instance(doc, seed_flag: int | None):
     if "chain_cells" not in doc:
         return (seed, *generate_null(dims, noise, seed), None)
     cells = tuple((int(r), int(c)) for r, c in doc["chain_cells"])
+    if not is_integer(doc["split_index"]):
+        raise ValueError(f"split_index must be an integer, got {doc['split_index']!r}")
+    max_len = doc.get("max_len", DEFAULT_MAX_NODES)
+    check_range("max_len", max_len, given_as="the spec's max_len")
     shared = dict(
-        split_index=int(doc["split_index"]),
+        split_index=doc["split_index"],
         noise=noise,
         seed=seed,
         max_spacing_cells=float(doc.get("max_spacing_cells", DEFAULT_MAX_EDGE_CELLS)),
-        max_len=int(doc.get("max_len", DEFAULT_MAX_NODES)),
+        max_len=max_len,
     )
     if "chain_values" in doc:
         values = tuple(float(v) for v in doc["chain_values"])
@@ -294,36 +289,12 @@ def cmd_aar(args) -> int:
         st_lat, st_lon = (float(v) for v in args.station.split(","))
 
     report = run_aar(
-        values,
-        mask,
-        origins,
-        (st_lat, st_lon),
-        max_edge_km=args.max_edge_km,
-        min_extent_km=args.min_extent_km,
-        max_nodes=args.max_len,
-        n_replicates=args.m,
-        alpha=args.alpha,
-        seed=args.seed,
-        threads=threads,
-        threshold=args.threshold,
-        snap_km=args.snap_km,
-        cap=args.cap,
+        values, mask, origins, (st_lat, st_lon), threads=threads,
+        **{n: getattr(args, n) for n in AAR_FIELDS},
     )
-
-    echo = {
-        "command": "aar",
-        "values": args.values,
-        "mask": args.mask,
-        "origins": args.origins,
-        "station": args.station,
-        "max_edge_km": args.max_edge_km,
-        "min_extent_km": args.min_extent_km,
-        "max_len": args.max_len,
-        "m": args.m,
-        "alpha": args.alpha,
-        "threshold": report.graph.params["threshold"],
-        "snap_km": args.snap_km,
-    }
+    echo = {"command": "aar", **{n: getattr(args, n) for n in AAR_ECHO}}
+    # The threshold the graph was built with, which a left-out flag leaves to the data.
+    echo["threshold"] = report.graph.params["threshold"]
     io.write_json(io.aar_report_to_json(report, io.metadata_block(echo, args.seed)), args.output)
     n_sig = sum(1 for r in report.results if r.significant)
     n_ret = sum(1 for c in report.components if c.retained)
@@ -365,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract-paths", help="enumerate candidate paths from graph.json")
     p.add_argument("--graph", required=True)
-    _add_config_flags(p, ("max_len", "cap", "seed"))
+    _add_config_flags(p, PATHS_FIELDS)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_extract_paths, max_len=DEFAULT_MAX_NODES, cap=DEFAULT_CAP, seed=0)
 
@@ -395,16 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--station", required=True,
         help="LAT,LON in degrees; write --station=LAT,LON, as a southern latitude starts with '-'",
     )
-    _add_config_flags(p, (
-        "max_edge_km", "min_extent_km", "threshold", "snap_km", "max_len", "m", "alpha", "cap",
-        "seed", "threads",
-    ))
+    _add_config_flags(p, AAR_FIELDS + ("threads",))
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(
-        func=cmd_aar, max_edge_km=DEFAULT_MAX_EDGE_KM, min_extent_km=DEFAULT_MIN_EXTENT_KM,
-        snap_km=DEFAULT_SNAP_KM, max_len=DEFAULT_MAX_NODES, m=DEFAULT_REPLICATES,
-        alpha=DEFAULT_AAR_ALPHA, cap=DEFAULT_CAP, seed=0,
-    )
+    # A flag left out takes run_aar's default, which the report's echo records.
+    defaults = inspect.signature(run_aar).parameters
+    p.set_defaults(func=cmd_aar, **{name: defaults[name].default for name in AAR_FIELDS})
 
     return parser
 

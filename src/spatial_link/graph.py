@@ -63,6 +63,9 @@ class SpatialGraph:
     which fixes the expansion order of every traversal. ``params`` echoes
     the construction settings needed to rebuild edge weights during null
     resampling (variant, band intervals, orientations, distance cutoff).
+
+    Node ids must be 0..n-1 in order, and each edge must join two distinct
+    nodes and appear once in either direction; ``ValueError`` otherwise.
     """
 
     nodes: list[GraphNode]
@@ -70,13 +73,26 @@ class SpatialGraph:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        adjacency: list[list[int]] = [[] for _ in self.nodes]
+        n = len(self.nodes)
+        for k, node in enumerate(self.nodes):
+            if node.id != k:
+                raise ValueError(f"node {k} has id {node.id}; ids must be 0..n-1 in order")
+        adjacency: list[list[int]] = [[] for _ in range(n)]
         weights: dict[tuple[int, int], int] = {}
         for e in self.edges:
-            adjacency[e.u].append(e.v)
-            adjacency[e.v].append(e.u)
-            weights[(e.u, e.v)] = e.weight
-            weights[(e.v, e.u)] = e.weight
+            u, v = e.u, e.v
+            if not (0 <= u < n and 0 <= v < n):
+                problem = f"names a node outside 0..{n - 1}"
+            elif u == v:
+                problem = "joins a node to itself"
+            elif (u, v) in weights:
+                problem = "repeats an edge listed before"
+            else:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+                weights[(u, v)] = weights[(v, u)] = e.weight
+                continue
+            raise ValueError(f"edge ({u}, {v}) {problem}")
         for nbrs in adjacency:
             nbrs.sort()
         self.adjacency = adjacency

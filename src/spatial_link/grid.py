@@ -118,14 +118,6 @@ class RegionWindow:
     def spec(self) -> str:
         return f"{self.row_min}:{self.row_max},{self.col_min}:{self.col_max}"
 
-    @property
-    def rows(self) -> int:
-        return self.row_max - self.row_min + 1
-
-    @property
-    def cols(self) -> int:
-        return self.col_max - self.col_min + 1
-
 
 @dataclass
 class ChangeGrid:
@@ -212,9 +204,6 @@ class CellSet:
     kind: str
     band: str
     cells: list[tuple[int, int, float]]
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
 
 def in_band(values, orientation: str, lo: float, hi: float):

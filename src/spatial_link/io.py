@@ -12,6 +12,7 @@ target atomically, so a failed write leaves the previous file in place.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -29,7 +30,8 @@ from .significance import SignificanceResult
 TOOL_NAME = "spatial-link"
 NULL_MODEL = "field-permutation"
 
-_SIDECAR_KEYS = ("rows", "cols", "lat0", "lon0", "dlat", "dlon", "cell_km")
+_REGISTRATION_KEYS = tuple(f.name for f in dataclasses.fields(GridRegistration))
+_SIDECAR_KEYS = ("rows", "cols", *_REGISTRATION_KEYS)
 
 
 def metadata_block(config_echo: dict, seed: int, null_model: str = NULL_MODEL) -> dict:
@@ -110,16 +112,7 @@ def save_grid(grid: ChangeGrid, path: str) -> None:
     is written while the payload is still pending, so a failed write of
     either leaves both previous files in place.
     """
-    reg = grid.registration
-    sidecar = {
-        "rows": grid.rows,
-        "cols": grid.cols,
-        "lat0": reg.lat0,
-        "lon0": reg.lon0,
-        "dlat": reg.dlat,
-        "dlon": reg.dlon,
-        "cell_km": reg.cell_km,
-    }
+    sidecar = {"rows": grid.rows, "cols": grid.cols, **dataclasses.asdict(grid.registration)}
     with _replacing(path, "wb") as fh:
         grid.values.astype("<f4").tofile(fh)
         if not grid.valid_mask.all():
@@ -142,13 +135,7 @@ def _load_grid_raw(payload_path: str, sidecar_path: str) -> ChangeGrid:
     if not (isinstance(rows, int) and isinstance(cols, int)) or rows <= 0 or cols <= 0:
         raise MalformedHeader(f"sidecar {sidecar_path} declares invalid dims {rows}x{cols}")
     with reading(MalformedHeader, f"sidecar {sidecar_path} has a bad registration"):
-        registration = GridRegistration(
-            lat0=float(doc["lat0"]),
-            lon0=float(doc["lon0"]),
-            dlat=float(doc["dlat"]),
-            dlon=float(doc["dlon"]),
-            cell_km=float(doc["cell_km"]),
-        )
+        registration = GridRegistration(**{key: float(doc[key]) for key in _REGISTRATION_KEYS})
 
     try:
         payload = np.fromfile(payload_path, dtype="<f4")
@@ -348,8 +335,8 @@ _PATHS_LAYOUT = 'expected {"paths": [{"nodes": [...], "edge_weights": [...], "sc
 def graph_from_json(doc: dict) -> SpatialGraph:
     """The graph of a graph.json document.
 
-    Node ids must be 0..n-1 in order, and each edge must join two distinct
-    nodes and appear once in either direction.
+    A document that breaks an invariant of ``SpatialGraph`` (node ids, edge
+    ends) raises ``MalformedHeader``, as a malformed one does.
     """
     with reading(MalformedHeader, "malformed graph document", _GRAPH_LAYOUT):
         nodes = [
@@ -369,28 +356,7 @@ def graph_from_json(doc: dict) -> SpatialGraph:
             )
             for e in doc["edges"]
         ]
-    for k, n in enumerate(nodes):
-        if n.id != k:
-            raise MalformedHeader(
-                f"malformed graph document: node {k} has id {n.id}; ids must be 0..n-1 in order",
-                hint=_GRAPH_LAYOUT,
-            )
-    pairs = set()
-    for e in edges:
-        pair = (min(e.u, e.v), max(e.u, e.v))
-        if not (0 <= e.u < len(nodes) and 0 <= e.v < len(nodes)):
-            problem = f"names a node outside 0..{len(nodes) - 1}"
-        elif e.u == e.v:
-            problem = "joins a node to itself"
-        elif pair in pairs:
-            problem = "repeats an edge listed before"
-        else:
-            pairs.add(pair)
-            continue
-        raise MalformedHeader(
-            f"malformed graph document: edge ({e.u}, {e.v}) {problem}", hint=_GRAPH_LAYOUT
-        )
-    return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
+        return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
 
 
 def paths_to_json(paths: list[LinkagePath], graph: SpatialGraph, metadata: dict) -> str:

@@ -38,25 +38,41 @@ SCOPE_WINDOW = "window"
 SCOPE_GLOBAL = "global"
 
 
-def _is_integer(v) -> bool:
+def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_dims(v) -> bool:
+    """Is ``v`` a [rows, cols] pair of positive integers?"""
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(is_integer(d) and d > 0 for d in v)
 
 
 def _is_finite(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-# The one range rule of each numeric run setting: (requirement, test).
+_SWITCH = ("true or false", lambda v: isinstance(v, bool))
+_PATH = ("a string", lambda v: isinstance(v, str))
+
+# The one type and range rule of each run setting: (requirement, test).
 # A bool is neither an integer nor a number here. The last four are
-# settings of the aar mode.
+# settings of the aar mode. resample_source has its rule in validate, as
+# its flag carries ROWSxCOLS text.
 RANGE_RULES = {
+    "source": _PATH,
+    "target": _PATH,
+    "mask": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "out_dir": _PATH,
+    "share_null": _SWITCH,
+    "bh": _SWITCH,
+    "sweep_bands": _SWITCH,
     "dmax": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
-    "max_len": ("an integer >= 2", lambda v: _is_integer(v) and v >= 2),
-    "cap": ("an integer > 0", lambda v: _is_integer(v) and v > 0),
-    "m": ("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    "max_len": ("an integer >= 2", lambda v: is_integer(v) and v >= 2),
+    "cap": ("an integer > 0", lambda v: is_integer(v) and v > 0),
+    "m": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
     "alpha": ("a number strictly between 0 and 1", lambda v: _is_finite(v) and 0 < v < 1),
-    "threads": ("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
-    "seed": ("an integer >= 0", lambda v: _is_integer(v) and v >= 0),
+    "threads": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
+    "seed": ("an integer >= 0", lambda v: is_integer(v) and v >= 0),
     "ub_multiplier": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
     "max_edge_km": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
     "snap_km": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
@@ -125,10 +141,12 @@ class RunConfig:
         for f in fields(self):
             if f.name in RANGE_RULES:
                 check_range(f.name, getattr(self, f.name))
-        if self.resample_source is not None:
-            dims = list(self.resample_source)
-            if len(dims) != 2 or any(int(d) <= 0 for d in dims):
-                raise ConfigError("resample_source must be [rows, cols] with positive entries")
+        if self.resample_source is not None and not is_dims(self.resample_source):
+            raise ConfigError(
+                f"resample_source must be [rows, cols] of positive integers, "
+                f"got {self.resample_source!r}",
+                hint="give --resample-source ROWSxCOLS, or [rows, cols] in the config",
+            )
         if self.window is not None:
             RegionWindow.parse(self.window)
 
@@ -187,7 +205,7 @@ def prepare_grids(config: RunConfig) -> PreparedGrids:
     mask_grid = io.load_grid(config.mask) if config.mask else None
 
     if config.resample_source is not None:
-        rows, cols = (int(d) for d in config.resample_source)
+        rows, cols = config.resample_source
         source = resample_nearest(source, rows, cols)
         if mask_grid is not None:
             mask_grid = resample_nearest(mask_grid, rows, cols)

@@ -36,11 +36,10 @@ class SeedPolicy:
 
     base_seed: int
 
-    def replicate_sequence(self, index: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=self.base_seed, spawn_key=(index,))
-
     def generator(self, index: int) -> np.random.Generator:
-        return np.random.default_rng(self.replicate_sequence(index))
+        return np.random.default_rng(
+            np.random.SeedSequence(entropy=self.base_seed, spawn_key=(index,))
+        )
 
 
 @dataclass(frozen=True)

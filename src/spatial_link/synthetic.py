@@ -98,19 +98,11 @@ class PlantSpec:
 
 @dataclass(frozen=True)
 class PlantedChain:
-    """Ground truth of a generated instance."""
+    """Ground truth of a generated instance: ``cells[:split_index]`` lie in the source field."""
 
     cells: tuple[tuple[int, int], ...]
     split_index: int
     values: tuple[float, ...]
-
-    @property
-    def source_cells(self) -> tuple[tuple[int, int], ...]:
-        return self.cells[: self.split_index]
-
-    @property
-    def target_cells(self) -> tuple[tuple[int, int], ...]:
-        return self.cells[self.split_index :]
 
 
 def band_magnitude(band: str, sigma: float = DEFAULT_SIGMA, offset: float = 0.5) -> float:

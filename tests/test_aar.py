@@ -367,7 +367,7 @@ class TestSnap:
         snapped, snap = [], aar.snap_to_node
         monkeypatch.setattr(aar, "snap_to_node", lambda *a: snapped.append(a[0]) or snap(*a))
         run_aar(values, mask, origins=[(12.1, 5.0), (14.1, 5.2), (15.0, 5.0)],
-                station=(20.2, 5.3), n_replicates=9)
+                station=(20.2, 5.3), m=9)
         assert len(snapped) == 4
         assert all(columns is snapped[0] for columns in snapped)
 
@@ -476,7 +476,7 @@ class TestRunAar:
             mask,
             origins=[(12, 5), (14.1, 5.2), (44.5, 30.5), (80.0, -100.0)],
             station=(20.2, 5.3),
-            n_replicates=999,
+            m=999,
             seed=1,
         )
         assert len(report.points) == 30
@@ -505,7 +505,7 @@ class TestRunAar:
 
     def test_deterministic_across_threads(self):
         values, mask = self.build_inputs()
-        kw = dict(origins=[(12, 5)], station=(20.2, 5.3), n_replicates=199, seed=4)
+        kw = dict(origins=[(12, 5)], station=(20.2, 5.3), m=199, seed=4)
         a = run_aar(values, mask, threads=1, **kw)
         b = run_aar(values, mask, threads=8, **kw)
         assert [r.p_value for r in a.results] == [r.p_value for r in b.results]

@@ -7,6 +7,8 @@ import pytest
 from spatial_link.errors import DuplicatePoint, EmptySide, MaskDimMismatch
 from spatial_link.grid import CellSet
 from spatial_link.graph import (
+    GraphEdge,
+    GraphNode,
     SpatialGraph,
     _pairwise_distance,
     build_graph,
@@ -318,3 +320,15 @@ class TestSpatialGraphType:
         )
         assert g.nodes_of_kind("source") == [0, 2]
         assert g.nodes_of_kind("target") == [1]
+
+    @pytest.mark.parametrize("ids, edges, message", [
+        ((0, 1), [(0, 0)], r"edge \(0, 0\) joins a node to itself"),
+        ((0, 1), [(0, 1), (1, 0)], r"edge \(1, 0\) repeats an edge listed before"),
+        ((0, 1), [(0, 2)], r"edge \(0, 2\) names a node outside 0..1"),
+        ((1, 0), [], "node 0 has id 1; ids must be 0..n-1 in order"),
+    ])
+    def test_rejects_a_broken_invariant(self, ids, edges, message):
+        nodes = [GraphNode(id=i, row=k, col=0, kind="source", value=-1.0)
+                 for k, i in enumerate(ids)]
+        with pytest.raises(ValueError, match=message):
+            SpatialGraph(nodes=nodes, edges=[GraphEdge(u, v, 1, 1.0) for u, v in edges])

@@ -302,7 +302,7 @@ class TestAarReportJson:
         vals[:21, 5] = 10.0
         mask[:21, 5] = 1.0
         report = run_aar(grid_of(vals, registration=reg), grid_of(mask, registration=reg),
-                         [(12, 5)], (20.0, 5.0), n_replicates=19, alpha=0.1, seed=2)
+                         [(12, 5)], (20.0, 5.0), m=19, alpha=0.1, seed=2)
         meta = io.metadata_block({}, 2)
         doc = json.loads(io.aar_report_to_json(report, meta))
         assert list(doc) == ["metadata", "n_points", "threshold", "station",
@@ -841,13 +841,16 @@ class TestCli:
         ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]]}, "KeyError: 'split_index'"),
         ({"dims": [20, 20], "noise": {"name": "uniform"}}, "unknown noise model 'uniform'"),
         ({"dims": [20, 20], "noise": {"sigma": 0}}, "sigma must be positive"),
-        ({"dims": [20, "x"]}, "invalid literal for int()"),
+        ({"dims": [20, "x"]}, "dims must be [rows, cols] of positive integers, got [20, 'x']"),
         ({"dims": [20, 0]}, "dims must be [rows, cols] of positive integers"),
         ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]], "split_index": 1, "band": "huge"},
          "unknown band 'huge'"),
         ([20, 20], "the spec is not a JSON object"),
+        ({"dims": [8.7, 8]}, "dims must be [rows, cols] of positive integers, got [8.7, 8]"),
+        ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]], "split_index": 1.9},
+         "split_index must be an integer, got 1.9"),
     ], ids=["no-split-index", "noise-name", "noise-sigma", "dims-type", "dims-zero", "band",
-            "not-object"])
+            "not-object", "dims-float", "split-index-float"])
     def test_synth_bad_spec_fails_before_any_output(self, spec, message, tmp_path, capsys):
         spath = tmp_path / "spec.json"
         spath.write_text(json.dumps(spec))
@@ -857,6 +860,24 @@ class TestCli:
         assert f"spatial-link: error [io-cli]: bad synth spec {spath}: " in err
         assert message in err
         assert "spatial-link: hint: expected {\"dims\": [rows, cols]" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name, value, requirement", [
+        ("seed", 1.5, "an integer >= 0"),
+        ("seed", True, "an integer >= 0"),
+        ("max_len", 4.5, "an integer >= 2"),
+    ])
+    def test_synth_spec_setting_out_of_range_fails_before_any_output(
+        self, name, value, requirement, tmp_path, capsys
+    ):
+        spec = {"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]], "split_index": 1, name: value}
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps(spec))
+        out_dir = tmp_path / "inst"
+        rc, _, err = self.run(["synth", "--spec", str(spath), "--out-dir", str(out_dir)], capsys)
+        assert rc == 1
+        assert f"spatial-link: error [io-cli]: {name} must be {requirement}, got {value!r}" in err
+        assert f"spatial-link: hint: give the spec's {name} a value that is {requirement}" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("case", ["paths-without-paths", "node-without-row", "graph-list",
@@ -1101,6 +1122,10 @@ class TestCli:
     @pytest.mark.parametrize("name, value", [
         ("m", "nine"), ("m", 19.5), ("m", True), ("seed", 1.5), ("max_len", 4.0),
         ("threads", 2.0), ("dmax", True), ("dmax", float("inf")),
+        ("bh", "false"), ("share_null", "no"), ("sweep_bands", 1), ("source", 5),
+        ("target", ["t.raw"]), ("mask", 7), ("resample_source", ["a", 3]),
+        ("resample_source", [15.7, 16]), ("resample_source", [12, 0]),
+        ("resample_source", "12x12"), ("out_dir", 5),
     ])
     def test_config_setting_of_the_wrong_type_is_a_config_error(
         self, name, value, instance_files, tmp_path, capsys
@@ -1108,14 +1133,19 @@ class TestCli:
         requirement = {
             "m": "an integer >= 1", "seed": "an integer >= 0", "max_len": "an integer >= 2",
             "threads": "an integer >= 1", "dmax": "a finite number > 0",
+            "bh": "true or false", "share_null": "true or false", "sweep_bands": "true or false",
+            "source": "a string", "target": "a string", "out_dir": "a string",
+            "mask": "a string or null", "resample_source": "[rows, cols] of positive integers",
         }[name]
         spath, tpath = instance_files
         cpath = tmp_path / "config.json"
-        cpath.write_text(json.dumps({"source": spath, "target": tpath, name: value}))
-        rc, _, err = self.run(["pipeline", "--config", str(cpath),
-                               "--out-dir", str(tmp_path / "out")], capsys)
+        out_dir = str(tmp_path / "out")
+        cpath.write_text(json.dumps({"source": spath, "target": tpath, "out_dir": out_dir,
+                                     name: value}))
+        rc, _, err = self.run(["pipeline", "--config", str(cpath)], capsys)
         assert rc == 1
         assert f"spatial-link: error [io-cli]: {name} must be {requirement}, got {value!r}" in err
+        assert "spatial-link: hint: " in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -117,16 +117,16 @@ class TestGenerate:
         assert truth.cells == spec.chain_cells
         assert truth.split_index == spec.split_index
         assert truth.values == spec.chain_values
-        assert truth.source_cells == spec.chain_cells[:4]
-        assert truth.target_cells == spec.chain_cells[4:]
+        assert truth.cells[:truth.split_index] == spec.chain_cells[:4]
+        assert truth.cells[truth.split_index:] == spec.chain_cells[4:]
 
     def test_planted_values_written_to_designated_field(self):
         spec = spec_for()
         source, target, truth = generate(spec, dims=(20, 20))
-        for (r, c), v in zip(truth.source_cells, truth.values[:4]):
+        for (r, c), v in zip(truth.cells[:truth.split_index], truth.values[:4]):
             assert source.values[r, c] == v
             assert target.values[r, c] == abs(v)
-        for (r, c), v in zip(truth.target_cells, truth.values[4:]):
+        for (r, c), v in zip(truth.cells[truth.split_index:], truth.values[4:]):
             assert target.values[r, c] == v
             assert source.values[r, c] == abs(v)
 
@@ -139,8 +139,8 @@ class TestGenerate:
         bands_t = compute_threshold_bands(target, LOSS_NEGATIVE)
         src_sel = {(r, c) for r, c, _ in classify_cells(source, bands_s, band, KIND_SOURCE).cells}
         tgt_sel = {(r, c) for r, c, _ in classify_cells(target, bands_t, band, KIND_TARGET).cells}
-        assert set(truth.source_cells) <= src_sel
-        assert set(truth.target_cells) <= tgt_sel
+        assert set(truth.cells[:truth.split_index]) <= src_sel
+        assert set(truth.cells[truth.split_index:]) <= tgt_sel
 
     def test_opposite_field_never_qualifies_chain_cells(self):
         """Gain-signed writes keep chain cells out of the other field's bands."""
@@ -159,8 +159,8 @@ class TestGenerate:
                     source, compute_threshold_bands(source, LOSS_NEGATIVE), band, KIND_SOURCE
                 ).cells
             }
-            assert not (set(truth.source_cells) & tgt_sel)
-            assert not (set(truth.target_cells) & src_sel)
+            assert not (set(truth.cells[:truth.split_index]) & tgt_sel)
+            assert not (set(truth.cells[truth.split_index:]) & src_sel)
 
     def test_same_seed_reproduces_instance(self):
         a = generate(spec_for(seed=5), dims=(15, 15))
