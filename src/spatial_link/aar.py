@@ -24,10 +24,7 @@ from .graph import (
     delaunay_triangulate,
     edge_ok,
 )
-from .paths import (
-    DEFAULT_CAP, DEFAULT_MAX_NODES, enumerate_walks, terminal_hops, to_linkage_paths,
-    walks_within_cap,
-)
+from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, enumerate_walks, to_linkage_paths
 from .significance import DEFAULT_REPLICATES, PermutationNull, SeedPolicy, SignificanceResult
 
 KM_PER_DEGREE = 111.11
@@ -296,7 +293,6 @@ def snap_to_node(
 
 def station_path_significance(
     graph: SpatialGraph,
-    points: list[GeoPoint],
     values_grid: ChangeGrid,
     origin_ids,
     station_id: int,
@@ -313,35 +309,29 @@ def station_path_significance(
     at ``max_nodes`` nodes. A path's score is the fraction of its +1 edges:
     edges whose two endpoint values both reach the elevation threshold the
     graph was built with (``graph.params["threshold"]``). The null permutes
-    the value field over all its valid cells. Enumeration shares one budget
-    of ``cap`` paths across the origins and raises ``PathExplosion`` as soon
-    as it is passed, before any scoring.
+    the value field over all its valid cells; each node reads the cell its
+    graph node records. Enumeration shares one budget of ``cap`` paths
+    across the origins and raises ``PathExplosion`` as soon as it is
+    passed, before any scoring.
     """
     if not origin_ids:
         raise ValueError("origins must be non-empty")
     origins = sorted(set(int(o) for o in origin_ids) - {station_id})
-
-    hops = terminal_hops(graph.adjacency, {station_id})
-    walks = walks_within_cap(
-        lambda origin, limit: enumerate_walks(
-            graph.adjacency, origin, {station_id}, max_nodes, limit, hops
-        ),
-        origins,
-        cap,
+    walks = enumerate_walks(
+        graph.adjacency, origins, {station_id}, max_nodes, cap,
         hint="lower --max-len or --max-edge-km, or raise --cap",
     )
-    paths = to_linkage_paths(walks, graph.edge_weight)
-    if not paths:
+    if not walks:
         return []
     engine = PermutationNull.for_point_field(
         values_grid,
-        cells=[p.cell for p in points],
+        cells=[(n.row, n.col) for n in graph.nodes],
         threshold=graph.params["threshold"],
         policy=SeedPolicy(base_seed=seed),
         n_replicates=n_replicates,
         threads=threads,
     )
-    return engine.evaluate(paths, alpha=alpha)
+    return engine.evaluate(to_linkage_paths(walks, graph), alpha=alpha)
 
 
 @dataclass
@@ -436,7 +426,6 @@ def run_aar(
     if origin_ids:
         report.results = station_path_significance(
             graph,
-            points,
             values_grid,
             origin_ids,
             report.station_id,

@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 
 from . import __version__, io
 from .aar import run_aar
-from .errors import ConfigError, SpatialLinkError, reading
+from .errors import FINITE, INTEGER, ConfigError, SpatialLinkError, checked, is_number, reading
 from .graph import DEFAULT_MAX_EDGE_CELLS, METRICS, VARIANT_CMAD, VARIANT_STANDARD
 from .grid import (
     DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, RegionWindow, compute_threshold_bands,
@@ -29,9 +29,9 @@ from .grid import (
 from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, extract_all_paths
 from .pipeline import (
     RANGE_RULES, SCOPE_GLOBAL, SCOPE_WINDOW, RunConfig, build_band_graph, check_range,
-    is_dims, is_integer, prepare_grids, run_pipeline, score_paths,
+    is_dims, prepare_grids, run_pipeline, score_paths,
 )
-from .synthetic import NoiseModel, PlantSpec, chain_spec, generate, generate_null
+from .synthetic import DEFAULT_SIGMA, NoiseModel, PlantSpec, chain_spec, generate, generate_null
 
 ENV_THREADS = "SPATIAL_LINK_THREADS"
 _SYNTH_LAYOUT = (
@@ -216,25 +216,28 @@ def _synth_instance(doc, seed_flag: int | None):
     noise_doc = doc.get("noise", {})
     noise = NoiseModel(
         name=noise_doc.get("name", "gaussian"),
-        sigma=float(noise_doc.get("sigma", 1.0)),
-        mean=float(noise_doc.get("mean", 0.0)),
+        sigma=noise_doc.get("sigma", DEFAULT_SIGMA),
+        mean=noise_doc.get("mean", 0.0),
     )
     if "chain_cells" not in doc:
         return (seed, *generate_null(dims, noise, seed), None)
-    cells = tuple((int(r), int(c)) for r, c in doc["chain_cells"])
-    if not is_integer(doc["split_index"]):
-        raise ValueError(f"split_index must be an integer, got {doc['split_index']!r}")
+    cells = tuple(
+        (checked(r, "a chain cell row", INTEGER), checked(c, "a chain cell col", INTEGER))
+        for r, c in doc["chain_cells"]
+    )
     max_len = doc.get("max_len", DEFAULT_MAX_NODES)
     check_range("max_len", max_len, given_as="the spec's max_len")
     shared = dict(
-        split_index=doc["split_index"],
+        split_index=checked(doc["split_index"], "split_index", INTEGER),
         noise=noise,
         seed=seed,
-        max_spacing_cells=float(doc.get("max_spacing_cells", DEFAULT_MAX_EDGE_CELLS)),
+        max_spacing_cells=float(checked(
+            doc.get("max_spacing_cells", DEFAULT_MAX_EDGE_CELLS), "max_spacing_cells", FINITE
+        )),
         max_len=max_len,
     )
     if "chain_values" in doc:
-        values = tuple(float(v) for v in doc["chain_values"])
+        values = tuple(float(checked(v, "a chain value", FINITE)) for v in doc["chain_values"])
         spec = PlantSpec(chain_cells=cells, chain_values=values, **shared)
     else:
         spec = chain_spec(cells, band=doc.get("band", "moderate"), **shared)
@@ -278,13 +281,15 @@ def cmd_aar(args) -> int:
         for entry in doc["origins"] if isinstance(doc, dict) else doc:
             if isinstance(entry, dict) and "cell" in entry:
                 r, c = entry["cell"]
-                origins.append((int(r), int(c)))
+                r, c = checked(r, "a cell row", INTEGER), checked(c, "a cell col", INTEGER)
+                origins.append((r, c))
                 continue
             lat, lon = (entry["lat"], entry["lon"]) if isinstance(entry, dict) else entry
-            lat, lon = float(lat), float(lon)
+            if not (is_number(lat) and is_number(lon)):
+                raise ValueError(f"coordinate ({lat!r}, {lon!r}) is not two JSON numbers")
             if not math.isfinite(lat) or not math.isfinite(lon):
                 raise ValueError(f"coordinate ({lat:g}, {lon:g}) is not finite")
-            origins.append((lat, lon))
+            origins.append((float(lat), float(lon)))
     with reading(ConfigError, f"cannot parse station {args.station!r}", "give --station=LAT,LON"):
         st_lat, st_lon = (float(v) for v in args.station.split(","))
 

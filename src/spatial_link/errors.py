@@ -6,6 +6,8 @@ messages without inspecting exception types individually.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -98,3 +100,33 @@ def reading(error: type[SpatialLinkError], what: str, hint: str | None = None):
         yield
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise error(f"{what}: {type(exc).__name__}: {exc}", hint=hint) from exc
+
+
+def is_integer(v) -> bool:
+    """Is ``v`` an integer, as JSON writes one? A bool is not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """Is ``v`` a real number, as JSON writes one (NaN included)? A bool is not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def is_finite(v) -> bool:
+    return is_number(v) and math.isfinite(v)
+
+
+# (requirement, test) rules for ``checked``.
+INTEGER = ("an integer", is_integer)
+FINITE = ("a finite number", is_finite)
+
+
+def checked(value, what: str, rule: tuple):
+    """``value`` if it passes ``rule``'s test, else ``ValueError`` naming ``what``.
+
+    Inside ``reading`` the ``ValueError`` becomes that block's typed error.
+    """
+    requirement, test = rule
+    if not test(value):
+        raise ValueError(f"{what} must be {requirement}, got {value!r}")
+    return value

@@ -65,7 +65,8 @@ class SpatialGraph:
     resampling (variant, band intervals, orientations, distance cutoff).
 
     Node ids must be 0..n-1 in order, and each edge must join two distinct
-    nodes and appear once in either direction; ``ValueError`` otherwise.
+    nodes, appear once in either direction and weigh +1 or -1;
+    ``ValueError`` otherwise.
     """
 
     nodes: list[GraphNode]
@@ -87,6 +88,8 @@ class SpatialGraph:
                 problem = "joins a node to itself"
             elif (u, v) in weights:
                 problem = "repeats an edge listed before"
+            elif e.weight not in (1, -1):
+                problem = f"has weight {e.weight!r}; a weight is +1 or -1"
             else:
                 adjacency[u].append(v)
                 adjacency[v].append(u)

@@ -21,9 +21,11 @@ import numpy as np
 
 from . import __version__
 from .aar import AarReport
-from .errors import ConfigError, DimMismatch, MalformedHeader, reading
+from .errors import (
+    FINITE, INTEGER, ConfigError, DimMismatch, MalformedHeader, checked, is_integer, reading,
+)
 from .grid import ChangeGrid, GridRegistration
-from .graph import GraphEdge, GraphNode, SpatialGraph
+from .graph import KIND_SOURCE, KIND_TARGET, GraphEdge, GraphNode, SpatialGraph
 from .paths import LinkagePath, to_linkage_paths
 from .significance import SignificanceResult
 
@@ -132,7 +134,7 @@ def _load_grid_raw(payload_path: str, sidecar_path: str) -> ChangeGrid:
                 hint=f"required fields: {', '.join(_SIDECAR_KEYS)}",
             )
     rows, cols = doc["rows"], doc["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows <= 0 or cols <= 0:
+    if not (is_integer(rows) and is_integer(cols)) or rows <= 0 or cols <= 0:
         raise MalformedHeader(f"sidecar {sidecar_path} declares invalid dims {rows}x{cols}")
     with reading(MalformedHeader, f"sidecar {sidecar_path} has a bad registration"):
         registration = GridRegistration(**{key: float(doc[key]) for key in _REGISTRATION_KEYS})
@@ -332,27 +334,38 @@ _GRAPH_LAYOUT = (
 _PATHS_LAYOUT = 'expected {"paths": [{"nodes": [...], "edge_weights": [...], "score"}, ...]}'
 
 
+_KIND = ("'source' or 'target'", lambda v: v in (KIND_SOURCE, KIND_TARGET))
+_FLAG = ("true, false or absent", lambda v: v is None or isinstance(v, bool))
+
+
 def graph_from_json(doc: dict) -> SpatialGraph:
     """The graph of a graph.json document.
 
-    A document that breaks an invariant of ``SpatialGraph`` (node ids, edge
-    ends) raises ``MalformedHeader``, as a malformed one does.
+    Ids, rows, cols, edge ends and edge weights must be JSON integers,
+    values and distances finite JSON numbers, ``anomalous`` a bool or
+    absent, and ``kind`` source or target; nothing is converted. A
+    document that breaks one of these rules or an invariant of
+    ``SpatialGraph`` (node ids, edge ends, +1/-1 weights) raises
+    ``MalformedHeader``, as a malformed one does.
     """
     with reading(MalformedHeader, "malformed graph document", _GRAPH_LAYOUT):
         nodes = [
             GraphNode(
-                id=int(n["id"]),
-                row=int(n["row"]),
-                col=int(n["col"]),
-                kind=n["kind"],
-                value=float(n["value"]),
-                anomalous=n.get("anomalous"),
+                id=checked(n["id"], "node id", INTEGER),
+                row=checked(n["row"], "node row", INTEGER),
+                col=checked(n["col"], "node col", INTEGER),
+                kind=checked(n["kind"], "node kind", _KIND),
+                value=float(checked(n["value"], "node value", FINITE)),
+                anomalous=checked(n.get("anomalous"), "node anomalous", _FLAG),
             )
             for n in doc["nodes"]
         ]
         edges = [
             GraphEdge(
-                u=int(e["u"]), v=int(e["v"]), weight=int(e["weight"]), distance=float(e["distance"])
+                u=checked(e["u"], "edge u", INTEGER),
+                v=checked(e["v"], "edge v", INTEGER),
+                weight=checked(e["weight"], "edge weight", INTEGER),
+                distance=float(checked(e["distance"], "edge distance", FINITE)),
             )
             for e in doc["edges"]
         ]
@@ -375,16 +388,18 @@ def paths_to_json(paths: list[LinkagePath], graph: SpatialGraph, metadata: dict)
 def paths_from_json(doc: dict, graph: SpatialGraph) -> list[LinkagePath]:
     """The paths of a paths.json document, each rebuilt from its walk on ``graph``.
 
-    Raises ``DimMismatch`` when a walk names a node outside the graph, has
-    fewer than two nodes or steps off an edge, or when the document's edge
-    weights and score are not the ones the graph gives the walk.
+    Node ids and edge weights must be JSON integers and the score a finite
+    JSON number (``MalformedHeader`` otherwise). Raises ``DimMismatch`` when
+    a walk names a node outside the graph, has fewer than two nodes or
+    steps off an edge, or when the document's edge weights and score are
+    not the ones the graph gives the walk.
     """
     with reading(MalformedHeader, "malformed paths document", _PATHS_LAYOUT):
         recorded = [
             LinkagePath(
-                nodes=tuple(int(i) for i in p["nodes"]),
-                edge_weights=tuple(int(w) for w in p["edge_weights"]),
-                score=float(p["score"]),
+                nodes=tuple(checked(i, "path node", INTEGER) for i in p["nodes"]),
+                edge_weights=tuple(checked(w, "edge weight", INTEGER) for w in p["edge_weights"]),
+                score=float(checked(p["score"], "path score", FINITE)),
             )
             for p in doc["paths"]
         ]
@@ -402,7 +417,7 @@ def paths_from_json(doc: dict, graph: SpatialGraph) -> list[LinkagePath]:
                 f"path {k} is {list(path.nodes)}; a path needs two or more nodes", hint=hint
             )
     try:
-        paths = to_linkage_paths([path.nodes for path in recorded], graph.edge_weight)
+        paths = to_linkage_paths([path.nodes for path in recorded], graph)
     except KeyError as exc:
         u, v = exc.args[0]
         raise DimMismatch(

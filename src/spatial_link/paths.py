@@ -2,18 +2,18 @@
 
 A candidate path starts at a source node, walks distinct nodes, and
 terminates at the first target node it reaches, so target nodes never
-appear in a path interior. Enumeration is breadth-first with the
-frontier expanded in ascending node-id order, giving a deterministic
-path list independent of hash seeds. A walk is not extended once no
-target lies within the nodes it has left. Sources are walked in id
-order, in one thread, against one running path cap.
+appear in a path interior. One walker, ``enumerate_walks``, serves both
+modes: it walks each start breadth-first, in one thread, against one
+running path cap, and returns the walks sorted, so the path list is
+deterministic and independent of hash seeds. A walk is not extended once
+no target lies within the nodes it has left.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def path_score(edge_weights: tuple[int, ...] | list[int]) -> float:
     return positive / len(edge_weights)
 
 
-def terminal_hops(adjacency: list[list[int]], terminal: frozenset[int] | set[int]) -> list[float]:
+def _terminal_hops(adjacency: list[list[int]], terminal: frozenset[int] | set[int]) -> list[float]:
     """Fewest edges from each node to a terminal node (infinity if none is reachable).
 
     A breadth-first search from all terminals at once; a shortest route
@@ -68,77 +68,58 @@ def terminal_hops(adjacency: list[list[int]], terminal: frozenset[int] | set[int
 
 def enumerate_walks(
     adjacency: list[list[int]],
-    start: int,
+    starts: Iterable[int],
     terminal: frozenset[int] | set[int],
     max_nodes: int,
-    limit: int | None = None,
-    hops: list[float] | None = None,
+    cap: int = DEFAULT_CAP,
+    hint: str | None = None,
 ) -> list[tuple[int, ...]]:
-    """Breadth-first enumeration of simple walks ending on a terminal node.
+    """Every simple walk from a start to the first terminal node it reaches, sorted.
 
-    Walks are extended in ascending neighbor-id order, never revisit a
-    node, never pass through a terminal node, and carry at most
-    ``max_nodes`` nodes. The start node must not itself be terminal.
-    Results come back in breadth-first emission order. With ``limit``
-    set, the walk stops as soon as it has found more than ``limit``
-    walks and returns those, a prefix of the unlimited result.
+    Each start is walked breadth-first, in the order given, with neighbours
+    in ascending id order. A walk never revisits a node, never passes
+    through a terminal node and carries at most ``max_nodes`` nodes; no
+    start may itself be terminal. A walk never steps to a node with no
+    terminal within the nodes it has left, as such a walk never ends.
 
-    ``hops`` is ``terminal_hops(adjacency, terminal)``, computed when
-    omitted. A walk never steps to a node with no terminal within the
-    nodes it has left; such walks never end, so the result is unchanged.
+    All starts share one budget: ``PathExplosion`` (carrying ``hint``) is
+    raised the moment the walks found pass ``cap``, so at most ``cap + 1``
+    are ever held.
     """
+    if cap <= 0:
+        raise ValueError("cap must be positive")
     if max_nodes < 2:
         raise ValueError("max_nodes must allow at least one edge")
-    if start in terminal:
-        raise ValueError(f"start node {start} is a terminal node")
-    if hops is None:
-        hops = terminal_hops(adjacency, terminal)
+    hops = _terminal_hops(adjacency, terminal)
     out: list[tuple[int, ...]] = []
-    queue: deque[tuple[int, ...]] = deque([(start,)])
-    while queue:
-        walk = queue.popleft()
-        seen = set(walk)
-        left = max_nodes - 1 - len(walk)
-        for nbr in adjacency[walk[-1]]:
-            if nbr in seen or hops[nbr] > left:
-                continue
-            if nbr in terminal:
-                out.append(walk + (nbr,))
-                if limit is not None and len(out) > limit:
-                    return out
-            else:
-                queue.append(walk + (nbr,))
+    for start in starts:
+        if start in terminal:
+            raise ValueError(f"start node {start} is a terminal node")
+        queue: deque[tuple[int, ...]] = deque([(start,)])
+        while queue:
+            walk = queue.popleft()
+            seen = set(walk)
+            left = max_nodes - 1 - len(walk)
+            for nbr in adjacency[walk[-1]]:
+                if nbr in seen or hops[nbr] > left:
+                    continue
+                if nbr in terminal:
+                    out.append(walk + (nbr,))
+                    if len(out) > cap:
+                        raise PathExplosion(
+                            f"path enumeration passed the cap of {cap} paths", hint=hint
+                        )
+                else:
+                    queue.append(walk + (nbr,))
+    out.sort()
     return out
 
 
-def walks_within_cap(
-    walks_from: Callable[[int, int], list[tuple[int, ...]]],
-    starts: Iterable[int],
-    cap: int,
-    hint: str,
-) -> list[tuple[int, ...]]:
-    """Walks from each start in turn, sorted, under one budget of ``cap``.
-
-    ``walks_from(start, limit)`` may stop once it has more than ``limit``
-    walks; it is given what the cap leaves, so at most ``cap + 1`` walks
-    are held before ``PathExplosion`` is raised.
-    """
-    walks: list[tuple[int, ...]] = []
-    for start in starts:
-        walks.extend(walks_from(start, cap - len(walks)))
-        if len(walks) > cap:
-            raise PathExplosion(f"path enumeration passed the cap of {cap} paths", hint=hint)
-    walks.sort()
-    return walks
-
-
-def to_linkage_paths(
-    walks: list[tuple[int, ...]], weight: Callable[[int, int], int]
-) -> list[LinkagePath]:
-    """Turn node walks into paths, weighting each step with ``weight(u, v)``."""
+def to_linkage_paths(walks: list[tuple[int, ...]], graph: SpatialGraph) -> list[LinkagePath]:
+    """Turn node walks into paths, weighting each step with the graph's edge weight."""
     paths = []
     for walk in walks:
-        weights = tuple(map(weight, walk[:-1], walk[1:]))
+        weights = tuple(map(graph.edge_weight, walk[:-1], walk[1:]))
         paths.append(LinkagePath(nodes=walk, edge_weights=weights, score=path_score(weights)))
     return paths
 
@@ -158,17 +139,15 @@ def extract_all_paths(
     compatibility and unused: the walk is pure Python, so threads only
     contend for the interpreter lock.
     """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    targets = frozenset(graph.nodes_of_kind(KIND_TARGET))
-    hops = terminal_hops(graph.adjacency, targets)
-    walks = walks_within_cap(
-        lambda src, limit: enumerate_walks(graph.adjacency, src, targets, max_nodes, limit, hops),
+    walks = enumerate_walks(
+        graph.adjacency,
         graph.nodes_of_kind(KIND_SOURCE),
+        frozenset(graph.nodes_of_kind(KIND_TARGET)),
+        max_nodes,
         cap,
         hint="lower --max-len or --dmax, tighten the bands, or raise --cap",
     )
-    return to_linkage_paths(walks, graph.edge_weight)
+    return to_linkage_paths(walks, graph)
 
 
 def linkage_frequency(

@@ -9,8 +9,6 @@ for all nine band pairings into per-pairing subdirectories.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -18,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io
-from .errors import ConfigError, DimMismatch, EmptySide
+from .errors import ConfigError, DimMismatch, EmptySide, is_finite, is_integer
 from .grid import (
     BANDS, DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, ChangeGrid,
     RegionWindow, ThresholdBands, classify_cells, compute_threshold_bands, crop_region,
@@ -38,17 +36,9 @@ SCOPE_WINDOW = "window"
 SCOPE_GLOBAL = "global"
 
 
-def is_integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def is_dims(v) -> bool:
     """Is ``v`` a [rows, cols] pair of positive integers?"""
     return isinstance(v, (list, tuple)) and len(v) == 2 and all(is_integer(d) and d > 0 for d in v)
-
-
-def _is_finite(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 _SWITCH = ("true or false", lambda v: isinstance(v, bool))
@@ -66,18 +56,18 @@ RANGE_RULES = {
     "share_null": _SWITCH,
     "bh": _SWITCH,
     "sweep_bands": _SWITCH,
-    "dmax": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
+    "dmax": ("a finite number > 0", lambda v: is_finite(v) and v > 0),
     "max_len": ("an integer >= 2", lambda v: is_integer(v) and v >= 2),
     "cap": ("an integer > 0", lambda v: is_integer(v) and v > 0),
     "m": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
-    "alpha": ("a number strictly between 0 and 1", lambda v: _is_finite(v) and 0 < v < 1),
+    "alpha": ("a number strictly between 0 and 1", lambda v: is_finite(v) and 0 < v < 1),
     "threads": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
     "seed": ("an integer >= 0", lambda v: is_integer(v) and v >= 0),
-    "ub_multiplier": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
-    "max_edge_km": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
-    "snap_km": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
-    "min_extent_km": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
-    "threshold": ("a finite number", _is_finite),
+    "ub_multiplier": ("a finite number >= 0", lambda v: is_finite(v) and v >= 0),
+    "max_edge_km": ("a finite number > 0", lambda v: is_finite(v) and v > 0),
+    "snap_km": ("a finite number > 0", lambda v: is_finite(v) and v > 0),
+    "min_extent_km": ("a finite number >= 0", lambda v: is_finite(v) and v >= 0),
+    "threshold": ("a finite number", is_finite),
 }
 
 

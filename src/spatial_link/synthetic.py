@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChainViolation
+from .errors import FINITE, ChainViolation, checked
 from .graph import DEFAULT_MAX_EDGE_CELLS
 from .grid import (
     BAND_ANOMALOUS,
@@ -44,6 +44,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.name != "gaussian":
             raise ValueError(f"unknown noise model {self.name!r}")
+        checked(self.sigma, "sigma", FINITE)
+        checked(self.mean, "mean", FINITE)
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 

@@ -377,13 +377,12 @@ class TestStationPaths:
         cells = [(i, 0) for i in range(n)]
         values, mask = point_grids((10, 10), cells, value=value, background=0.0)
         pts = elevated_points(values, mask)
-        g = build_aar_graph(pts, max_edge_km=250.0)
-        return g, pts, values
+        return build_aar_graph(pts, max_edge_km=250.0), values
 
     def test_single_path_chain_significance(self):
-        g, pts, values = self.chain_setup()
+        g, values = self.chain_setup()
         (res,) = station_path_significance(
-            g, pts, values, origin_ids=[0], station_id=5, n_replicates=999, seed=3
+            g, values, origin_ids=[0], station_id=5, n_replicates=999, seed=3
         )
         assert res.path.nodes == (0, 1, 2, 3, 4, 5)
         assert res.observed == 1.0
@@ -399,7 +398,7 @@ class TestStationPaths:
         g = build_aar_graph(pts, max_edge_km=250.0, threshold=6.0)
         assert {e.weight for e in g.edges} == {-1}
         (res,) = station_path_significance(
-            g, pts, values, origin_ids=[0], station_id=5, n_replicates=49,
+            g, values, origin_ids=[0], station_id=5, n_replicates=49,
         )
         assert res.observed == 0.0
         assert res.p_value == 1.0
@@ -413,21 +412,29 @@ class TestStationPaths:
         g = build_aar_graph(pts, max_edge_km=250.0)
         assert pts[0].cell == (0, 0) and pts[2].cell == (1, 0) and pts[7].cell == (3, 8)
         results = station_path_significance(
-            g, pts, values, origin_ids=[0, 2], station_id=7, n_replicates=9
+            g, values, origin_ids=[0, 2], station_id=7, n_replicates=9
         )
         assert results == []
 
     def test_origin_equal_to_station_is_dropped(self):
-        g, pts, values = self.chain_setup()
+        g, values = self.chain_setup()
         results = station_path_significance(
-            g, pts, values, origin_ids=[5], station_id=5, n_replicates=9
+            g, values, origin_ids=[5], station_id=5, n_replicates=9
         )
         assert results == []
 
     def test_origins_required(self):
-        g, pts, values = self.chain_setup()
+        g, values = self.chain_setup()
         with pytest.raises(ValueError):
-            station_path_significance(g, pts, values, origin_ids=[], station_id=5)
+            station_path_significance(g, values, origin_ids=[], station_id=5)
+
+    def test_node_cells_come_from_the_graph(self):
+        """A node with no grid cell is named by the null, not a raw TypeError."""
+        values, _ = point_grids((10, 10), [(i, 0) for i in range(3)], background=0.0)
+        pts = [GeoPoint(lat=float(i), lon=0.5, value=5.0) for i in range(3)]
+        g = build_aar_graph(pts, max_edge_km=250.0)
+        with pytest.raises(DimMismatch, match=r"graph node 0 at cell \(-1, -1\) lies outside"):
+            station_path_significance(g, values, origin_ids=[0], station_id=2, n_replicates=9)
 
     def test_cap_stops_enumeration_before_scoring(self, monkeypatch):
         # A two-column ladder: many walks from each origin to the station.
@@ -435,24 +442,25 @@ class TestStationPaths:
         values, mask = point_grids((10, 10), cells, background=0.0)
         pts = elevated_points(values, mask)
         g = build_aar_graph(pts, max_edge_km=250.0)
-        found = []
+        calls = []
 
         def counted(*args, **kwargs):
-            walks = enumerate_walks(*args, **kwargs)
-            found.append(len(walks))
-            return walks
+            calls.append(args)
+            return enumerate_walks(*args, **kwargs)
 
         def no_scoring(*args, **kwargs):
             pytest.fail("the null was built although the cap was passed")
 
         monkeypatch.setattr(aar, "enumerate_walks", counted)
         monkeypatch.setattr(aar.PermutationNull, "for_point_field", no_scoring)
-        with pytest.raises(PathExplosion, match="cap of 3"):
+        with pytest.raises(PathExplosion, match="cap of 3") as info:
             station_path_significance(
-                g, pts, values, origin_ids=list(range(11)), station_id=11,
+                g, values, origin_ids=list(range(11)), station_id=11,
                 max_nodes=6, n_replicates=9, cap=3,
             )
-        assert sum(found) == 4
+        assert "--cap" in info.value.hint
+        # One walk over all origins, looked up through aar's module global.
+        assert len(calls) == 1 and calls[0][1] == list(range(11))
 
 
 class TestRunAar:

@@ -332,3 +332,9 @@ class TestSpatialGraphType:
                  for k, i in enumerate(ids)]
         with pytest.raises(ValueError, match=message):
             SpatialGraph(nodes=nodes, edges=[GraphEdge(u, v, 1, 1.0) for u, v in edges])
+
+    @pytest.mark.parametrize("weight", [0, 7, -2, 0.5])
+    def test_rejects_a_weight_other_than_plus_or_minus_one(self, weight):
+        nodes = [GraphNode(id=k, row=k, col=0, kind="source", value=-1.0) for k in range(2)]
+        with pytest.raises(ValueError, match=rf"edge \(0, 1\) has weight {weight}; a weight is"):
+            SpatialGraph(nodes=nodes, edges=[GraphEdge(0, 1, weight, 1.0)])

@@ -243,6 +243,30 @@ class TestGraphJson:
             io.graph_from_json(doc)
         assert info.value.hint.startswith('expected {"params"')
 
+    @pytest.mark.parametrize("node, edge, message", [
+        ({"row": 4.7}, {}, "node row must be an integer, got 4.7"),
+        ({"col": "1"}, {}, "node col must be an integer, got '1'"),
+        ({"id": True}, {}, "node id must be an integer, got True"),
+        ({"value": "-1.0"}, {}, "node value must be a finite number, got '-1.0'"),
+        ({"value": float("nan")}, {}, "node value must be a finite number, got nan"),
+        ({"kind": "sink"}, {}, "node kind must be 'source' or 'target', got 'sink'"),
+        ({"anomalous": 1}, {}, "node anomalous must be true, false or absent, got 1"),
+        ({}, {"v": 1.9}, "edge v must be an integer, got 1.9"),
+        ({}, {"weight": 0.5}, "edge weight must be an integer, got 0.5"),
+        ({}, {"weight": 7}, r"edge \(0, 1\) has weight 7; a weight is \+1 or -1"),
+        ({}, {"distance": True}, "edge distance must be a finite number, got True"),
+    ], ids=["row-float", "col-string", "id-bool", "value-string", "value-nan", "kind-sink",
+            "anomalous-int", "v-float", "weight-float", "weight-seven", "distance-bool"])
+    def test_fields_are_not_coerced(self, node, edge, message):
+        nodes = [{"id": k, "row": k, "col": 0, "kind": KIND_SOURCE, "value": -1.0}
+                 for k in range(2)]
+        nodes[1].update(kind=KIND_TARGET)
+        nodes[0].update(node)
+        doc = {"nodes": nodes, "edges": [{"u": 0, "v": 1, "weight": 1, "distance": 1.0, **edge}]}
+        with pytest.raises(MalformedHeader, match=message) as info:
+            io.graph_from_json(doc)
+        assert info.value.hint.startswith('expected {"params"')
+
     def test_node_ids_not_in_order(self):
         nodes = [{"id": k, "row": k, "col": 0, "kind": KIND_SOURCE, "value": -1.0}
                  for k in (0, 2, 1)]
@@ -275,6 +299,22 @@ class TestPathsJson:
                            "not an edge of the graph") as info:
             io.paths_from_json(doc, graph)
         assert info.value.hint.startswith("extract the paths from this graph")
+
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"nodes": [0.2, 1]}, "path node must be an integer, got 0.2"),
+        ({"nodes": [0, True]}, "path node must be an integer, got True"),
+        ({"edge_weights": [1.0]}, "edge weight must be an integer, got 1.0"),
+        ({"score": "1.0"}, "path score must be a finite number, got '1.0'"),
+    ], ids=["node-float", "node-bool", "weight-float", "score-string"])
+    def test_fields_are_not_coerced(self, entry, message):
+        graph, _, _ = small_graph()
+        u, v = graph.edges[0].u, graph.edges[0].v
+        w = graph.edges[0].weight
+        doc = {"paths": [{"nodes": [u, v], "edge_weights": [w], "score": 1.0 * (w > 0), **entry}]}
+        with pytest.raises(MalformedHeader, match=message) as info:
+            io.paths_from_json(doc, graph)
+        assert info.value.hint.startswith('expected {"paths"')
 
 
 class TestResultsJson:
@@ -839,6 +879,18 @@ class TestCli:
 
     @pytest.mark.parametrize("spec, message", [
         ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]]}, "KeyError: 'split_index'"),
+        ({"dims": [20, 20], "chain_cells": [[4.7, 4], [4, 5.9]], "split_index": 1},
+         "a chain cell row must be an integer, got 4.7"),
+        ({"dims": [20, 20], "chain_cells": [[4, 4], [4, "5"]], "split_index": 1},
+         "a chain cell col must be an integer, got '5'"),
+        ({"dims": [20, 20], "noise": {"sigma": "2"}}, "sigma must be a finite number, got '2'"),
+        ({"dims": [20, 20], "noise": {"sigma": float("nan")}},
+         "sigma must be a finite number, got nan"),
+        ({"dims": [20, 20], "noise": {"mean": True}}, "mean must be a finite number, got True"),
+        ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]], "split_index": 1,
+          "chain_values": [-1.0, "-1.0"]}, "a chain value must be a finite number, got '-1.0'"),
+        ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]], "split_index": 1,
+          "max_spacing_cells": "3"}, "max_spacing_cells must be a finite number, got '3'"),
         ({"dims": [20, 20], "noise": {"name": "uniform"}}, "unknown noise model 'uniform'"),
         ({"dims": [20, 20], "noise": {"sigma": 0}}, "sigma must be positive"),
         ({"dims": [20, "x"]}, "dims must be [rows, cols] of positive integers, got [20, 'x']"),
@@ -849,8 +901,9 @@ class TestCli:
         ({"dims": [8.7, 8]}, "dims must be [rows, cols] of positive integers, got [8.7, 8]"),
         ({"dims": [20, 20], "chain_cells": [[4, 4], [4, 5]], "split_index": 1.9},
          "split_index must be an integer, got 1.9"),
-    ], ids=["no-split-index", "noise-name", "noise-sigma", "dims-type", "dims-zero", "band",
-            "not-object", "dims-float", "split-index-float"])
+    ], ids=["no-split-index", "cell-float", "cell-string", "sigma-string", "sigma-nan",
+            "mean-bool", "chain-value-string", "spacing-string", "noise-name", "noise-sigma",
+            "dims-type", "dims-zero", "band", "not-object", "dims-float", "split-index-float"])
     def test_synth_bad_spec_fails_before_any_output(self, spec, message, tmp_path, capsys):
         spath = tmp_path / "spec.json"
         spath.write_text(json.dumps(spec))
@@ -1020,6 +1073,24 @@ class TestCli:
         assert (f"spatial-link: error [io-cli]: bad origin entry in {tmp_path / 'origins.json'}: "
                 f"ValueError: coordinate {shown} is not finite") in err
         assert "in finite degrees" in err
+        assert "Traceback" not in err
+        assert not rpath.exists()
+
+    @pytest.mark.parametrize("entry, shown", [
+        ('{"cell": [5.7, 0.2]}', "a cell row must be an integer, got 5.7"),
+        ('{"cell": [5, true]}', "a cell col must be an integer, got True"),
+        ('["-68.75", "-60"]', "coordinate ('-68.75', '-60') is not two JSON numbers"),
+        ('{"lat": true, "lon": -60}', "coordinate (True, -60) is not two JSON numbers"),
+    ], ids=["cell-float", "cell-bool", "lat-lon-strings", "lat-bool"])
+    def test_origin_is_not_coerced(self, entry, shown, tmp_path, capsys):
+        argv = self.southern_row(tmp_path, lon0=-70.0)
+        (tmp_path / "origins.json").write_text(f'[{{"cell": [5, 0]}}, {entry}]')
+        rpath = tmp_path / "report.json"
+        rc, _, err = self.run(argv + ["--station=-68.75,-60", "--min-extent-km", "100",
+                                      "--max-len", "40", "--m", "19", "-o", str(rpath)], capsys)
+        assert rc == 1
+        assert (f"spatial-link: error [io-cli]: bad origin entry in {tmp_path / 'origins.json'}: "
+                f"ValueError: {shown}") in err
         assert "Traceback" not in err
         assert not rpath.exists()
 

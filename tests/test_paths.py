@@ -64,11 +64,11 @@ def random_graph(rng) -> SpatialGraph:
 
 def walks_from(g: SpatialGraph, start: int, max_nodes: int) -> list[tuple[int, ...]]:
     """Every bounded walk from ``start`` to the first target it reaches."""
-    return enumerate_walks(g.adjacency, start, frozenset(g.nodes_of_kind(KIND_TARGET)), max_nodes)
+    return enumerate_walks(g.adjacency, [start], frozenset(g.nodes_of_kind(KIND_TARGET)), max_nodes)
 
 
 class TestBfsPaths:
-    """Breadth-first walks from one source node (``enumerate_walks``)."""
+    """Walks from one source node (``enumerate_walks``)."""
 
     def test_three_node_chain(self):
         g = make_graph(3, [(0, 1), (1, 2)], target_ids=[2])
@@ -157,14 +157,21 @@ def clique(n=10) -> SpatialGraph:
 
 
 class TestCap:
-    def test_limit_returns_a_prefix_of_at_most_limit_plus_one_walks(self):
+    def test_every_cap_below_the_total_raises(self):
         g = clique()
-        full = enumerate_walks(g.adjacency, 0, {9}, 6)
+        starts = [0, 3, 5]
+        full = enumerate_walks(g.adjacency, starts, {9}, 6)
         assert len(full) > 100
-        for limit in (0, 1, 7, 100, len(full) - 1, len(full), len(full) + 5):
-            got = enumerate_walks(g.adjacency, 0, {9}, 6, limit=limit)
-            assert len(got) == min(limit + 1, len(full))
-            assert got == full[: len(got)]
+        for cap in (1, 7, 100, len(full) - 1):
+            with pytest.raises(PathExplosion, match=f"cap of {cap} paths") as info:
+                enumerate_walks(g.adjacency, starts, {9}, 6, cap=cap, hint="raise the cap")
+            assert info.value.hint == "raise the cap"
+        for cap in (len(full), len(full) + 5):
+            assert enumerate_walks(g.adjacency, starts, {9}, 6, cap=cap) == full
+
+    def test_cap_must_be_positive(self):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            enumerate_walks([[1], [0]], [0], {1}, 3, cap=0)
 
     def test_cap_is_inclusive(self):
         g = clique(6)
@@ -211,7 +218,7 @@ class TestScores:
         g = make_graph(
             3, [(0, 1), (1, 2)], target_ids=[2], weights={(0, 1): 1, (1, 2): -1}
         )
-        (path,) = to_linkage_paths(walks_from(g, 0, max_nodes=3), g.edge_weight)
+        (path,) = to_linkage_paths(walks_from(g, 0, max_nodes=3), g)
         assert path.edge_weights == (1, -1)
         assert path.score == pytest.approx(0.5)
         assert path.score == path_score(path.edge_weights)
@@ -274,7 +281,7 @@ class TestPrune:
         assert graph.adjacency.reads <= 4 * graph.n_nodes
 
     def test_walks_and_their_order_match_the_oracle(self):
-        """Breadth-first order is by node count, then by node sequence."""
+        """Each start's walks come back sorted by node sequence."""
         rng = np.random.default_rng(71)
         for _ in range(60):
             g = random_graph(rng)
@@ -282,15 +289,15 @@ class TestPrune:
             max_nodes = int(rng.integers(2, 7))
             for start in g.nodes_of_kind("source"):
                 expected = brute_force_paths(g.adjacency, [start], targets, max_nodes)
-                got = enumerate_walks(g.adjacency, start, targets, max_nodes)
-                assert got == sorted(expected, key=lambda walk: (len(walk), walk))
+                got = enumerate_walks(g.adjacency, [start], targets, max_nodes)
+                assert got == sorted(expected)
 
 
 class TestEnumerateWalks:
     def test_start_cannot_be_terminal(self):
         with pytest.raises(ValueError):
-            enumerate_walks([[1], [0]], start=0, terminal={0, 1}, max_nodes=3)
+            enumerate_walks([[1], [0]], starts=[0], terminal={0, 1}, max_nodes=3)
 
     def test_max_nodes_must_allow_an_edge(self):
         with pytest.raises(ValueError):
-            enumerate_walks([[1], [0]], start=0, terminal={1}, max_nodes=1)
+            enumerate_walks([[1], [0]], starts=[0], terminal={1}, max_nodes=1)

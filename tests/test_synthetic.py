@@ -39,6 +39,14 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(sigma=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", float("nan")), ("sigma", float("inf")), ("sigma", "2"),
+        ("mean", float("nan")), ("mean", True),
+    ])
+    def test_sigma_and_mean_are_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            NoiseModel(**{field: value})
+
     def test_moments(self):
         """Sample mean and sd of a large draw sit within 3 standard errors."""
         n = 200 * 200
