@@ -17,15 +17,10 @@ import numpy as np
 from .errors import DimMismatch, EmptySide, MalformedHeader, StationUnreachable
 from .grid import ChangeGrid
 from .graph import (
-    VARIANT_THRESHOLD,
-    GraphEdge,
-    GraphNode,
-    SpatialGraph,
-    delaunay_triangulate,
-    edge_ok,
+    KIND_POINT, NODE_KINDS, VARIANT_THRESHOLD, SpatialGraph, delaunay_triangulate, edge_ok,
 )
-from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, enumerate_walks, to_linkage_paths
-from .significance import DEFAULT_REPLICATES, PermutationNull, SeedPolicy, SignificanceResult
+from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, enumerate_walks
+from .significance import DEFAULT_REPLICATES, PermutationNull, Results, SeedPolicy
 
 KM_PER_DEGREE = 111.11
 DEFAULT_MAX_EDGE_KM = 250.0
@@ -36,8 +31,6 @@ DEFAULT_AAR_ALPHA = 0.005
 EXTENT_BLOCK_PAIRS = 1 << 18
 # Margin of the extent upper bound over the rounding of one distance.
 _BOUND_MARGIN = 1e-9
-
-KIND_POINT = "point"
 
 
 @dataclass(frozen=True)
@@ -142,28 +135,21 @@ def build_aar_graph(
             f"point graph needs at least 2 points, got {len(points)}",
             hint="check the elevation mask",
         )
-    if threshold is None:
-        threshold = min(p.value for p in points)
-    raw = delaunay_triangulate([(p.lat, p.lon) for p in points])
     lats, lons = _coords(points)
-    u, v = np.asarray(raw, dtype=np.int64).T
-    dists = _equirect_km(lats[u], lons[u], lats[v], lons[v]).tolist()
-    elevated = np.asarray([p.value for p in points]) >= threshold
-    weights = np.where(edge_ok(VARIANT_THRESHOLD, elevated[u], elevated[v]), 1, -1).tolist()
-    edges = [
-        GraphEdge(u=i, v=j, weight=w, distance=d)
-        for (i, j), d, w in zip(raw, dists, weights)
-        if d <= max_edge_km
-    ]
-    nodes = [
-        GraphNode(id=k, row=p.cell[0] if p.cell else -1, col=p.cell[1] if p.cell else -1,
-                  kind=KIND_POINT, value=p.value)
-        for k, p in enumerate(points)
-    ]
-    return SpatialGraph(
-        nodes=nodes,
-        edges=edges,
-        params={"variant": "aar", "max_edge_km": float(max_edge_km), "threshold": float(threshold)},
+    values = np.asarray([p.value for p in points], dtype=np.float64)
+    if threshold is None:
+        threshold = values.min().item()
+    u, v = np.asarray(delaunay_triangulate(np.column_stack([lats, lons])), dtype=np.int64).T
+    dists = _equirect_km(lats[u], lons[u], lats[v], lons[v])
+    keep = dists <= max_edge_km
+    u, v = u[keep], v[keep]
+    elevated = values >= threshold
+    cells = np.asarray([p.cell or (-1, -1) for p in points], dtype=np.int64)
+    return SpatialGraph.from_arrays(
+        cells[:, 0], cells[:, 1], np.full(len(points), NODE_KINDS.index(KIND_POINT)), values,
+        np.full(len(points), -1), u, v,
+        np.where(edge_ok(VARIANT_THRESHOLD, elevated[u], elevated[v]), 1, -1), dists[keep],
+        {"variant": "aar", "max_edge_km": float(max_edge_km), "threshold": float(threshold)},
     )
 
 
@@ -176,7 +162,8 @@ def connected_components(
     retained only when its extent strictly exceeds ``min_extent_km``.
     """
     n = graph.n_nodes
-    seen = np.zeros(n, dtype=bool)
+    indptr, indices = graph.csr.indptr.tolist(), graph.csr.indices.tolist()
+    seen = [False] * n
     components = []
     for start in range(n):
         if seen[start]:
@@ -187,7 +174,7 @@ def connected_components(
         while stack:
             u = stack.pop()
             members.append(u)
-            for v in graph.adjacency[u]:
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)
@@ -302,7 +289,7 @@ def station_path_significance(
     seed: int = 0,
     threads: int = 1,
     cap: int = DEFAULT_CAP,
-) -> list[SignificanceResult]:
+) -> Results:
     """Significance of origin-to-station paths under the permutation null.
 
     Candidate paths run from each origin node to the station node, bounded
@@ -317,21 +304,21 @@ def station_path_significance(
     if not origin_ids:
         raise ValueError("origins must be non-empty")
     origins = sorted(set(int(o) for o in origin_ids) - {station_id})
-    walks = enumerate_walks(
-        graph.adjacency, origins, {station_id}, max_nodes, cap,
+    paths = enumerate_walks(
+        graph.csr, origins, {station_id}, max_nodes, cap,
         hint="lower --max-len or --max-edge-km, or raise --cap",
     )
-    if not walks:
-        return []
+    if not paths:
+        return Results.of([])
     engine = PermutationNull.for_point_field(
         values_grid,
-        cells=[(n.row, n.col) for n in graph.nodes],
+        cells=np.column_stack([graph.row, graph.col]),
         threshold=graph.params["threshold"],
         policy=SeedPolicy(base_seed=seed),
         n_replicates=n_replicates,
         threads=threads,
     )
-    return engine.evaluate(to_linkage_paths(walks, graph), alpha=alpha)
+    return engine.evaluate(paths, alpha=alpha)
 
 
 @dataclass
@@ -345,7 +332,7 @@ class AarReport:
     graph: SpatialGraph
     components: list[AarComponent]
     station_id: int | None
-    results: list[SignificanceResult] = field(default_factory=list)
+    results: Results | list = field(default_factory=list)
     dropped_origins: list = field(default_factory=list)
 
 

@@ -177,7 +177,7 @@ def cmd_significance(args) -> int:
     echo.update((name, getattr(config, name)) for name in NULL_FIELDS)
     metadata = io.metadata_block(echo, config.seed)
     io.write_json(io.results_to_json(results, metadata), args.output)
-    n_sig = sum(1 for r in results if r.significant)
+    n_sig = int(results.significant.sum())
     print(f"significance: {n_sig}/{len(results)} paths at alpha={config.alpha} -> {args.output}")
     return 0
 

@@ -118,6 +118,7 @@ def is_finite(v) -> bool:
 
 # (requirement, test) rules for ``checked``.
 INTEGER = ("an integer", is_integer)
+NUMBER = ("a number", is_number)
 FINITE = ("a finite number", is_finite)
 
 

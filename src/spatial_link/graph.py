@@ -10,8 +10,9 @@ before handing them to the triangulator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
@@ -29,6 +30,9 @@ METRIC_CHEBYSHEV = "chebyshev"
 METRICS = (METRIC_EUCLIDEAN, METRIC_CHEBYSHEV)
 # Delaunay edges longer than this many grid cells are dropped.
 DEFAULT_MAX_EDGE_CELLS = 11.0
+# The kind of an aar node; ``SpatialGraph.kind`` indexes NODE_KINDS.
+KIND_POINT = "point"
+NODE_KINDS = (KIND_SOURCE, KIND_TARGET, KIND_POINT)
 
 
 @dataclass(frozen=True)
@@ -55,66 +59,147 @@ class GraphEdge:
     distance: float
 
 
-@dataclass
-class SpatialGraph:
-    """Undirected weighted graph over qualified cells.
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions ``starts[i] .. starts[i] + lengths[i] - 1`` of every range, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
-    ``adjacency[i]`` lists the neighbor ids of node i in ascending order,
-    which fixes the expansion order of every traversal. ``params`` echoes
-    the construction settings needed to rebuild edge weights during null
-    resampling (variant, band intervals, orientations, distance cutoff).
+
+class Adjacency(Sequence):
+    """CSR adjacency, read as a sequence of neighbour lists.
+
+    Node i's neighbours, in ascending id order, are
+    ``indices[indptr[i]:indptr[i + 1]]``; ``weight[s]`` is the weight of
+    the edge in slot ``s``.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, weight: np.ndarray):
+        self.indptr, self.indices, self.weight = indptr, indices, weight
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, i: int) -> list[int]:
+        return self.indices[self.indptr[i] : self.indptr[i + 1]].tolist()
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """Each slot's key ``node * n + neighbour``, ascending, then ``n * n`` above them all."""
+        n = len(self)
+        return np.append(np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices, n * n)
+
+    def slots(self, a, b) -> np.ndarray:
+        """The slot of each step ``a[k] -> b[k]``, or -1 where it is not an edge."""
+        a, b, n = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64), len(self)
+        inside = (a >= 0) & (a < n) & (b >= 0) & (b < n)
+        # A step off the nodes looks for n * n, the key that ends the slots.
+        want = np.where(inside, a * n + b, n * n)
+        pos = np.searchsorted(self._keys, want)
+        return np.where(inside & (self._keys[pos] == want), pos, -1)
+
+
+class SpatialGraph:
+    """Undirected weighted graph over qualified cells, held as arrays.
+
+    Per node: ``row``, ``col``, ``kind`` (an index into ``NODE_KINDS``),
+    ``value`` and ``anomalous`` (1, 0, or -1 when absent). Per edge, in the
+    order given (sorted by (u, v) in a built graph): ``u``, ``v``,
+    ``weight``, ``distance``. ``csr`` (also ``adjacency``) holds each
+    node's neighbours and each slot's edge weight; ``nodes`` and ``edges``
+    are views built on first read. ``params`` echoes the construction
+    settings needed to rebuild edge weights during null resampling.
 
     Node ids must be 0..n-1 in order, and each edge must join two distinct
     nodes, appear once in either direction and weigh +1 or -1;
-    ``ValueError`` otherwise.
+    ``ValueError`` names the first node or edge that does not.
     """
 
-    nodes: list[GraphNode]
-    edges: list[GraphEdge]
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        n = len(self.nodes)
-        for k, node in enumerate(self.nodes):
+    def __init__(self, nodes=(), edges=(), params: dict | None = None):
+        for k, node in enumerate(nodes):
             if node.id != k:
                 raise ValueError(f"node {k} has id {node.id}; ids must be 0..n-1 in order")
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        weights: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            u, v = e.u, e.v
-            if not (0 <= u < n and 0 <= v < n):
-                problem = f"names a node outside 0..{n - 1}"
-            elif u == v:
-                problem = "joins a node to itself"
-            elif (u, v) in weights:
-                problem = "repeats an edge listed before"
-            elif e.weight not in (1, -1):
-                problem = f"has weight {e.weight!r}; a weight is +1 or -1"
-            else:
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-                weights[(u, v)] = weights[(v, u)] = e.weight
-                continue
-            raise ValueError(f"edge ({u}, {v}) {problem}")
-        for nbrs in adjacency:
-            nbrs.sort()
-        self.adjacency = adjacency
-        self._weights = weights
+        flags = {None: -1, False: 0, True: 1}
+        self._set_arrays(
+            [n.row for n in nodes], [n.col for n in nodes],
+            [NODE_KINDS.index(n.kind) for n in nodes], [n.value for n in nodes],
+            [flags[n.anomalous] for n in nodes], [e.u for e in edges], [e.v for e in edges],
+            [e.weight for e in edges], [e.distance for e in edges], params,
+        )
+
+    @classmethod
+    def from_arrays(cls, row, col, kind, value, anomalous, u, v, weight, distance, params=None):
+        """The graph of these node and edge columns, checked as the constructor checks."""
+        graph = cls.__new__(cls)
+        graph._set_arrays(row, col, kind, value, anomalous, u, v, weight, distance, params)
+        return graph
+
+    def _set_arrays(self, row, col, kind, value, anomalous, u, v, weight, distance, params):
+        self.row, self.col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
+        self.kind, self.anomalous = np.asarray(kind, np.int8), np.asarray(anomalous, np.int8)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.params = dict(params or {})
+        n, u, v = len(self.row), np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        weight = np.asarray(weight)
+        repeated = np.ones(len(u), dtype=bool)
+        repeated[np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)[1]] = False
+        # Each invariant is tested on every edge at once; the first edge
+        # that breaks any is named with the first it breaks.
+        problems = {
+            f"names a node outside 0..{n - 1}": (u < 0) | (u >= n) | (v < 0) | (v >= n),
+            "joins a node to itself": u == v,
+            "repeats an edge listed before": repeated,
+            "has weight {!r}; a weight is +1 or -1": ~np.isin(weight, (1, -1)),
+        }
+        bad = np.flatnonzero(np.logical_or.reduce(list(problems.values())))
+        if bad.size:
+            k = int(bad[0])
+            problem = next(text for text, flag in problems.items() if flag[k])
+            raise ValueError(f"edge ({u[k]}, {v[k]}) " + problem.format(weight[k].item()))
+        self.u, self.v, self.weight = u, v, weight.astype(np.int8)
+        self.distance = np.asarray(distance, dtype=np.float64)
+        ends, others = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.lexsort((others, ends))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+        self.csr = self.adjacency = Adjacency(indptr, others[order], np.tile(self.weight, 2)[order])
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.row)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.u)
+
+    @cached_property
+    def nodes(self) -> list[GraphNode]:
+        columns = (self.row, self.col, self.kind, self.value, self.anomalous)
+        return [
+            GraphNode(k, r, c, NODE_KINDS[t], value, (None, False, True)[a + 1])
+            for k, (r, c, t, value, a) in enumerate(zip(*(a.tolist() for a in columns)))
+        ]
+
+    @cached_property
+    def edges(self) -> list[GraphEdge]:
+        columns = (self.u, self.v, self.weight, self.distance)
+        return list(map(GraphEdge, *(a.tolist() for a in columns)))
+
+    @cached_property
+    def cells(self) -> list[tuple[int, int]]:
+        return list(zip(self.row.tolist(), self.col.tolist()))
 
     def edge_weight(self, u: int, v: int) -> int:
         """Weight of the edge (u, v); ``KeyError`` when there is no such edge."""
-        return self._weights[(u, v)]
+        (slot,) = self.csr.slots([u], [v])
+        if slot < 0:
+            raise KeyError((u, v))
+        return int(self.csr.weight[slot])
 
     def nodes_of_kind(self, kind: str) -> list[int]:
-        return [n.id for n in self.nodes if n.kind == kind]
+        return np.flatnonzero(self.kind == NODE_KINDS.index(kind)).tolist()
 
 
 def _pairwise_distance(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
@@ -177,8 +262,9 @@ def delaunay_triangulate(points: Sequence[tuple[float, float]]) -> list[tuple[in
         except QhullError as exc:  # pragma: no cover - guarded by _collinear
             raise ValueError(f"triangulation failed: {exc}") from exc
         sides = tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    edges = np.unique(np.sort(order[sides], axis=1), axis=0)
-    return [(a, b) for a, b in edges.tolist()]
+    ends = order[sides]
+    lo, hi = np.divmod(np.unique(ends.min(axis=1) * n + ends.max(axis=1)), n)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def filter_edges_by_distance(
@@ -194,9 +280,10 @@ def filter_edges_by_distance(
     if max_dist <= 0:
         raise ValueError("max_dist must be positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    dists = _pairwise_distance(pts[ends[:, 0]], pts[ends[:, 1]], metric).tolist()
-    return [(i, j, d) for (i, j), d in zip(edges, dists) if d <= max_dist]
+    i, j = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    dists = _pairwise_distance(pts[i], pts[j], metric)
+    keep = dists <= max_dist
+    return list(zip(i[keep].tolist(), j[keep].tolist(), dists[keep].tolist()))
 
 
 def edge_ok(variant: str, state_u, state_v):
@@ -257,44 +344,40 @@ def build_graph(
                 hint="crop the mask with the same window as the grids",
             )
 
-    by_cell: dict[tuple[int, int], tuple[str, float]] = {}
-    for r, c, v in source_cells.cells:
-        by_cell[(r, c)] = (KIND_SOURCE, v)
-    for r, c, v in target_cells.cells:
-        # Target precedence on dual-qualified cells.
-        by_cell[(r, c)] = (KIND_TARGET, v)
+    cells = np.asarray(source_cells.cells + target_cells.cells, dtype=np.float64).reshape(-1, 3)
+    rows, cols = cells[:, 0].astype(np.int64), cells[:, 1].astype(np.int64)
+    target = np.arange(len(cells)) >= len(source_cells.cells)
+    # Node ids follow (row, col) order; of the entries of one cell the last
+    # is kept, a target entry coming after every source entry.
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    last = np.append((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]), True)
+    keep = order[last]
+    rows, cols, target, values = rows[last], cols[last], target[keep], cells[keep, 2]
 
-    ordered = sorted(by_cell.items())
-    nodes = []
-    for node_id, ((r, c), (kind, value)) in enumerate(ordered):
-        anomalous = None
-        if mask is not None and kind == KIND_SOURCE:
-            if not (0 <= r < mask.shape[0] and 0 <= c < mask.shape[1]):
-                raise MaskDimMismatch(
-                    f"source cell ({r}, {c}) lies outside the anomaly mask of shape {mask.shape}"
-                )
-            anomalous = bool(mask[r, c])
-        nodes.append(
-            GraphNode(id=node_id, row=r, col=c, kind=kind, value=value, anomalous=anomalous)
-        )
+    anomalous = np.full(len(rows), -1, dtype=np.int8)
+    if mask is not None:
+        src = np.flatnonzero(~target)
+        r, c = rows[src], cols[src]
+        off = np.flatnonzero((r < 0) | (r >= mask.shape[0]) | (c < 0) | (c >= mask.shape[1]))
+        if off.size:
+            raise MaskDimMismatch(
+                f"source cell ({r[off[0]]}, {c[off[0]]}) lies outside the anomaly mask "
+                f"of shape {mask.shape}"
+            )
+        anomalous[src] = mask[r, c]
 
-    points = [(n.row, n.col) for n in nodes]
-    edges: list[GraphEdge] = []
-    if len(points) >= 2:
+    u = v = dists = np.zeros(0, dtype=np.int64)
+    if len(rows) >= 2:
+        points = np.column_stack([rows, cols])
         raw = delaunay_triangulate(points)
         kept = filter_edges_by_distance(raw, points, max_edge_cells, metric)
-        # One state per node: its sign, or (cmad) whether it qualifies,
-        # which every target node and every anomalous source node does.
-        if variant == VARIANT_CMAD:
-            state = np.asarray([n.kind == KIND_TARGET or n.anomalous for n in nodes])
-        else:
-            state = np.sign([n.value for n in nodes])
-        u, v = np.asarray([(i, j) for i, j, _ in kept], dtype=np.int64).reshape(-1, 2).T
-        weights = np.where(edge_ok(variant, state[u], state[v]), 1, -1).tolist()
-        edges = [
-            GraphEdge(u=i, v=j, weight=w, distance=d)
-            for (i, j, d), w in zip(kept, weights)
-        ]
+        if kept:
+            u, v, dists = map(np.asarray, zip(*kept))
+    # One state per node: its sign, or (cmad) whether it qualifies, which
+    # every target node and every anomalous source node does.
+    state = target | (anomalous == 1) if variant == VARIANT_CMAD else np.sign(values)
+    weights = np.where(edge_ok(variant, state[u], state[v]), 1, -1)
 
     graph_params = {
         "variant": variant,
@@ -305,4 +388,6 @@ def build_graph(
     }
     if params:
         graph_params.update(params)
-    return SpatialGraph(nodes=nodes, edges=edges, params=graph_params)
+    return SpatialGraph.from_arrays(
+        rows, cols, target.astype(np.int8), values, anomalous, u, v, weights, dists, graph_params
+    )

@@ -22,12 +22,13 @@ import numpy as np
 from . import __version__
 from .aar import AarReport
 from .errors import (
-    FINITE, INTEGER, ConfigError, DimMismatch, MalformedHeader, checked, is_integer, reading,
+    FINITE, INTEGER, NUMBER, ConfigError, DimMismatch, MalformedHeader, checked, is_integer,
+    reading,
 )
 from .grid import ChangeGrid, GridRegistration
-from .graph import KIND_SOURCE, KIND_TARGET, GraphEdge, GraphNode, SpatialGraph
-from .paths import LinkagePath, to_linkage_paths
-from .significance import SignificanceResult
+from .graph import KIND_SOURCE, KIND_TARGET, NODE_KINDS, GraphEdge, GraphNode, SpatialGraph
+from .paths import LinkagePath, PathStore, to_linkage_paths
+from .significance import Results
 
 TOOL_NAME = "spatial-link"
 NULL_MODEL = "field-permutation"
@@ -127,17 +128,17 @@ def save_grid(grid: ChangeGrid, path: str) -> None:
 
 def _load_grid_raw(payload_path: str, sidecar_path: str) -> ChangeGrid:
     doc = read_json(sidecar_path)
+    hint = f"required fields: {', '.join(_SIDECAR_KEYS)}; the registration fields are numbers"
     for key in _SIDECAR_KEYS:
         if key not in doc:
-            raise MalformedHeader(
-                f"sidecar {sidecar_path} is missing the {key!r} field",
-                hint=f"required fields: {', '.join(_SIDECAR_KEYS)}",
-            )
+            raise MalformedHeader(f"sidecar {sidecar_path} is missing the {key!r} field", hint)
     rows, cols = doc["rows"], doc["cols"]
     if not (is_integer(rows) and is_integer(cols)) or rows <= 0 or cols <= 0:
         raise MalformedHeader(f"sidecar {sidecar_path} declares invalid dims {rows}x{cols}")
-    with reading(MalformedHeader, f"sidecar {sidecar_path} has a bad registration"):
-        registration = GridRegistration(**{key: float(doc[key]) for key in _REGISTRATION_KEYS})
+    with reading(MalformedHeader, f"sidecar {sidecar_path} has a bad registration", hint):
+        registration = GridRegistration(
+            **{key: float(checked(doc[key], key, NUMBER)) for key in _REGISTRATION_KEYS}
+        )
 
     try:
         payload = np.fromfile(payload_path, dtype="<f4")
@@ -193,7 +194,10 @@ def _load_grid_csv(path: str) -> ChangeGrid:
                 with reading(MalformedHeader, f"{path}:{lineno}: bad record {fields}"):
                     r, c = int(fields[0]), int(fields[1])
                     v = float(fields[2])
-                    ok = bool(int(fields[3])) if len(fields) > 3 else True
+                    valid = fields[3].strip() if len(fields) > 3 else "1"
+                    if valid not in ("0", "1"):
+                        raise ValueError(f"valid must be 0 or 1, got {fields[3]!r}")
+                    ok = valid == "1"
                 if r < 0 or c < 0:
                     raise MalformedHeader(f"{path}:{lineno}: negative cell index ({r}, {c})")
                 entries.append((r, c, v, ok))
@@ -284,8 +288,18 @@ class _Fragments(dict):
         return text
 
 
-def _field_list(fragments: _Fragments, keys) -> str:
-    return _array(map(fragments.__getitem__, keys), _FIELD)
+def _runs(items: list[str], offsets: list[int], indent: str = _FIELD) -> list[str]:
+    """``_array`` of each run ``items[offsets[k]:offsets[k + 1]]``, closed at ``indent``."""
+    sep = f",\n{indent}  "
+    return [
+        f"[\n{indent}  {sep.join(items[a:b])}\n{indent}]" if a < b else "[]"
+        for a, b in zip(offsets, offsets[1:])
+    ]
+
+
+def _node_lists(paths: PathStore) -> list[str]:
+    ids = _Fragments(str)
+    return _runs(list(map(ids.__getitem__, paths.nodes.tolist())), paths.offsets.tolist())
 
 
 def _document(head: dict, **arrays: str) -> str:
@@ -299,26 +313,26 @@ def _document(head: dict, **arrays: str) -> str:
 
 def _cells(graph: SpatialGraph) -> _Fragments:
     """Each node's ``[row, col]`` as an item of a row's list field, or as that field."""
-
-    def cell(i: int) -> str:
-        return _ints((graph.nodes[i].row, graph.nodes[i].col), _FIELD + "  ")
-
-    return _Fragments(cell)
+    return _Fragments(lambda i: _ints(graph.cells[i], _FIELD + "  "))
 
 
 def graph_to_json(graph: SpatialGraph, metadata: dict) -> str:
-    kinds = _Fragments(json.dumps)
+    kinds = [json.dumps(kind) for kind in NODE_KINDS]
+    flags = ("", ',\n      "anomalous": false', ',\n      "anomalous": true')
     nodes = [
-        f'{{\n      "id": {n.id},\n      "row": {n.row},\n      "col": {n.col},\n'
-        f'      "kind": {kinds[n.kind]},\n      "value": {_float(n.value)}'
-        + ("" if n.anomalous is None else f',\n      "anomalous": {_bool(n.anomalous)}')
-        + "\n    }"
-        for n in graph.nodes
+        f'{{\n      "id": {k},\n      "row": {r},\n      "col": {c},\n'
+        f'      "kind": {kinds[t]},\n      "value": {_float(value)}{flags[a + 1]}\n    }}'
+        for k, (r, c, t, value, a) in enumerate(zip(
+            graph.row.tolist(), graph.col.tolist(), graph.kind.tolist(), graph.value.tolist(),
+            graph.anomalous.tolist(),
+        ))
     ]
     edges = [
-        f'{{\n      "u": {e.u},\n      "v": {e.v},\n      "weight": {e.weight},\n'
-        f'      "distance": {_float(e.distance)}\n    }}'
-        for e in graph.edges
+        f'{{\n      "u": {u},\n      "v": {v},\n      "weight": {w},\n'
+        f'      "distance": {_float(d)}\n    }}'
+        for u, v, w, d in zip(
+            graph.u.tolist(), graph.v.tolist(), graph.weight.tolist(), graph.distance.tolist()
+        )
     ]
     return _document(
         {"metadata": metadata, "params": graph.params},
@@ -372,20 +386,25 @@ def graph_from_json(doc: dict) -> SpatialGraph:
         return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
 
 
-def paths_to_json(paths: list[LinkagePath], graph: SpatialGraph, metadata: dict) -> str:
-    ids, cells = _Fragments(str), _cells(graph)
-    weights = _Fragments(lambda w: _ints(w, _FIELD))
+def paths_to_json(paths: PathStore, graph: SpatialGraph, metadata: dict) -> str:
+    """paths.json of a path store, or of a list of paths."""
+    paths, cells = PathStore.of(paths), _cells(graph)
+    # A path's step weights, as bytes, key the text of its weight list.
+    weights = _Fragments(lambda key: _ints(np.frombuffer(key, np.int8).tolist(), _FIELD))
+    steps, step_bytes = paths.step_offsets().tolist(), paths.edge_weights.tobytes()
     rows = [
-        f'{{\n      "nodes": {_field_list(ids, p.nodes)},\n'
-        f'      "cells": {_field_list(cells, p.nodes)},\n'
-        f'      "edge_weights": {weights[p.edge_weights]},\n'
-        f'      "score": {_float(p.score)}\n    }}'
-        for p in paths
+        f'{{\n      "nodes": {nodes},\n      "cells": {node_cells},\n'
+        f'      "edge_weights": {weights[step_bytes[a:b]]},\n      "score": {_float(score)}\n    }}'
+        for nodes, node_cells, a, b, score in zip(
+            _node_lists(paths),
+            _runs(list(map(cells.__getitem__, paths.nodes.tolist())), paths.offsets.tolist()),
+            steps, steps[1:], paths.scores.tolist(),
+        )
     ]
     return _document({"metadata": metadata}, paths=_array(rows, "  "))
 
 
-def paths_from_json(doc: dict, graph: SpatialGraph) -> list[LinkagePath]:
+def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
     """The paths of a paths.json document, each rebuilt from its walk on ``graph``.
 
     Node ids and edge weights must be JSON integers and the score a finite
@@ -434,18 +453,21 @@ def paths_from_json(doc: dict, graph: SpatialGraph) -> list[LinkagePath]:
     return paths
 
 
-def _result_rows(results: list[SignificanceResult]) -> str:
-    ids = _Fragments(str)
+def _result_rows(results: Results) -> str:
+    results = Results.of(results)
     rows = [
-        f'{{\n      "path_index": {k},\n      "nodes": {_field_list(ids, r.path.nodes)},\n'
-        f'      "observed": {_float(r.observed)},\n      "p_value": {_float(r.p_value)},\n'
-        f'      "significant": {_bool(r.significant)},\n      "alpha": {_float(r.alpha)}\n    }}'
-        for k, r in enumerate(results)
+        f'{{\n      "path_index": {k},\n      "nodes": {nodes},\n'
+        f'      "observed": {_float(observed)},\n      "p_value": {_float(p)},\n'
+        f'      "significant": {_bool(significant)},\n      "alpha": {_float(alpha)}\n    }}'
+        for k, (nodes, observed, p, significant, alpha) in enumerate(zip(
+            _node_lists(results.paths), results.observed.tolist(), results.p_values.tolist(),
+            results.significant.tolist(), results.alpha.tolist(),
+        ))
     ]
     return _array(rows, "  ")
 
 
-def results_to_json(results: list[SignificanceResult], metadata: dict) -> str:
+def results_to_json(results: Results, metadata: dict) -> str:
     return _document({"metadata": metadata}, results=_result_rows(results))
 
 
@@ -480,7 +502,7 @@ def aar_report_to_json(report: AarReport, metadata: dict) -> str:
 
 
 def export_geojson(
-    significant: list[SignificanceResult],
+    significant: Results,
     graph: SpatialGraph,
     registration: GridRegistration,
     metadata: dict,
@@ -490,19 +512,24 @@ def export_geojson(
     Each path becomes a LineString of (lon, lat) cell centers ordered from
     the source end to the target end.
     """
+    significant = Results.of(significant)
+
     def lon_lat(i: int) -> str:
-        lat, lon = registration.cell_center(graph.nodes[i].row, graph.nodes[i].col)
+        lat, lon = registration.cell_center(*graph.cells[i])
         return _array((_float(lon), _float(lat)), _FIELD + "    ")
 
     coords, cells = _Fragments(lon_lat), _cells(graph)
+    ids, offsets = significant.paths.nodes.tolist(), significant.paths.offsets.tolist()
     features = [
         f'{{\n      "type": "Feature",\n      "geometry": {{\n        "type": "LineString",\n'
-        f'        "coordinates": {_array(map(coords.__getitem__, r.path.nodes), _FIELD + "  ")}'
-        f'\n      }},\n      "properties": {{\n        "score": {_float(r.observed)},\n'
-        f'        "p_value": {_float(r.p_value)},\n'
-        f'        "source_cell": {cells[r.path.nodes[0]]},\n'
-        f'        "target_cell": {cells[r.path.nodes[-1]]}\n      }}\n    }}'
-        for r in significant
+        f'        "coordinates": {line}\n      }},\n      "properties": {{\n'
+        f'        "score": {_float(observed)},\n        "p_value": {_float(p)},\n'
+        f'        "source_cell": {cells[ids[a]]},\n'
+        f'        "target_cell": {cells[ids[b - 1]]}\n      }}\n    }}'
+        for line, a, b, observed, p in zip(
+            _runs(list(map(coords.__getitem__, ids)), offsets, _FIELD + "  "), offsets,
+            offsets[1:], significant.observed.tolist(), significant.p_values.tolist(),
+        )
     ]
     return _document(
         {"type": "FeatureCollection", "metadata": metadata}, features=_array(features, "  ")

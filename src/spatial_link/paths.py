@@ -3,25 +3,28 @@
 A candidate path starts at a source node, walks distinct nodes, and
 terminates at the first target node it reaches, so target nodes never
 appear in a path interior. One walker, ``enumerate_walks``, serves both
-modes: it walks each start breadth-first, in one thread, against one
-running path cap, and returns the walks sorted, so the path list is
-deterministic and independent of hash seeds. A walk is not extended once
-no target lies within the nodes it has left.
+modes: it walks the starts a block at a time over the graph's CSR
+adjacency, level by level, against one running path cap, and returns a
+``PathStore`` sorted by node sequence, so the path list is deterministic
+and independent of hash seeds. A walk is not extended once no target lies
+within the nodes it has left.
 """
 from __future__ import annotations
 
-import math
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .errors import PathExplosion
-from .graph import KIND_SOURCE, KIND_TARGET, SpatialGraph
+from .graph import KIND_SOURCE, KIND_TARGET, Adjacency, SpatialGraph, ranges
 
 DEFAULT_MAX_NODES = 11
 DEFAULT_CAP = 1_000_000
+# Starts walked together; their frontier of unfinished walks is held at once.
+WALK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -49,79 +52,184 @@ def path_score(edge_weights: tuple[int, ...] | list[int]) -> float:
     return positive / len(edge_weights)
 
 
-def _terminal_hops(adjacency: list[list[int]], terminal: frozenset[int] | set[int]) -> list[float]:
-    """Fewest edges from each node to a terminal node (infinity if none is reachable).
+def _split(flat: list, offsets: list[int]) -> list[tuple]:
+    return [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+
+def steps(offsets: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (from, to) nodes of each step of the walks ``nodes[offsets[k]:offsets[k + 1]]``."""
+    at = ranges(offsets[:-1], np.diff(offsets) - 1)
+    return nodes[at], nodes[at + 1]
+
+
+@dataclass(eq=False)
+class PathStore(Sequence):
+    """Paths as arrays; its items are ``LinkagePath`` views, built on read.
+
+    Path k visits ``nodes[offsets[k]:offsets[k + 1]]``, takes the steps
+    ``edge_weights[offsets[k] - k:offsets[k + 1] - k - 1]`` and scores
+    ``scores[k]``. A slice is a list of views. A store equals any sequence
+    of the same paths, or of the same walks as node tuples.
+    """
+
+    offsets: np.ndarray
+    nodes: np.ndarray
+    edge_weights: np.ndarray
+    scores: np.ndarray
+
+    @classmethod
+    def weighted(cls, offsets, nodes, edge_weights) -> "PathStore":
+        """The store of these walks and step weights, each scored by ``path_score``'s rule."""
+        n_steps = np.diff(offsets) - 1
+        if (n_steps < 1).any():
+            raise ValueError("a path must traverse at least one edge")
+        positive = np.concatenate([[0], np.cumsum(edge_weights > 0)])
+        scores = np.diff(positive[offsets - np.arange(len(offsets))]) / n_steps
+        return cls(offsets, nodes, edge_weights.astype(np.int8), scores)
+
+    @classmethod
+    def of(cls, paths) -> "PathStore":
+        """``paths`` as a store: itself if it is one, else built from its ``LinkagePath`` items."""
+        if isinstance(paths, PathStore):
+            return paths
+        paths = list(paths)
+        return cls(
+            np.cumsum([0] + [len(p.nodes) for p in paths]),
+            np.fromiter(chain.from_iterable(p.nodes for p in paths), np.int64),
+            np.fromiter(chain.from_iterable(p.edge_weights for p in paths), np.int8),
+            np.asarray([p.score for p in paths], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def step_offsets(self) -> np.ndarray:
+        return self.offsets - np.arange(len(self.offsets))
+
+    def __iter__(self):
+        weights = _split(self.edge_weights.tolist(), self.step_offsets().tolist())
+        walks = _split(self.nodes.tolist(), self.offsets.tolist())
+        return map(LinkagePath, walks, weights, self.scores.tolist())
+
+    def __getitem__(self, index):
+        picked = list(self.take(np.arange(len(self))[index].reshape(-1)))
+        return picked if isinstance(index, slice) else picked[0]
+
+    def take(self, index) -> "PathStore":
+        """The store of the paths at ``index`` (positions or a boolean mask), in that order."""
+        index = np.arange(len(self))[index]
+        lengths = np.diff(self.offsets)[index]
+        return PathStore(
+            np.concatenate([[0], np.cumsum(lengths)]),
+            self.nodes[ranges(self.offsets[index], lengths)],
+            self.edge_weights[ranges(self.step_offsets()[index], lengths - 1)],
+            self.scores[index],
+        )
+
+    def __eq__(self, other) -> bool:
+        other = list(other)
+        return len(other) == len(self) and all(
+            (path.nodes if isinstance(item, tuple) else path) == item
+            for path, item in zip(self, other)
+        )
+
+
+def _terminal_hops(adjacency: Adjacency, terminal: np.ndarray, within: int) -> np.ndarray:
+    """Fewest edges from each node to a terminal node, or ``within + 1`` if more.
 
     A breadth-first search from all terminals at once; a shortest route
     never passes through a terminal, as that nearer one would end it.
     """
-    hops = [0 if node in terminal else math.inf for node in range(len(adjacency))]
-    queue = deque(terminal)
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if hops[v] == math.inf:
-                hops[v] = hops[u] + 1
-                queue.append(v)
+    hops = np.full(len(adjacency), within + 1, dtype=np.int64)
+    frontier = np.flatnonzero(terminal)
+    for level in range(within + 1):
+        hops[frontier] = level
+        first = adjacency.indptr[frontier]
+        reached = adjacency.indices[ranges(first, adjacency.indptr[frontier + 1] - first)]
+        frontier = np.unique(reached[hops[reached] > within])
     return hops
 
 
 def enumerate_walks(
-    adjacency: list[list[int]],
+    adjacency: Adjacency,
     starts: Iterable[int],
-    terminal: frozenset[int] | set[int],
+    terminal: Iterable[int],
     max_nodes: int,
     cap: int = DEFAULT_CAP,
     hint: str | None = None,
-) -> list[tuple[int, ...]]:
+) -> PathStore:
     """Every simple walk from a start to the first terminal node it reaches, sorted.
 
-    Each start is walked breadth-first, in the order given, with neighbours
-    in ascending id order. A walk never revisits a node, never passes
-    through a terminal node and carries at most ``max_nodes`` nodes; no
-    start may itself be terminal. A walk never steps to a node with no
-    terminal within the nodes it has left, as such a walk never ends.
+    A walk never revisits a node, never passes through a terminal node and
+    carries at most ``max_nodes`` nodes; no start may itself be terminal. A
+    walk never steps to a node with no terminal within the nodes it has
+    left, as such a walk never ends. Each step carries its CSR slot, which
+    gives its edge weight.
 
-    All starts share one budget: ``PathExplosion`` (carrying ``hint``) is
-    raised the moment the walks found pass ``cap``, so at most ``cap + 1``
-    are ever held.
+    The starts are walked ``WALK_BLOCK`` at a time, each block level by
+    level, so only one block's frontier of unfinished walks is held. All
+    starts share one budget: ``PathExplosion`` (carrying ``hint``) is
+    raised at the level where the walks found pass ``cap``.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
     if max_nodes < 2:
         raise ValueError("max_nodes must allow at least one edge")
-    hops = _terminal_hops(adjacency, terminal)
-    out: list[tuple[int, ...]] = []
-    for start in starts:
-        if start in terminal:
-            raise ValueError(f"start node {start} is a terminal node")
-        queue: deque[tuple[int, ...]] = deque([(start,)])
-        while queue:
-            walk = queue.popleft()
-            seen = set(walk)
-            left = max_nodes - 1 - len(walk)
-            for nbr in adjacency[walk[-1]]:
-                if nbr in seen or hops[nbr] > left:
-                    continue
-                if nbr in terminal:
-                    out.append(walk + (nbr,))
-                    if len(out) > cap:
-                        raise PathExplosion(
-                            f"path enumeration passed the cap of {cap} paths", hint=hint
-                        )
-                else:
-                    queue.append(walk + (nbr,))
-    out.sort()
-    return out
+    starts = np.fromiter(starts, dtype=np.int64)
+    is_terminal = np.zeros(len(adjacency), dtype=bool)
+    is_terminal[np.fromiter(terminal, dtype=np.int64)] = True
+    if is_terminal[starts].any():
+        raise ValueError(f"start node {starts[np.argmax(is_terminal[starts])]} is a terminal node")
+    hops = _terminal_hops(adjacency, is_terminal, max_nodes - 1)
+    starts = starts[hops[starts] < max_nodes]
+    # Walks and their step slots, padded with -1 to max_nodes nodes.
+    found = [(np.zeros((0, max_nodes), np.int64), np.zeros((0, max_nodes - 1), np.int64))]
+    total = 0
+    for at in range(0, len(starts), WALK_BLOCK):
+        block = starts[at : at + WALK_BLOCK]
+        walks = np.full((len(block), max_nodes), -1)
+        slots = np.full((len(block), max_nodes - 1), -1)
+        walks[:, 0] = block
+        for depth in range(1, max_nodes):
+            first = adjacency.indptr[walks[:, depth - 1]]
+            degree = adjacency.indptr[walks[:, depth - 1] + 1] - first
+            parent, slot = np.repeat(np.arange(len(walks)), degree), ranges(first, degree)
+            nbr = adjacency.indices[slot]
+            ok = np.flatnonzero(hops[nbr] < max_nodes - depth)
+            ok = ok[(walks[parent[ok]] != nbr[ok, None]).all(axis=1)]
+            walks, slots = walks[parent[ok]], slots[parent[ok]]
+            walks[:, depth], slots[:, depth - 1] = nbr[ok], slot[ok]
+            done = is_terminal[nbr[ok]]
+            total += int(done.sum())
+            if total > cap:
+                raise PathExplosion(f"path enumeration passed the cap of {cap} paths", hint=hint)
+            found.append((walks[done], slots[done]))
+            walks, slots = walks[~done], slots[~done]
+            if not len(walks):
+                break
+    walks, slots = (np.concatenate(column) for column in zip(*found))
+    order = np.lexsort(walks.T[::-1])
+    walks, slots = walks[order], slots[order]
+    return PathStore.weighted(
+        np.concatenate([[0], np.cumsum((walks >= 0).sum(axis=1))]),
+        walks[walks >= 0],
+        adjacency.weight[slots[slots >= 0]],
+    )
 
 
-def to_linkage_paths(walks: list[tuple[int, ...]], graph: SpatialGraph) -> list[LinkagePath]:
-    """Turn node walks into paths, weighting each step with the graph's edge weight."""
-    paths = []
-    for walk in walks:
-        weights = tuple(map(graph.edge_weight, walk[:-1], walk[1:]))
-        paths.append(LinkagePath(nodes=walk, edge_weights=weights, score=path_score(weights)))
-    return paths
+def to_linkage_paths(walks: list[tuple[int, ...]], graph: SpatialGraph) -> PathStore:
+    """Turn node walks into paths, weighting each step with the graph's edge weight.
+
+    Raises ``KeyError((u, v))`` for the first step that is not an edge.
+    """
+    offsets = np.cumsum([0] + [len(w) for w in walks])
+    nodes = np.fromiter(chain.from_iterable(walks), np.int64)
+    a, b = steps(offsets, nodes)
+    slots = graph.csr.slots(a, b)
+    missing = np.flatnonzero(slots < 0)
+    if missing.size:
+        raise KeyError((int(a[missing[0]]), int(b[missing[0]])))
+    return PathStore.weighted(offsets, nodes, graph.csr.weight[slots])
 
 
 def extract_all_paths(
@@ -129,33 +237,27 @@ def extract_all_paths(
     max_nodes: int = DEFAULT_MAX_NODES,
     cap: int = DEFAULT_CAP,
     threads: int = 1,
-) -> list[LinkagePath]:
+) -> PathStore:
     """Enumerate candidate paths from every source node.
 
-    Sources are walked one after another in id order, in one thread, and
-    the result is sorted by (source node id, node sequence). Raises
+    The result is sorted by (source node id, node sequence). Raises
     ``PathExplosion`` as soon as the running total exceeds ``cap``;
     partial results are never returned. ``threads`` is accepted for
-    compatibility and unused: the walk is pure Python, so threads only
-    contend for the interpreter lock.
+    compatibility and unused.
     """
-    walks = enumerate_walks(
-        graph.adjacency,
+    return enumerate_walks(
+        graph.csr,
         graph.nodes_of_kind(KIND_SOURCE),
-        frozenset(graph.nodes_of_kind(KIND_TARGET)),
+        graph.nodes_of_kind(KIND_TARGET),
         max_nodes,
         cap,
         hint="lower --max-len or --dmax, tighten the bands, or raise --cap",
     )
-    return to_linkage_paths(walks, graph)
 
 
-def linkage_frequency(
-    paths: list[LinkagePath], graph: SpatialGraph, shape: tuple[int, int]
-) -> np.ndarray:
+def linkage_frequency(paths, graph: SpatialGraph, shape: tuple[int, int]) -> np.ndarray:
     """Per-cell count of how many of the given paths visit each cell."""
-    cells = np.asarray([(n.row, n.col) for n in graph.nodes], dtype=np.int64).reshape(-1, 2)
-    ids = np.fromiter((i for p in paths for i in p.nodes), dtype=np.int64)
+    ids = PathStore.of(paths).nodes
     freq = np.zeros(shape, dtype=np.int64)
-    np.add.at(freq, (cells[ids, 0], cells[ids, 1]), 1)
+    np.add.at(freq, (graph.row[ids], graph.col[ids]), 1)
     return freq

@@ -25,12 +25,8 @@ from .grid import (
 from .graph import (
     DEFAULT_MAX_EDGE_CELLS, METRICS, VARIANT_CMAD, VARIANT_STANDARD, SpatialGraph, build_graph,
 )
-from .paths import (
-    DEFAULT_CAP, DEFAULT_MAX_NODES, LinkagePath, extract_all_paths, linkage_frequency,
-)
-from .significance import (
-    DEFAULT_ALPHA, DEFAULT_REPLICATES, PermutationNull, SeedPolicy, SignificanceResult,
-)
+from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, PathStore, extract_all_paths, linkage_frequency
+from .significance import DEFAULT_ALPHA, DEFAULT_REPLICATES, PermutationNull, Results, SeedPolicy
 
 SCOPE_WINDOW = "window"
 SCOPE_GLOBAL = "global"
@@ -275,8 +271,8 @@ def build_band_graph(
 
 
 def score_paths(
-    config: RunConfig, graph: SpatialGraph, paths: list[LinkagePath], grids: PreparedGrids
-) -> list[SignificanceResult]:
+    config: RunConfig, graph: SpatialGraph, paths: PathStore, grids: PreparedGrids
+) -> Results:
     """Test paths of ``graph`` against the permutation null; nodes must sit on valid cells."""
     engine = PermutationNull.for_graph(
         graph,
@@ -340,12 +336,12 @@ def _run_band_pair(
     results = score_paths(config, graph, paths, grids)
     io.write_json(io.results_to_json(results, metadata), os.path.join(out_dir, "results.json"))
 
-    significant = [r for r in results if r.significant]
+    significant = results.take(results.significant)
     io.write_json(
         io.export_geojson(significant, graph, grids.source.registration, metadata),
         os.path.join(out_dir, "significant.geojson"),
     )
-    freq = linkage_frequency([r.path for r in significant], graph, shape)
+    freq = linkage_frequency(significant.paths, graph, shape)
     io.frequency_to_csv(freq, metadata, os.path.join(out_dir, "frequency.csv"))
 
     return BandRunResult(

@@ -11,15 +11,17 @@ never zero and is exact under the discrete permutation distribution.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import DimMismatch, MalformedHeader, reading
 from .grid import KIND_SOURCE, ORIENTATIONS, ChangeGrid, in_band
-from .graph import VARIANT_CMAD, VARIANT_STANDARD, VARIANT_THRESHOLD, SpatialGraph, edge_ok
-from .paths import LinkagePath
+from .graph import (
+    NODE_KINDS, VARIANT_CMAD, VARIANT_STANDARD, VARIANT_THRESHOLD, SpatialGraph, edge_ok,
+)
+from .paths import LinkagePath, PathStore, steps
 
 DEFAULT_REPLICATES = 999
 DEFAULT_ALPHA = 0.05
@@ -49,6 +51,44 @@ class SignificanceResult:
     p_value: float
     significant: bool
     alpha: float
+
+
+@dataclass(eq=False)
+class Results:
+    """Decisions on a path store, as arrays; its items are ``SignificanceResult`` views."""
+
+    paths: PathStore
+    observed: np.ndarray
+    p_values: np.ndarray
+    significant: np.ndarray
+    alpha: np.ndarray
+
+    @classmethod
+    def of(cls, results) -> "Results":
+        """``results`` as arrays: itself if it is a ``Results``, else read from its items."""
+        if isinstance(results, Results):
+            return results
+        results = list(results)
+        return cls(PathStore.of(r.path for r in results), *(
+            np.asarray([getattr(r, name) for r in results], dtype=dtype) for name, dtype in
+            (("observed", float), ("p_value", float), ("significant", bool), ("alpha", float))
+        ))
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self):
+        return map(SignificanceResult, self.paths, *(a.tolist() for a in self._columns()))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.observed, self.p_values, self.significant, self.alpha
+
+    def take(self, index) -> "Results":
+        """The results at ``index`` (positions or a boolean mask), in that order."""
+        return Results(self.paths.take(index), *(a[index] for a in self._columns()))
 
 
 def p_value(observed: float, null: np.ndarray) -> float:
@@ -162,8 +202,8 @@ class PermutationNull:
         states.
         """
         variant = graph.params.get("variant", VARIANT_STANDARD)
-        cells = np.asarray([(n.row, n.col) for n in graph.nodes], dtype=np.int64).reshape(-1, 2)
-        node_pool = np.asarray([n.kind != KIND_SOURCE for n in graph.nodes], dtype=np.int64)
+        cells = np.column_stack([graph.row, graph.col])
+        node_pool = (graph.kind != NODE_KINDS.index(KIND_SOURCE)).astype(np.int64)
         node_pos = np.zeros(graph.n_nodes, dtype=np.int64)
         for k, (grid, field) in enumerate(((source, "source"), (target, "target"))):
             ids = np.flatnonzero(node_pool == k)
@@ -230,21 +270,14 @@ class PermutationNull:
 
     # -- scoring --------------------------------------------------------
 
-    def _run(self, paths: list[LinkagePath]) -> np.ndarray:
+    def _run(self, paths: PathStore) -> np.ndarray:
         """Exceedance counts per path: replicates scoring at least the observed score.
 
         Each replicate sets one state per distinct path node, reduces it
         to one ok-bit per distinct (undirected) path edge, and counts the
         ok edges of every path through the path x edge incidence.
         """
-        n_paths = len(paths)
-        lengths = np.fromiter((p.n_nodes for p in paths), dtype=np.int64, count=n_paths)
-        flat = np.fromiter(
-            (i for p in paths for i in p.nodes), dtype=np.int64, count=int(lengths.sum())
-        )
-        within = np.ones(len(flat) - 1, dtype=bool)
-        within[np.cumsum(lengths)[:-1] - 1] = False
-        a, b = flat[:-1][within], flat[1:][within]
+        n_paths, (a, b) = len(paths), steps(paths.offsets, paths.nodes)
         # Edge (u, v) and (v, u) share the key min * n + max.
         n = len(self.node_pool)
         edge_keys, step_edge = np.unique(
@@ -254,9 +287,9 @@ class PermutationNull:
             np.concatenate([edge_keys // n, edge_keys % n]), return_inverse=True
         )
         end_a, end_b = ends[: len(edge_keys)], ends[len(edge_keys):]
-        n_edges = lengths - 1
+        n_edges = np.diff(paths.step_offsets())
         incidence = csr_matrix(
-            (np.ones(len(step_edge)), step_edge, np.concatenate([[0], np.cumsum(n_edges)])),
+            (np.ones(len(step_edge)), step_edge, paths.step_offsets()),
             shape=(n_paths, len(edge_keys)),
         )
         # (path-node slots, pool positions) of each pool's nodes.
@@ -266,7 +299,7 @@ class PermutationNull:
             for k in range(len(self.pools))
         ]
 
-        observed = np.asarray([p.score for p in paths], dtype=np.float64)
+        observed = paths.scores
         m = self.n_replicates
 
         def run_block(indices: range) -> np.ndarray:
@@ -290,12 +323,12 @@ class PermutationNull:
 
     def evaluate(
         self,
-        paths: list[LinkagePath],
+        paths,
         alpha: float = DEFAULT_ALPHA,
         share_null_by_length: bool = False,
         bh_correction: bool = False,
-    ) -> list[SignificanceResult]:
-        """Score a batch of paths and decide significance at level alpha.
+    ) -> Results:
+        """Score a batch of paths (a store or a list) and decide significance at level alpha.
 
         With ``share_null_by_length`` the null distribution is computed
         once per path length (using the first path of that length) and
@@ -308,17 +341,18 @@ class PermutationNull:
         """
         if not 0 < alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if not paths:
-            return []
+        paths = PathStore.of(paths)
+        if not len(paths):
+            return Results.of([])
 
         if share_null_by_length:
-            first: dict[int, LinkagePath] = {}
-            stand_ins: dict[tuple[int, float], LinkagePath] = {}
-            for path in paths:
-                rep = first.setdefault(path.n_nodes, path)
-                stand_ins.setdefault((path.n_nodes, path.score), replace(rep, score=path.score))
-            ge_by_key = dict(zip(stand_ins, self._run(list(stand_ins.values()))))
-            ge = np.asarray([ge_by_key[p.n_nodes, p.score] for p in paths])
+            lengths = np.diff(paths.offsets)
+            _, first, by_length = np.unique(lengths, return_index=True, return_inverse=True)
+            keys = np.stack([lengths, paths.scores])
+            _, key_first, by_key = np.unique(keys, axis=1, return_index=True, return_inverse=True)
+            stand_ins = paths.take(first[by_length[key_first]])
+            stand_ins.scores = paths.scores[key_first]
+            ge = self._run(stand_ins)[by_key.reshape(-1)]
         else:
             ge = self._run(paths)
         pvals = (1 + ge) / (1 + self.n_replicates)
@@ -327,13 +361,4 @@ class PermutationNull:
             decisions = benjamini_hochberg(pvals, alpha)
         else:
             decisions = pvals < alpha
-        return [
-            SignificanceResult(
-                path=path,
-                observed=float(path.score),
-                p_value=float(pv),
-                significant=bool(sig),
-                alpha=float(alpha),
-            )
-            for path, pv, sig in zip(paths, pvals, decisions)
-        ]
+        return Results(paths, paths.scores, pvals, decisions, np.full(len(paths), float(alpha)))

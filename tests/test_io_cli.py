@@ -102,6 +102,21 @@ class TestGridFormatA:
         with pytest.raises(MalformedHeader, match="cell_km"):
             io.load_grid(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lat0", "10"), ("dlat", True), ("cell_km", None), ("lon0", [1.0]),
+    ])
+    def test_registration_fields_are_json_numbers(self, key, value, tmp_path):
+        path = str(tmp_path / "g.raw")
+        io.save_grid(grid_of([[1.0]]), path)
+        doc = json.loads(open(path + ".json").read())
+        doc[key] = value
+        open(path + ".json", "w").write(json.dumps(doc))
+        with pytest.raises(MalformedHeader) as exc:
+            io.load_grid(path)
+        assert f"{key} must be a number, got {value!r}" in str(exc.value)
+        assert str(exc.value).startswith(f"sidecar {path}.json has a bad registration")
+        assert exc.value.hint.startswith("required fields: rows, cols, lat0")
+
     def test_non_integer_dims(self, tmp_path):
         grid = grid_of([[1.0]])
         path = str(tmp_path / "g.raw")
@@ -164,6 +179,13 @@ class TestGridFormatB:
         path = tmp_path / "g.csv"
         path.write_text("row,col,value\n-1,0,1.0\n")
         with pytest.raises(MalformedHeader, match="negative cell index"):
+            io.load_grid(str(path))
+
+    @pytest.mark.parametrize("flag", ["7", "2", "-1", "1.5", "true", ""])
+    def test_valid_column_is_zero_or_one(self, flag, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text(f"row,col,value,valid\n0,1,2.0,1\n0,0,1.5,{flag}\n")
+        with pytest.raises(MalformedHeader, match=f"{path}:3: .*valid must be 0 or 1"):
             io.load_grid(str(path))
 
     def test_bad_record_reports_line(self, tmp_path):

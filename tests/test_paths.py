@@ -64,7 +64,8 @@ def random_graph(rng) -> SpatialGraph:
 
 def walks_from(g: SpatialGraph, start: int, max_nodes: int) -> list[tuple[int, ...]]:
     """Every bounded walk from ``start`` to the first target it reaches."""
-    return enumerate_walks(g.adjacency, [start], frozenset(g.nodes_of_kind(KIND_TARGET)), max_nodes)
+    targets = frozenset(g.nodes_of_kind(KIND_TARGET))
+    return [p.nodes for p in enumerate_walks(g.adjacency, [start], targets, max_nodes)]
 
 
 class TestBfsPaths:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -150,7 +149,7 @@ def aar_reports(draw):
     ]
     report = AarReport(
         points=points,
-        graph=replace(graph, params={**graph.params, "threshold": draw(FLOATS)}),
+        graph=SpatialGraph(graph.nodes, graph.edges, {**graph.params, "threshold": draw(FLOATS)}),
         components=components,
         station_id=draw(st.none() | st.integers(0, len(points) - 1)) if points else None,
         results=results,

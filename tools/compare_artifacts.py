@@ -12,10 +12,14 @@ output path. ``null_dense`` also runs with ``--threads 2 --share-null
 ``significance`` with the workload's settings, each stage reading the
 upstream artifact both sides agreed on. ``sweep_cmad`` also runs with
 ``--share-null``, and as a ``stages`` run of its moderate/moderate
-pairing with its anomaly mask. ``aar_corridors`` also runs with
-``--threshold 1.0``, so that its edges weigh both +1 and -1. Every
-artifact is compared byte for byte, and standard output is compared with
-each side's output path masked.
+pairing with its anomaly mask, and with ``--max-len 7``, so that the path
+walker runs deeper levels. ``aar_corridors`` also runs with
+``--threshold 1.0``, so that its edges weigh both +1 and -1. A run may be
+expected to fail: ``null_dense`` with ``--cap 5000`` passes the path cap
+after writing graph.json. Every artifact is compared byte for byte, and
+standard output is compared with each side's output path masked; a run
+expected to fail must fail on both sides with the same exit code and the
+same standard error, masked the same way.
 
 Prints one line per run and exits 0 when everything matches; otherwise
 names the first artifact (or standard output) that differs and exits 1.
@@ -35,19 +39,25 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import workloads  # noqa: E402
 
-# Extra runs per workload: (label, flags). A list holds flags added to the
-# workload's command; a dict stands for the stage commands in place of the
-# pipeline, and holds the config entries it overrides.
+# Extra runs per workload: (label, flags) or (label, flags, FAILS). A list
+# holds flags added to the workload's command; a dict stands for the stage
+# commands in place of the pipeline, and holds the config entries it
+# overrides. FAILS marks a run that both sides must end in the same error.
+FAILS = True
 EXTRA_RUNS = {
     "null_dense": [
         ("threads2-share-bh", ["--threads", "2", "--share-null", "--bh"]),
         ("stages", {}),
+        # The workload has 8,256 paths, so enumeration passes the cap.
+        ("cap", ["--cap", "5000"], FAILS),
     ],
     "sweep_cmad": [
         # sweep_cmad paths of one length score differently, unlike null_dense's.
         ("share", ["--share-null"]),
         # significance reads the cmad target band back from graph.json.
         ("stages", {"band_source": "moderate", "band_target": "moderate"}),
+        # About 43k paths over deeper walker levels.
+        ("maxlen7", ["--max-len", "7"]),
     ],
     # At the default threshold every aar edge weighs +1.
     "aar_corridors": [("threshold", ["--threshold", "1.0"])],
@@ -86,23 +96,31 @@ def first_difference(base_dir: str, head_dir: str) -> str | None:
     return None
 
 
-def compare(argv: list[str], output: str, roots: dict, work: str) -> str | None:
+def compare(
+    argv: list[str], output: str, roots: dict, work: str, fails: bool = False
+) -> str | None:
     """The first difference between the two sides' runs of one command, or None.
 
     Each side writes where ``argv`` names ``output``, but under ``work/<side>``.
+    With ``fails`` both sides must exit nonzero, with the same code and the
+    same standard error.
     """
-    stdouts = {}
+    outcomes = {}
     for side, root in roots.items():
         side_dir = os.path.join(work, side)
         shutil.rmtree(side_dir, ignore_errors=True)
         os.makedirs(side_dir)
         side_output = os.path.join(side_dir, os.path.basename(output))
         side_argv = [side_output if arg == output else arg for arg in argv]
-        code, stdouts[side], stderr = run_cli(root, side_argv, side_output)
-        if code != 0:
+        code, stdout, stderr = run_cli(root, side_argv, side_output)
+        if code == 0 and fails:
+            return f"{side} exited 0, but the run is expected to fail"
+        if code != 0 and not fails:
             return f"{side} exited {code}: {(stderr.strip().splitlines() or [''])[-1]}"
-    if stdouts["base"] != stdouts["head"]:
-        return "standard output differs"
+        outcomes[side] = (code, stdout, stderr.replace(side_output, OUTPUT_MASK))
+    for part, what in enumerate(("exit code", "standard output", "standard error")):
+        if outcomes["base"][part] != outcomes["head"][part]:
+            return f"{what} differs"
     return first_difference(os.path.join(work, "base"), os.path.join(work, "head"))
 
 
@@ -160,13 +178,13 @@ def main(argv=None) -> int:
             for name in workloads.WORKLOADS:
                 inputs = os.path.join(work, f"{name}-{seed}")
                 wl = workloads.prepare(name, seed, inputs)
-                for label, flags in [("", [])] + EXTRA_RUNS.get(name, []):
+                for label, flags, *fails in [("", [])] + EXTRA_RUNS.get(name, []):
                     run_name = f"{name}{' ' + label if label else ''} seed {seed}"
                     run_dir = os.path.join(inputs, label or "default")
                     if isinstance(flags, dict):
                         problem = compare_stages(wl, flags, roots, run_dir)
                     else:
-                        problem = compare(wl.argv + flags, wl.output, roots, run_dir)
+                        problem = compare(wl.argv + flags, wl.output, roots, run_dir, *fails)
                     if problem:
                         print(f"{run_name}: {problem}")
                         return 1
