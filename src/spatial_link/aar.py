@@ -162,7 +162,7 @@ def connected_components(
     retained only when its extent strictly exceeds ``min_extent_km``.
     """
     n = graph.n_nodes
-    indptr, indices = graph.csr.indptr.tolist(), graph.csr.indices.tolist()
+    indptr, indices = graph.adjacency.indptr.tolist(), graph.adjacency.indices.tolist()
     seen = [False] * n
     components = []
     for start in range(n):
@@ -305,11 +305,11 @@ def station_path_significance(
         raise ValueError("origins must be non-empty")
     origins = sorted(set(int(o) for o in origin_ids) - {station_id})
     paths = enumerate_walks(
-        graph.csr, origins, {station_id}, max_nodes, cap,
+        graph.adjacency, origins, {station_id}, max_nodes, cap,
         hint="lower --max-len or --max-edge-km, or raise --cap",
     )
     if not paths:
-        return Results.of([])
+        return Results.empty()
     engine = PermutationNull.for_point_field(
         values_grid,
         cells=np.column_stack([graph.row, graph.col]),
@@ -332,7 +332,7 @@ class AarReport:
     graph: SpatialGraph
     components: list[AarComponent]
     station_id: int | None
-    results: Results | list = field(default_factory=list)
+    results: Results = field(default_factory=Results.empty)
     dropped_origins: list = field(default_factory=list)
 
 

@@ -301,7 +301,7 @@ def cmd_aar(args) -> int:
     # The threshold the graph was built with, which a left-out flag leaves to the data.
     echo["threshold"] = report.graph.params["threshold"]
     io.write_json(io.aar_report_to_json(report, io.metadata_block(echo, args.seed)), args.output)
-    n_sig = sum(1 for r in report.results if r.significant)
+    n_sig = int(report.results.significant.sum())
     n_ret = sum(1 for c in report.components if c.retained)
     print(
         f"aar: {len(report.points)} points, {len(report.components)} components "

@@ -108,8 +108,8 @@ class SpatialGraph:
     Per node: ``row``, ``col``, ``kind`` (an index into ``NODE_KINDS``),
     ``value`` and ``anomalous`` (1, 0, or -1 when absent). Per edge, in the
     order given (sorted by (u, v) in a built graph): ``u``, ``v``,
-    ``weight``, ``distance``. ``csr`` (also ``adjacency``) holds each
-    node's neighbours and each slot's edge weight; ``nodes`` and ``edges``
+    ``weight``, ``distance``. ``adjacency`` (CSR) holds each node's
+    neighbours and each slot's edge weight; ``nodes`` and ``edges``
     are views built on first read. ``params`` echoes the construction
     settings needed to rebuild edge weights during null resampling.
 
@@ -164,7 +164,7 @@ class SpatialGraph:
         ends, others = np.concatenate([u, v]), np.concatenate([v, u])
         order = np.lexsort((others, ends))
         indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
-        self.csr = self.adjacency = Adjacency(indptr, others[order], np.tile(self.weight, 2)[order])
+        self.adjacency = Adjacency(indptr, others[order], np.tile(self.weight, 2)[order])
 
     @property
     def n_nodes(self) -> int:
@@ -193,10 +193,10 @@ class SpatialGraph:
 
     def edge_weight(self, u: int, v: int) -> int:
         """Weight of the edge (u, v); ``KeyError`` when there is no such edge."""
-        (slot,) = self.csr.slots([u], [v])
+        (slot,) = self.adjacency.slots([u], [v])
         if slot < 0:
             raise KeyError((u, v))
-        return int(self.csr.weight[slot])
+        return int(self.adjacency.weight[slot])
 
     def nodes_of_kind(self, kind: str) -> list[int]:
         return np.flatnonzero(self.kind == NODE_KINDS.index(kind)).tolist()

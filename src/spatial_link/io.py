@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 from contextlib import contextmanager, suppress
+from functools import cache
 
 import numpy as np
 
@@ -276,32 +277,6 @@ def _ints(values, indent: str) -> str:
 _FIELD = " " * 6
 
 
-class _Fragments(dict):
-    """The text of each key, rendered once by ``render`` on its first lookup."""
-
-    def __init__(self, render):
-        super().__init__()
-        self._render = render
-
-    def __missing__(self, key):
-        text = self[key] = self._render(key)
-        return text
-
-
-def _runs(items: list[str], offsets: list[int], indent: str = _FIELD) -> list[str]:
-    """``_array`` of each run ``items[offsets[k]:offsets[k + 1]]``, closed at ``indent``."""
-    sep = f",\n{indent}  "
-    return [
-        f"[\n{indent}  {sep.join(items[a:b])}\n{indent}]" if a < b else "[]"
-        for a, b in zip(offsets, offsets[1:])
-    ]
-
-
-def _node_lists(paths: PathStore) -> list[str]:
-    ids = _Fragments(str)
-    return _runs(list(map(ids.__getitem__, paths.nodes.tolist())), paths.offsets.tolist())
-
-
 def _document(head: dict, **arrays: str) -> str:
     """The text of ``{**head, **arrays}``, each array given rendered at depth 1.
 
@@ -311,9 +286,18 @@ def _document(head: dict, **arrays: str) -> str:
     return f"{json.dumps(head, indent=2)[:-2]}{tail}\n}}\n"
 
 
-def _cells(graph: SpatialGraph) -> _Fragments:
-    """Each node's ``[row, col]`` as an item of a row's list field, or as that field."""
-    return _Fragments(lambda i: _ints(graph.cells[i], _FIELD + "  "))
+def _cells(graph: SpatialGraph):
+    """Each node's ``[row, col]`` as an item of a row's list field, or as that field; cached."""
+    return cache(lambda i: _ints(graph.cells[i], _FIELD + "  "))
+
+
+def _node_texts(render, paths: PathStore) -> list[str]:
+    """``render`` of every node of every path; path k's are ``[offsets[k]:offsets[k + 1]]``.
+
+    A row renders its lists from slices of these, so no path's list text
+    outlives its row.
+    """
+    return list(map(render, paths.nodes.tolist()))
 
 
 def graph_to_json(graph: SpatialGraph, metadata: dict) -> str:
@@ -387,19 +371,16 @@ def graph_from_json(doc: dict) -> SpatialGraph:
 
 
 def paths_to_json(paths: PathStore, graph: SpatialGraph, metadata: dict) -> str:
-    """paths.json of a path store, or of a list of paths."""
-    paths, cells = PathStore.of(paths), _cells(graph)
+    ids, cells = _node_texts(cache(str), paths), _node_texts(_cells(graph), paths)
     # A path's step weights, as bytes, key the text of its weight list.
-    weights = _Fragments(lambda key: _ints(np.frombuffer(key, np.int8).tolist(), _FIELD))
-    steps, step_bytes = paths.step_offsets().tolist(), paths.edge_weights.tobytes()
+    weights = cache(lambda key: _ints(np.frombuffer(key, np.int8).tolist(), _FIELD))
+    offsets, steps = paths.offsets.tolist(), paths.step_offsets().tolist()
+    step_bytes = paths.edge_weights.tobytes()
     rows = [
-        f'{{\n      "nodes": {nodes},\n      "cells": {node_cells},\n'
-        f'      "edge_weights": {weights[step_bytes[a:b]]},\n      "score": {_float(score)}\n    }}'
-        for nodes, node_cells, a, b, score in zip(
-            _node_lists(paths),
-            _runs(list(map(cells.__getitem__, paths.nodes.tolist())), paths.offsets.tolist()),
-            steps, steps[1:], paths.scores.tolist(),
-        )
+        f'{{\n      "nodes": {_array(ids[a:b], _FIELD)},\n'
+        f'      "cells": {_array(cells[a:b], _FIELD)},\n'
+        f'      "edge_weights": {weights(step_bytes[c:d])},\n      "score": {_float(score)}\n    }}'
+        for a, b, c, d, score in zip(offsets, offsets[1:], steps, steps[1:], paths.scores.tolist())
     ]
     return _document({"metadata": metadata}, paths=_array(rows, "  "))
 
@@ -454,13 +435,13 @@ def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
 
 
 def _result_rows(results: Results) -> str:
-    results = Results.of(results)
+    ids, offsets = _node_texts(cache(str), results.paths), results.paths.offsets.tolist()
     rows = [
-        f'{{\n      "path_index": {k},\n      "nodes": {nodes},\n'
+        f'{{\n      "path_index": {k},\n      "nodes": {_array(ids[a:b], _FIELD)},\n'
         f'      "observed": {_float(observed)},\n      "p_value": {_float(p)},\n'
         f'      "significant": {_bool(significant)},\n      "alpha": {_float(alpha)}\n    }}'
-        for k, (nodes, observed, p, significant, alpha) in enumerate(zip(
-            _node_lists(results.paths), results.observed.tolist(), results.p_values.tolist(),
+        for k, (a, b, observed, p, significant, alpha) in enumerate(zip(
+            offsets, offsets[1:], results.observed.tolist(), results.p_values.tolist(),
             results.significant.tolist(), results.alpha.tolist(),
         ))
     ]
@@ -512,23 +493,20 @@ def export_geojson(
     Each path becomes a LineString of (lon, lat) cell centers ordered from
     the source end to the target end.
     """
-    significant = Results.of(significant)
-
     def lon_lat(i: int) -> str:
         lat, lon = registration.cell_center(*graph.cells[i])
         return _array((_float(lon), _float(lat)), _FIELD + "    ")
 
-    coords, cells = _Fragments(lon_lat), _cells(graph)
+    coords, cells = _node_texts(cache(lon_lat), significant.paths), _cells(graph)
     ids, offsets = significant.paths.nodes.tolist(), significant.paths.offsets.tolist()
     features = [
         f'{{\n      "type": "Feature",\n      "geometry": {{\n        "type": "LineString",\n'
-        f'        "coordinates": {line}\n      }},\n      "properties": {{\n'
-        f'        "score": {_float(observed)},\n        "p_value": {_float(p)},\n'
-        f'        "source_cell": {cells[ids[a]]},\n'
-        f'        "target_cell": {cells[ids[b - 1]]}\n      }}\n    }}'
-        for line, a, b, observed, p in zip(
-            _runs(list(map(coords.__getitem__, ids)), offsets, _FIELD + "  "), offsets,
-            offsets[1:], significant.observed.tolist(), significant.p_values.tolist(),
+        f'        "coordinates": {_array(coords[a:b], _FIELD + "  ")}\n      }},\n'
+        f'      "properties": {{\n        "score": {_float(observed)},\n'
+        f'        "p_value": {_float(p)},\n        "source_cell": {cells(ids[a])},\n'
+        f'        "target_cell": {cells(ids[b - 1])}\n      }}\n    }}'
+        for a, b, observed, p in zip(
+            offsets, offsets[1:], significant.observed.tolist(), significant.p_values.tolist()
         )
     ]
     return _document(

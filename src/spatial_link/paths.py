@@ -3,11 +3,11 @@
 A candidate path starts at a source node, walks distinct nodes, and
 terminates at the first target node it reaches, so target nodes never
 appear in a path interior. One walker, ``enumerate_walks``, serves both
-modes: it walks the starts a block at a time over the graph's CSR
-adjacency, level by level, against one running path cap, and returns a
-``PathStore`` sorted by node sequence, so the path list is deterministic
-and independent of hash seeds. A walk is not extended once no target lies
-within the nodes it has left.
+modes: it extends batches of unfinished walks over the graph's CSR
+adjacency, a bounded number of steps at a time, under one running path
+cap, and returns a ``PathStore`` sorted by node sequence, so the path list
+is deterministic. A walk is not extended once no target lies within the
+nodes it has left.
 """
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ from .graph import KIND_SOURCE, KIND_TARGET, Adjacency, SpatialGraph, ranges
 
 DEFAULT_MAX_NODES = 11
 DEFAULT_CAP = 1_000_000
-# Starts walked together; their frontier of unfinished walks is held at once.
-WALK_BLOCK = 256
+# Candidate steps the walker extends at once.
+STEP_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ class PathStore(Sequence):
 
     Path k visits ``nodes[offsets[k]:offsets[k + 1]]``, takes the steps
     ``edge_weights[offsets[k] - k:offsets[k + 1] - k - 1]`` and scores
-    ``scores[k]``. A slice is a list of views. A store equals any sequence
-    of the same paths, or of the same walks as node tuples.
+    ``scores[k]``. A slice is a store. A store equals any sequence of the
+    same paths, or of the same walks as node tuples.
     """
 
     offsets: np.ndarray
@@ -87,19 +87,6 @@ class PathStore(Sequence):
         scores = np.diff(positive[offsets - np.arange(len(offsets))]) / n_steps
         return cls(offsets, nodes, edge_weights.astype(np.int8), scores)
 
-    @classmethod
-    def of(cls, paths) -> "PathStore":
-        """``paths`` as a store: itself if it is one, else built from its ``LinkagePath`` items."""
-        if isinstance(paths, PathStore):
-            return paths
-        paths = list(paths)
-        return cls(
-            np.cumsum([0] + [len(p.nodes) for p in paths]),
-            np.fromiter(chain.from_iterable(p.nodes for p in paths), np.int64),
-            np.fromiter(chain.from_iterable(p.edge_weights for p in paths), np.int8),
-            np.asarray([p.score for p in paths], dtype=np.float64),
-        )
-
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
@@ -112,8 +99,7 @@ class PathStore(Sequence):
         return map(LinkagePath, walks, weights, self.scores.tolist())
 
     def __getitem__(self, index):
-        picked = list(self.take(np.arange(len(self))[index].reshape(-1)))
-        return picked if isinstance(index, slice) else picked[0]
+        return self.take(index) if isinstance(index, slice) else next(iter(self.take([index])))
 
     def take(self, index) -> "PathStore":
         """The store of the paths at ``index`` (positions or a boolean mask), in that order."""
@@ -166,10 +152,13 @@ def enumerate_walks(
     left, as such a walk never ends. Each step carries its CSR slot, which
     gives its edge weight.
 
-    The starts are walked ``WALK_BLOCK`` at a time, each block level by
-    level, so only one block's frontier of unfinished walks is held. All
-    starts share one budget: ``PathExplosion`` (carrying ``hint``) is
-    raised at the level where the walks found pass ``cap``.
+    Unfinished walks wait in batches of one length, and the batch of the
+    longest walks is extended first, ``STEP_BUDGET`` candidate steps at a
+    time (or one walk's, if more). All starts share one budget: ``PathExplosion``
+    (carrying ``hint``) is raised as soon as the walks found pass ``cap``.
+    So besides the starts the walker holds at most ``cap + STEP_BUDGET``
+    finished walks and, per walk length, one batch of at most
+    ``STEP_BUDGET`` unfinished ones.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -182,31 +171,32 @@ def enumerate_walks(
         raise ValueError(f"start node {starts[np.argmax(is_terminal[starts])]} is a terminal node")
     hops = _terminal_hops(adjacency, is_terminal, max_nodes - 1)
     starts = starts[hops[starts] < max_nodes]
-    # Walks and their step slots, padded with -1 to max_nodes nodes.
-    found = [(np.zeros((0, max_nodes), np.int64), np.zeros((0, max_nodes - 1), np.int64))]
-    total = 0
-    for at in range(0, len(starts), WALK_BLOCK):
-        block = starts[at : at + WALK_BLOCK]
-        walks = np.full((len(block), max_nodes), -1)
-        slots = np.full((len(block), max_nodes - 1), -1)
-        walks[:, 0] = block
-        for depth in range(1, max_nodes):
-            first = adjacency.indptr[walks[:, depth - 1]]
-            degree = adjacency.indptr[walks[:, depth - 1] + 1] - first
-            parent, slot = np.repeat(np.arange(len(walks)), degree), ranges(first, degree)
-            nbr = adjacency.indices[slot]
-            ok = np.flatnonzero(hops[nbr] < max_nodes - depth)
-            ok = ok[(walks[parent[ok]] != nbr[ok, None]).all(axis=1)]
-            walks, slots = walks[parent[ok]], slots[parent[ok]]
-            walks[:, depth], slots[:, depth - 1] = nbr[ok], slot[ok]
-            done = is_terminal[nbr[ok]]
-            total += int(done.sum())
-            if total > cap:
-                raise PathExplosion(f"path enumeration passed the cap of {cap} paths", hint=hint)
-            found.append((walks[done], slots[done]))
-            walks, slots = walks[~done], slots[~done]
-            if not len(walks):
-                break
+    # Walks and their step slots, padded with -1 to max_nodes nodes; a
+    # waiting batch records how many nodes its walks hold.
+    walks, slots = np.full((len(starts), max_nodes), -1), np.full((len(starts), max_nodes - 1), -1)
+    walks[:, 0] = starts
+    waiting, found, total = [(walks, slots, 1)], [(walks[:0], slots[:0])], 0
+    while waiting:
+        walks, slots, depth = waiting.pop()
+        first = adjacency.indptr[walks[:, depth - 1]]
+        degree = adjacency.indptr[walks[:, depth - 1] + 1] - first
+        cut = max(1, int(np.searchsorted(np.cumsum(degree), STEP_BUDGET, side="right")))
+        if cut < len(walks):
+            waiting.append((walks[cut:], slots[cut:], depth))
+            walks, slots, first, degree = walks[:cut], slots[:cut], first[:cut], degree[:cut]
+        parent, slot = np.repeat(np.arange(len(walks)), degree), ranges(first, degree)
+        nbr = adjacency.indices[slot]
+        ok = np.flatnonzero(hops[nbr] < max_nodes - depth)
+        ok = ok[(walks[parent[ok]] != nbr[ok, None]).all(axis=1)]
+        walks, slots = walks[parent[ok]], slots[parent[ok]]
+        walks[:, depth], slots[:, depth - 1] = nbr[ok], slot[ok]
+        done = is_terminal[nbr[ok]]
+        total += int(done.sum())
+        if total > cap:
+            raise PathExplosion(f"path enumeration passed the cap of {cap} paths", hint=hint)
+        found.append((walks[done], slots[done]))
+        if not done.all():
+            waiting.append((walks[~done], slots[~done], depth + 1))
     walks, slots = (np.concatenate(column) for column in zip(*found))
     order = np.lexsort(walks.T[::-1])
     walks, slots = walks[order], slots[order]
@@ -225,11 +215,11 @@ def to_linkage_paths(walks: list[tuple[int, ...]], graph: SpatialGraph) -> PathS
     offsets = np.cumsum([0] + [len(w) for w in walks])
     nodes = np.fromiter(chain.from_iterable(walks), np.int64)
     a, b = steps(offsets, nodes)
-    slots = graph.csr.slots(a, b)
+    slots = graph.adjacency.slots(a, b)
     missing = np.flatnonzero(slots < 0)
     if missing.size:
         raise KeyError((int(a[missing[0]]), int(b[missing[0]])))
-    return PathStore.weighted(offsets, nodes, graph.csr.weight[slots])
+    return PathStore.weighted(offsets, nodes, graph.adjacency.weight[slots])
 
 
 def extract_all_paths(
@@ -246,7 +236,7 @@ def extract_all_paths(
     compatibility and unused.
     """
     return enumerate_walks(
-        graph.csr,
+        graph.adjacency,
         graph.nodes_of_kind(KIND_SOURCE),
         graph.nodes_of_kind(KIND_TARGET),
         max_nodes,
@@ -255,9 +245,9 @@ def extract_all_paths(
     )
 
 
-def linkage_frequency(paths, graph: SpatialGraph, shape: tuple[int, int]) -> np.ndarray:
+def linkage_frequency(paths: PathStore, graph: SpatialGraph, shape: tuple[int, int]) -> np.ndarray:
     """Per-cell count of how many of the given paths visit each cell."""
-    ids = PathStore.of(paths).nodes
+    ids = paths.nodes
     freq = np.zeros(shape, dtype=np.int64)
     np.add.at(freq, (graph.row[ids], graph.col[ids]), 1)
     return freq

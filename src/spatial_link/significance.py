@@ -64,15 +64,9 @@ class Results:
     alpha: np.ndarray
 
     @classmethod
-    def of(cls, results) -> "Results":
-        """``results`` as arrays: itself if it is a ``Results``, else read from its items."""
-        if isinstance(results, Results):
-            return results
-        results = list(results)
-        return cls(PathStore.of(r.path for r in results), *(
-            np.asarray([getattr(r, name) for r in results], dtype=dtype) for name, dtype in
-            (("observed", float), ("p_value", float), ("significant", bool), ("alpha", float))
-        ))
+    def empty(cls) -> "Results":
+        paths = PathStore.weighted(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0))
+        return cls(paths, paths.scores, paths.scores, np.zeros(0, dtype=bool), paths.scores)
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -323,12 +317,12 @@ class PermutationNull:
 
     def evaluate(
         self,
-        paths,
+        paths: PathStore,
         alpha: float = DEFAULT_ALPHA,
         share_null_by_length: bool = False,
         bh_correction: bool = False,
     ) -> Results:
-        """Score a batch of paths (a store or a list) and decide significance at level alpha.
+        """Score a store of paths and decide significance at level alpha.
 
         With ``share_null_by_length`` the null distribution is computed
         once per path length (using the first path of that length) and
@@ -341,9 +335,8 @@ class PermutationNull:
         """
         if not 0 < alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        paths = PathStore.of(paths)
         if not len(paths):
-            return Results.of([])
+            return Results.empty()
 
         if share_null_by_length:
             lengths = np.diff(paths.offsets)

@@ -26,6 +26,8 @@ from spatial_link.paths import LinkagePath, extract_all_paths
 from spatial_link.significance import PermutationNull, SeedPolicy, SignificanceResult
 from spatial_link.synthetic import chain_spec, generate
 
+from stores import results_store
+
 
 def grid_of(values, valid=None, registration=QUARTER_DEGREE_GLOBAL) -> ChangeGrid:
     values = np.asarray(values, dtype=float)
@@ -344,7 +346,7 @@ class TestResultsJson:
         path = LinkagePath(nodes=(0, 1), edge_weights=(1,), score=1.0)
         res = SignificanceResult(path=path, observed=1.0, p_value=0.01,
                                  significant=True, alpha=0.05)
-        doc = json.loads(io.results_to_json([res], io.metadata_block({}, 0)))
+        doc = json.loads(io.results_to_json(results_store([res]), io.metadata_block({}, 0)))
         (entry,) = doc["results"]
         assert entry == {
             "path_index": 0,
@@ -396,9 +398,8 @@ class TestGeoJson:
 
     def test_antarctic_cell_centers(self):
         graph, res = self.make_result([(0, 200), (0, 211)])
-        doc = json.loads(
-            io.export_geojson([res], graph, QUARTER_DEGREE_GLOBAL, io.metadata_block({}, 0))
-        )
+        meta = io.metadata_block({}, 0)
+        doc = json.loads(io.export_geojson(results_store([res]), graph, QUARTER_DEGREE_GLOBAL, meta))
         assert doc["type"] == "FeatureCollection"
         (feat,) = doc["features"]
         assert feat["geometry"]["type"] == "LineString"
@@ -414,7 +415,8 @@ class TestGeoJson:
         cells = [(3, 7), (4, 9), (6, 9)]
         reg = GridRegistration(lat0=-60.0, lon0=10.0, dlat=0.5, dlon=0.5, cell_km=50.0)
         graph, res = self.make_result(cells)
-        doc = json.loads(io.export_geojson([res], graph, reg, io.metadata_block({}, 0)))
+        meta = io.metadata_block({}, 0)
+        doc = json.loads(io.export_geojson(results_store([res]), graph, reg, meta))
         back = [
             (round((lat - reg.lat0) / reg.dlat), round((lon - reg.lon0) / reg.dlon))
             for lon, lat in doc["features"][0]["geometry"]["coordinates"]
@@ -422,7 +424,8 @@ class TestGeoJson:
         assert back == cells
 
     def test_empty_result_list(self):
-        text = io.export_geojson([], None, QUARTER_DEGREE_GLOBAL, io.metadata_block({}, 0))
+        meta = io.metadata_block({}, 0)
+        text = io.export_geojson(results_store([]), None, QUARTER_DEGREE_GLOBAL, meta)
         doc = json.loads(text)
         assert doc["features"] == []
 

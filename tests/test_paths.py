@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spatial_link import paths
 from spatial_link.errors import PathExplosion
-from spatial_link.graph import GraphEdge, GraphNode, SpatialGraph, build_graph
+from spatial_link.graph import GraphEdge, GraphNode, SpatialGraph, build_graph, ranges
 from spatial_link.grid import (
     KIND_SOURCE,
     KIND_TARGET,
@@ -27,6 +28,7 @@ from spatial_link.paths import (
 from spatial_link.synthetic import generate_null
 
 from oracles import brute_force_paths
+from stores import path_store
 
 
 def make_graph(n_nodes, edges, target_ids, weights=None) -> SpatialGraph:
@@ -200,6 +202,23 @@ class TestCap:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_dense_clique_raises_within_one_step_budget_per_length(self):
+        """A 30-clique with one target passes a cap of 1,000 within a few MiB.
+
+        Its 22,736 unfinished walks of 3 nodes have 659,344 candidate steps
+        (about 150 MB as walk rows); the walker extends at most
+        ``STEP_BUDGET`` of them at a time.
+        """
+        g = clique(30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathExplosion, match="cap of 1000"):
+                extract_all_paths(g, max_nodes=11, cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestScores:
     def test_all_positive(self):
@@ -252,34 +271,32 @@ class TestFrequency:
 
     def test_empty_paths_give_zero_raster(self):
         g = make_graph(2, [], target_ids=[1])
-        freq = linkage_frequency([], g, (3, 3))
+        freq = linkage_frequency(path_store([]), g, (3, 3))
         assert not freq.any()
 
 
-class CountingAdjacency(list):
-    """An adjacency list that counts how often a neighbour list is read."""
-
-    reads = 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
-
-
 class TestPrune:
-    def test_walks_that_cannot_reach_a_target_are_not_extended(self):
+    def test_walks_that_cannot_reach_a_target_are_not_extended(self, monkeypatch):
         """An 8x8 block of sources whose only target lies beyond dmax.
 
         Without pruning every simple walk of up to 8 nodes in the block is
-        expanded (470,596 neighbour reads); with it each source is read once.
+        expanded (470,596 neighbour reads); with it none is. ``ranges``
+        gives the CSR slots of every neighbour list the walker and its hop
+        search read, so it counts the reads.
         """
         block = CellSet(KIND_SOURCE, "moderate", [(r, c, -1.0) for r in range(8) for c in range(8)])
         far = CellSet(KIND_TARGET, "moderate", [(20, 20, -1.0)])
         graph = build_graph(block, far, max_edge_cells=1.5)
         assert graph.n_nodes == 65 and graph.n_edges > 100
-        graph.adjacency = CountingAdjacency(graph.adjacency)
+        reads = []
+
+        def counted(starts, lengths):
+            reads.append(int(np.sum(lengths)))
+            return ranges(starts, lengths)
+
+        monkeypatch.setattr(paths, "ranges", counted)
         assert extract_all_paths(graph, max_nodes=8) == []
-        assert graph.adjacency.reads <= 4 * graph.n_nodes
+        assert sum(reads) <= 4 * graph.n_nodes
 
     def test_walks_and_their_order_match_the_oracle(self):
         """Each start's walks come back sorted by node sequence."""

@@ -18,6 +18,7 @@ from spatial_link.paths import LinkagePath
 from spatial_link.significance import SignificanceResult
 
 import oracles
+from stores import path_store, results_store
 
 FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -125,11 +126,13 @@ def layout(doc: dict) -> str:
 def test_artifact_text_is_the_json_layout_of_the_reference_documents(case, reg):
     graph, paths, results, significant, meta = case
     assert io.graph_to_json(graph, meta) == layout(oracles.graph_document(graph, meta))
-    assert io.paths_to_json(paths, graph, meta) == layout(
+    assert io.paths_to_json(path_store(paths), graph, meta) == layout(
         oracles.paths_document(paths, graph, meta)
     )
-    assert io.results_to_json(results, meta) == layout(oracles.results_document(results, meta))
-    assert io.export_geojson(significant, graph, reg, meta) == layout(
+    assert io.results_to_json(results_store(results), meta) == layout(
+        oracles.results_document(results, meta)
+    )
+    assert io.export_geojson(results_store(significant), graph, reg, meta) == layout(
         oracles.geojson_document(significant, graph, reg, meta)
     )
 
@@ -152,7 +155,7 @@ def aar_reports(draw):
         graph=SpatialGraph(graph.nodes, graph.edges, {**graph.params, "threshold": draw(FLOATS)}),
         components=components,
         station_id=draw(st.none() | st.integers(0, len(points) - 1)) if points else None,
-        results=results,
+        results=results_store(results),
         dropped_origins=draw(st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=2)),
     )
     return report, metadata

@@ -39,6 +39,7 @@ from spatial_link.synthetic import generate_null
 from oracles import (
     exact_full_score_p, permute_fields, position_null_scores, reference_states,
 )
+from stores import path_store
 
 
 def grid_of(values, valid=None) -> ChangeGrid:
@@ -211,20 +212,20 @@ class TestHandBuiltEngine:
         # Source pool all negative, target pool all positive: a sign-match
         # edge is impossible under any permutation.
         eng = two_node_engine([-1] * 50, [1] * 50, n_replicates=999)
-        (res,) = eng.evaluate([one_edge_path(1.0)])
+        (res,) = eng.evaluate(path_store([one_edge_path(1.0)]))
         assert res.p_value == pytest.approx(0.001)
         assert res.significant
 
     def test_p_one_when_observed_at_minimum(self):
         eng = two_node_engine([-1] * 50, [1] * 50, n_replicates=999)
-        (res,) = eng.evaluate([one_edge_path(0.0)])
+        (res,) = eng.evaluate(path_store([one_edge_path(0.0)]))
         assert res.p_value == 1.0
         assert not res.significant
 
     def test_half_and_half_pools_put_observed_near_median(self):
         pool = [-1] * 40 + [1] * 40
         eng = two_node_engine(pool, list(pool), n_replicates=999)
-        (res,) = eng.evaluate([one_edge_path(1.0)])
+        (res,) = eng.evaluate(path_store([one_edge_path(1.0)]))
         assert res.p_value == pytest.approx(0.5, abs=0.05)
 
     def test_replicate_floor(self):
@@ -234,11 +235,11 @@ class TestHandBuiltEngine:
     def test_alpha_domain(self):
         eng = two_node_engine([1, -1], [1, -1], n_replicates=9)
         with pytest.raises(ValueError):
-            eng.evaluate([one_edge_path(1.0)], alpha=1.0)
+            eng.evaluate(path_store([one_edge_path(1.0)]), alpha=1.0)
 
     def test_empty_batch(self):
         eng = two_node_engine([1], [1], n_replicates=9)
-        assert eng.evaluate([]) == []
+        assert eng.evaluate(path_store([])) == []
 
 
 def small_instance(seed=0, dims=(18, 24), band="moderate", dmax=3.0, max_nodes=4):
@@ -459,7 +460,7 @@ class TestThresholdEngineAgainstOracle:
             exceed += sum(ok) / 2 >= path.score
         expected = (1 + exceed) / (1 + m)
 
-        (res,) = eng.evaluate([path])
+        (res,) = eng.evaluate(path_store([path]))
         assert res.p_value == pytest.approx(expected)
 
     def test_point_on_invalid_cell_rejected(self):
@@ -547,14 +548,14 @@ def assert_engine_matches_reference(engine, paths):
     """
     scores = position_null_scores(engine, paths)
     for share in (False, True):
-        got = [r.p_value for r in engine.evaluate(paths, share_null_by_length=share)]
+        got = [r.p_value for r in engine.evaluate(path_store(paths), share_null_by_length=share)]
         assert got == reference_p_values(scores, paths, share)
     levels = [replace(p, score=j / (p.n_nodes - 1)) for p in paths for j in range(p.n_nodes)]
     level_scores = scores[:, [k for k, p in enumerate(paths) for _ in p.nodes]]
     m = engine.n_replicates
-    counts = [round(r.p_value * (1 + m)) - 1 for r in engine.evaluate(levels)]
+    counts = [round(r.p_value * (1 + m)) - 1 for r in engine.evaluate(path_store(levels))]
     assert counts == (level_scores >= [p.score for p in levels]).sum(axis=0).tolist()
-    shared = [r.p_value for r in engine.evaluate(levels, share_null_by_length=True)]
+    shared = [r.p_value for r in engine.evaluate(path_store(levels), share_null_by_length=True)]
     assert shared == reference_p_values(level_scores, levels, True)
 
 
@@ -625,7 +626,7 @@ class TestEngineAgainstPositionReference:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_standard_graph(self, threads):
         source, target, graph, paths = small_instance(seed=6, max_nodes=5)
-        paths = paths[:40]
+        paths = list(paths[:40])
         paths += [path_of(p.nodes[::-1], p.score) for p in paths[:5]]
         engine = PermutationNull.for_graph(
             graph, source, target, SeedPolicy(base_seed=3), n_replicates=31, threads=threads
@@ -636,7 +637,7 @@ class TestEngineAgainstPositionReference:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_cmad_graph(self, threads):
         source, target, mask, bands_t, graph, paths = TestCmadEngineAgainstOracle().build(seed=5)
-        paths = paths[:30] + [path_of(p.nodes[::-1], p.score) for p in paths[:3]]
+        paths = list(paths[:30]) + [path_of(p.nodes[::-1], p.score) for p in paths[:3]]
         engine = PermutationNull.for_graph(
             graph, source, target, SeedPolicy(base_seed=8), n_replicates=20,
             threads=threads, anomaly_mask=mask,
@@ -695,7 +696,7 @@ class TestExactLaw:
     def assert_within_law(self, engine, paths, variant, pools):
         paths = [p for p in paths if p.score == 1.0]
         assert {p.n_nodes for p in paths} >= {2, 3, 4}
-        counts = [round(r.p_value * (1 + self.M)) - 1 for r in engine.evaluate(paths)]
+        counts = [round(r.p_value * (1 + self.M)) - 1 for r in engine.evaluate(path_store(paths))]
         for path, count in zip(paths, counts):
             p_exact = exact_full_score_p(variant, pools, path.n_nodes)
             lo, hi = binom.interval(1 - 1e-6, self.M, p_exact)
