@@ -518,5 +518,5 @@ def frequency_to_csv(freq: np.ndarray, metadata: dict, path: str) -> None:
     """Dense per-cell counts, one grid row per line, metadata in a comment."""
     with _replacing(path) as fh:
         fh.write("# metadata: " + json.dumps(metadata) + "\n")
-        for row in freq:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        for row in np.asarray(freq, dtype=np.int64).tolist():
+            fh.write(",".join(map(str, row)) + "\n")

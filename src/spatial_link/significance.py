@@ -25,6 +25,10 @@ from .paths import LinkagePath, PathStore, steps
 
 DEFAULT_REPLICATES = 999
 DEFAULT_ALPHA = 0.05
+# The null scores replicates in blocks of at most MAX_BLOCK, holding at
+# most BLOCK_COUNTS (path, replicate) ok-edge counts at once.
+MAX_BLOCK = 64
+BLOCK_COUNTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,25 @@ def pool_positions(grid: ChangeGrid, cells, ids, field: str) -> np.ndarray:
     return pos
 
 
+def replicate_block(n_paths: int) -> int:
+    """Replicates scored at once over ``n_paths`` paths; their float32 counts take at most 4 MiB."""
+    return max(1, min(MAX_BLOCK, BLOCK_COUNTS // n_paths))
+
+
+def ok_edges_needed(scores: np.ndarray, n_edges: np.ndarray) -> np.ndarray:
+    """Fewest ok edges k with ``k / n_edges >= score``, per path; ``n_edges + 1`` if none.
+
+    ``k / n_edges`` rounds monotonically in k, so a replicate with c ok
+    edges scores at least ``score`` exactly when c reaches this count. The
+    estimate ``ceil(score * n_edges)`` is off by at most one either way,
+    and each way is settled by that float comparison itself.
+    """
+    need = np.clip(np.ceil(scores * n_edges), 0, n_edges + 1)
+    need -= (need > 0) & ((need - 1) / n_edges >= scores)
+    need += (need <= n_edges) & (need / n_edges < scores)
+    return need
+
+
 class PermutationNull:
     """Vectorized permutation-null engine over a batch of paths.
 
@@ -148,9 +171,9 @@ class PermutationNull:
     draws a fresh permutation of each pool (source field first, target
     field second, from the replicate's generator), reads the permuted
     state of each distinct path node, and rescores every path from one
-    ok-bit per distinct path edge. Scores are exact fractions k / n_edges,
-    so comparing a null score against an observed score of the same path
-    is an exact integer comparison in disguise.
+    ok-bit per distinct path edge. Scores are fractions k / n_edges, so a
+    null score is compared with the observed score of the same path as
+    counts: its k against the fewest ok edges that reach the observed score.
     """
 
     def __init__(
@@ -267,9 +290,15 @@ class PermutationNull:
     def _run(self, paths: PathStore) -> np.ndarray:
         """Exceedance counts per path: replicates scoring at least the observed score.
 
-        Each replicate sets one state per distinct path node, reduces it
-        to one ok-bit per distinct (undirected) path edge, and counts the
-        ok edges of every path through the path x edge incidence.
+        Replicates are scored in blocks of ``replicate_block(n_paths)``.
+        Each replicate of a block sets its own row of a (block x distinct
+        path node) state matrix; the block then reduces the matrix to one
+        ok-bit per replicate and distinct (undirected) path edge, and counts
+        the ok edges of every path through the path x edge incidence, for
+        all its replicates at once. A path exceeds in a replicate when its
+        count reaches ``ok_edges_needed``. Each thread takes one contiguous
+        range of replicates and splits it into blocks, so the counts are
+        the same for every thread count.
         """
         n_paths, (a, b) = len(paths), steps(paths.offsets, paths.nodes)
         # Edge (u, v) and (v, u) share the key min * n + max.
@@ -282,38 +311,46 @@ class PermutationNull:
         )
         end_a, end_b = ends[: len(edge_keys)], ends[len(edge_keys):]
         n_edges = np.diff(paths.step_offsets())
+        # Counts are small integers, exact in float32.
         incidence = csr_matrix(
-            (np.ones(len(step_edge)), step_edge, paths.step_offsets()),
+            (np.ones(len(step_edge), np.float32), step_edge, paths.step_offsets()),
             shape=(n_paths, len(edge_keys)),
         )
+        need = ok_edges_needed(paths.scores, n_edges).astype(np.float32)[:, None]
         # (path-node slots, pool positions) of each pool's nodes.
         node_pool = self.node_pool[nodes]
         reads = [
             (np.nonzero(node_pool == k)[0], self.node_pos[nodes[node_pool == k]])
             for k in range(len(self.pools))
         ]
-
-        observed = paths.scores
+        size = replicate_block(n_paths)
         m = self.n_replicates
 
-        def run_block(indices: range) -> np.ndarray:
+        def run_range(indices: range) -> np.ndarray:
             ge = np.zeros(n_paths, dtype=np.int64)
-            state = np.empty(len(nodes), dtype=self.pools[0].dtype)
-            for i in indices:
-                # Pools are permuted in order (source, then target) from
-                # the replicate's own stream; only path nodes are read.
-                g = self.policy.generator(i)
-                for states, (slots, pos) in zip(self.pools, reads):
-                    state[slots] = states[g.permutation(len(states))[pos]]
-                ok = edge_ok(self.variant, state[end_a], state[end_b])
-                scores = (incidence @ ok) / n_edges
-                ge += scores >= observed
+            state = np.empty((size, len(nodes)), dtype=self.pools[0].dtype)
+            for first in range(indices.start, indices.stop, size):
+                block = range(first, min(first + size, indices.stop))
+                for row, i in enumerate(block):
+                    # Pools are permuted in order (source, then target) from
+                    # the replicate's own stream; only path nodes are read.
+                    g = self.policy.generator(i)
+                    for states, (slots, pos) in zip(self.pools, reads):
+                        state[row, slots] = states[g.permutation(len(states))[pos]]
+                rows = state[: len(block)]
+                ok = edge_ok(self.variant, rows[:, end_a], rows[:, end_b])
+                counts = incidence @ np.ascontiguousarray(ok.T, dtype=np.float32)
+                ge += np.count_nonzero(counts >= need, axis=1)
             return ge
 
         step = -(-m // self.threads)
-        blocks = [range(s, min(s + step, m)) for s in range(0, m, step)]
+        parts = [range(s, min(s + step, m)) for s in range(0, m, step)]
+        if len(parts) == 1:
+            # On a worker thread the blocks' buffers would come from that
+            # thread's own malloc arena, which keeps their pages afterwards.
+            return run_range(parts[0])
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return np.sum(list(pool.map(run_block, blocks)), axis=0)
+            return np.sum(list(pool.map(run_range, parts)), axis=0)
 
     def evaluate(
         self,

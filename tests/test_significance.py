@@ -7,6 +7,7 @@ the per-(path, position) reference scorer in oracles.py.
 """
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,13 +27,17 @@ from spatial_link.grid import (
     compute_threshold_bands,
 )
 from spatial_link.graph import VARIANT_CMAD, build_graph
-from spatial_link.paths import LinkagePath, extract_all_paths
+from spatial_link.paths import LinkagePath, PathStore, extract_all_paths
 from spatial_link.significance import (
+    BLOCK_COUNTS,
+    MAX_BLOCK,
     PermutationNull,
     SeedPolicy,
     benjamini_hochberg,
+    ok_edges_needed,
     p_value,
     pool_positions,
+    replicate_block,
 )
 from spatial_link.synthetic import generate_null
 
@@ -617,48 +622,56 @@ def test_engine_matches_position_reference(instance):
     assert_engine_matches_reference(engine, paths)
 
 
+# Replicate counts at the edges of the null's block of 64 replicates.
+BLOCK_EDGES = (1, MAX_BLOCK - 1, MAX_BLOCK, MAX_BLOCK + 1, 130)
+
+
 class TestEngineAgainstPositionReference:
-    """Seeded instances of each rule, with 3 threads over a replicate count not divisible by 3."""
+    """Seeded instances of each rule, 1 to 3 threads, replicate counts at the edges of a block."""
 
     # Both directions of the edges 0-1 and 1-2, and a path that shares them.
     WALKS = [(0, 1, 2), (2, 1, 0), (1, 0), (3, 1, 2), (0, 1)]
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_standard_graph(self, threads):
         source, target, graph, paths = small_instance(seed=6, max_nodes=5)
         paths = list(paths[:40])
         paths += [path_of(p.nodes[::-1], p.score) for p in paths[:5]]
-        engine = PermutationNull.for_graph(
-            graph, source, target, SeedPolicy(base_seed=3), n_replicates=31, threads=threads
-        )
-        assert_pools_equal(engine, reference_states("standard", (source, target)))
-        assert_engine_matches_reference(engine, paths)
+        assert replicate_block(len(paths)) == MAX_BLOCK
+        for m in (31, *BLOCK_EDGES):
+            engine = PermutationNull.for_graph(
+                graph, source, target, SeedPolicy(base_seed=3), n_replicates=m, threads=threads
+            )
+            assert_pools_equal(engine, reference_states("standard", (source, target)))
+            assert_engine_matches_reference(engine, paths)
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_cmad_graph(self, threads):
         source, target, mask, bands_t, graph, paths = TestCmadEngineAgainstOracle().build(seed=5)
         paths = list(paths[:30]) + [path_of(p.nodes[::-1], p.score) for p in paths[:3]]
-        engine = PermutationNull.for_graph(
-            graph, source, target, SeedPolicy(base_seed=8), n_replicates=20,
-            threads=threads, anomaly_mask=mask,
-        )
-        assert_pools_equal(engine, reference_states(
-            "cmad", (source, target), mask=mask, interval=bands_t.interval("moderate"),
-            orientation=LOSS_NEGATIVE,
-        ))
-        assert_engine_matches_reference(engine, paths)
+        for m in (20, *BLOCK_EDGES):
+            engine = PermutationNull.for_graph(
+                graph, source, target, SeedPolicy(base_seed=8), n_replicates=m,
+                threads=threads, anomaly_mask=mask,
+            )
+            assert_pools_equal(engine, reference_states(
+                "cmad", (source, target), mask=mask, interval=bands_t.interval("moderate"),
+                orientation=LOSS_NEGATIVE,
+            ))
+            assert_engine_matches_reference(engine, paths)
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_threshold_point_field(self, threads):
         rng = np.random.default_rng(4)
         field = grid_of(rng.random((6, 7)) * 30.0)
         cells = [(0, 0), (1, 2), (3, 3), (5, 6), (2, 5)]
-        engine = PermutationNull.for_point_field(
-            field, cells, 12.0, SeedPolicy(base_seed=9), n_replicates=16, threads=threads
-        )
-        assert_pools_equal(engine, reference_states("threshold", (field,), threshold=12.0))
         paths = [path_of(w, 1.0) for w in self.WALKS] + [path_of((4, 3, 2, 1, 0), 0.5)]
-        assert_engine_matches_reference(engine, paths)
+        for m in (16, *BLOCK_EDGES):
+            engine = PermutationNull.for_point_field(
+                field, cells, 12.0, SeedPolicy(base_seed=9), n_replicates=m, threads=threads
+            )
+            assert_pools_equal(engine, reference_states("threshold", (field,), threshold=12.0))
+            assert_engine_matches_reference(engine, paths)
 
     def test_hand_built_ties_and_zeros(self):
         engine = PermutationNull(
@@ -671,6 +684,101 @@ class TestEngineAgainstPositionReference:
         )
         paths = [path_of(w, s) for w, s in zip(self.WALKS, (0.5, 1.0, 0.0, 0.5, 1.0))]
         assert_engine_matches_reference(engine, paths)
+
+
+def random_engine(variant, n_nodes, n_replicates, threads, seed=0) -> PermutationNull:
+    """A hand-built engine of one rule over random pools of tied states."""
+    rng = np.random.default_rng(seed)
+    n_pools = 1 if variant == "threshold" else 2
+    node_pool = rng.integers(0, n_pools, n_nodes)
+    pools, node_pos = [], np.zeros(n_nodes, dtype=np.int64)
+    for k in range(n_pools):
+        members = np.flatnonzero(node_pool == k)
+        size = len(members) + 7
+        if variant == "standard":
+            pools.append(rng.integers(-1, 2, size).astype(np.int8))
+        else:
+            pools.append(rng.random(size) < 0.6)
+        node_pos[members] = rng.permutation(size)[: len(members)]
+    return PermutationNull(
+        pools=pools, node_pool=node_pool, node_pos=node_pos, policy=SeedPolicy(base_seed=seed),
+        n_replicates=n_replicates, threads=threads, variant=variant,
+    )
+
+
+def random_walks(n_nodes, n_paths, seed=0, max_nodes=6) -> PathStore:
+    """``n_paths`` walks of 2 to ``max_nodes`` distinct nodes, scored at random levels."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(2, max_nodes + 1, n_paths)
+    nodes = np.argsort(rng.random((n_paths, n_nodes)), axis=1)[:, :max_nodes]
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    return PathStore(
+        offsets,
+        nodes[np.arange(max_nodes) < lengths[:, None]],
+        np.ones(offsets[-1] - n_paths, dtype=np.int8),
+        rng.integers(0, lengths) / (lengths - 1),
+    )
+
+
+class TestBlockedKernel:
+    """The block rule, a store large enough to shrink the block, its memory, and its counts."""
+
+    def test_block_rule(self):
+        assert replicate_block(BLOCK_COUNTS // MAX_BLOCK) == MAX_BLOCK == 64
+        assert replicate_block(20_000) == BLOCK_COUNTS // 20_000 == 52
+        assert replicate_block(BLOCK_COUNTS + 1) == 1
+
+    @pytest.mark.parametrize("variant", ["standard", "cmad", "threshold"])
+    def test_store_large_enough_to_shrink_the_block(self, variant):
+        """20,000 paths take blocks of 52; two threads split 107 replicates 54/53."""
+        paths = random_walks(30, 20_000, seed=5, max_nodes=4)
+        block = replicate_block(len(paths))
+        assert block == 52
+        engine = random_engine(variant, 30, 2 * block + 3, threads=2, seed=11)
+        assert_engine_matches_reference(engine, list(paths))
+
+    def test_memory_stays_near_the_block_budget(self):
+        """About 200,000 paths take blocks of 5 replicates.
+
+        Scoring 23 replicates instead of 1 adds at most the block's counts
+        (float32) and their comparison (bool): 5 bytes per entry, 4.8 MiB
+        here and under 5 MiB for any store. Blocks of 64 would add 61 MiB.
+        """
+        paths = random_walks(40, 200_000, seed=3, max_nodes=3)
+        assert replicate_block(len(paths)) == 5
+
+        def peak(m):
+            engine = random_engine("standard", 40, m, threads=1, seed=3)
+            tracemalloc.start()
+            try:
+                engine.evaluate(paths)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(23) - peak(1) < 5 * BLOCK_COUNTS
+
+    def test_ok_edges_needed_equals_the_float_comparison(self):
+        """``c >= need`` is ``c / n >= score`` for every c and every k / n, n up to 2,048.
+
+        As ``c / n`` rounds monotonically in c, need is the first c at
+        which the levels reach the score. Scores one ulp either side of
+        each level, and arbitrary scores, are settled the same way.
+        """
+        for n in range(1, 2049):
+            levels = np.arange(n + 1) / n
+            assert (np.diff(levels) > 0).all()
+            for scores in (levels, np.nextafter(levels, 2.0), np.nextafter(levels, -1.0)):
+                want = np.searchsorted(levels, scores, side="left")
+                assert ok_edges_needed(scores, np.full(n + 1, n)).tolist() == want.tolist()
+        rng = np.random.default_rng(0)
+        n = rng.integers(1, 2**40, 2000)
+        k = rng.integers(0, n + 1)
+        scores = np.concatenate([k / n, rng.random(2000)])
+        n = np.concatenate([n, n])
+        need = ok_edges_needed(scores, n)
+        assert ((need / n >= scores) | (need == n + 1)).all()
+        assert ((need == 0) | ((need - 1) / n < scores)).all()
 
 
 class TestExactLaw:

@@ -8,18 +8,19 @@ Each of ``--base`` and ``--head`` is the root of a checkout holding
 ``perfbench/workloads.py``; each checkout's CLI then runs on those same
 inputs from its own ``src/``, with ``PYTHONHASHSEED=0``, into its own
 output path. ``null_dense`` also runs with ``--threads 2 --share-null
---bh``, and as a ``stages`` run: ``build-graph``, ``extract-paths`` and
-``significance`` with the workload's settings, each stage reading the
-upstream artifact both sides agreed on. ``sweep_cmad`` also runs with
-``--share-null``, and as a ``stages`` run of its moderate/moderate
-pairing with its anomaly mask, and with ``--max-len 7``, so that the path
-walker runs deeper levels. ``aar_corridors`` also runs with
-``--threshold 1.0``, so that its edges weigh both +1 and -1. A run may be
-expected to fail: ``null_dense`` with ``--cap 5000`` passes the path cap
-after writing graph.json. Every artifact is compared byte for byte, and
-standard output is compared with each side's output path masked; a run
-expected to fail must fail on both sides with the same exit code and the
-same standard error, masked the same way.
+--bh``, with ``--threads 3 --m 130`` (blocks of the null that do not
+divide the thread ranges), and as a ``stages`` run: ``build-graph``,
+``extract-paths`` and ``significance`` with the workload's settings, each
+stage reading the upstream artifact both sides agreed on. ``sweep_cmad``
+also runs with ``--share-null``, and as a ``stages`` run of its
+moderate/moderate pairing with its anomaly mask, and with ``--max-len
+7``, so that the path walker runs deeper levels. ``aar_corridors`` also
+runs with ``--threshold 1.0``, so that its edges weigh both +1 and -1. A
+run may be expected to fail: ``null_dense`` with ``--cap 5000`` passes
+the path cap after writing graph.json. Every artifact is compared byte
+for byte, and standard output is compared with each side's output path
+masked; a run expected to fail must fail on both sides with the same exit
+code and the same standard error, masked the same way.
 
 Prints one line per run and exits 0 when everything matches; otherwise
 names the first artifact (or standard output) that differs and exits 1.
@@ -47,6 +48,9 @@ FAILS = True
 EXTRA_RUNS = {
     "null_dense": [
         ("threads2-share-bh", ["--threads", "2", "--share-null", "--bh"]),
+        # 130 replicates are no multiple of the null's block of 64, and
+        # three threads split them 44/44/42.
+        ("threads3-m130", ["--threads", "3", "--m", "130"]),
         ("stages", {}),
         # The workload has 8,256 paths, so enumeration passes the cap.
         ("cap", ["--cap", "5000"], FAILS),
