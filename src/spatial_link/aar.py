@@ -70,9 +70,8 @@ def _equirect_km(lat_a, lon_a, lat_b, lon_b):
     return KM_PER_DEGREE * np.hypot(dlat, dlon * np.cos(mean_lat))
 
 
-def _coords(points: list[GeoPoint], ids=None) -> tuple[np.ndarray, np.ndarray]:
-    chosen = points if ids is None else [points[i] for i in ids]
-    return np.asarray([p.lat for p in chosen]), np.asarray([p.lon for p in chosen])
+def _coords(points: list[GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
+    return np.asarray([p.lat for p in points]), np.asarray([p.lon for p in points])
 
 
 def equirect_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -162,6 +161,7 @@ def connected_components(
     retained only when its extent strictly exceeds ``min_extent_km``.
     """
     n = graph.n_nodes
+    columns = _coords(points)
     indptr, indices = graph.adjacency.indptr.tolist(), graph.adjacency.indices.tolist()
     seen = [False] * n
     components = []
@@ -179,7 +179,7 @@ def connected_components(
                     seen[v] = True
                     stack.append(v)
         members.sort()
-        extent = component_extent(members, points)
+        extent = component_extent(members, columns)
         components.append(
             AarComponent(
                 node_ids=tuple(members),
@@ -190,8 +190,11 @@ def connected_components(
     return components
 
 
-def component_extent(node_ids, points: list[GeoPoint]) -> float:
+def component_extent(node_ids, columns: tuple[np.ndarray, np.ndarray]) -> float:
     """Maximum pairwise equirectangular distance over component nodes.
+
+    ``columns`` holds the latitudes and longitudes of all points, in id
+    order, as ``_coords(points)`` builds them.
 
     Points that cannot end a maximal pair are pruned first, exactly:
     - A lower bound L is the larger row maximum of two farthest-point
@@ -218,7 +221,7 @@ def component_extent(node_ids, points: list[GeoPoint]) -> float:
     ids = list(node_ids)
     if not ids:
         raise ValueError("component must be non-empty")
-    lats, lons = _coords(points, ids)
+    lats, lons = (column[ids] for column in columns)
     if len(ids) > 2:
         keep = _extent_bound(lats, lons) >= _sweep_lower_bound(lats, lons)
         lats, lons = lats[keep], lons[keep]

@@ -187,17 +187,6 @@ class SpatialGraph:
         columns = (self.u, self.v, self.weight, self.distance)
         return list(map(GraphEdge, *(a.tolist() for a in columns)))
 
-    @cached_property
-    def cells(self) -> list[tuple[int, int]]:
-        return list(zip(self.row.tolist(), self.col.tolist()))
-
-    def edge_weight(self, u: int, v: int) -> int:
-        """Weight of the edge (u, v); ``KeyError`` when there is no such edge."""
-        (slot,) = self.adjacency.slots([u], [v])
-        if slot < 0:
-            raise KeyError((u, v))
-        return int(self.adjacency.weight[slot])
-
     def nodes_of_kind(self, kind: str) -> list[int]:
         return np.flatnonzero(self.kind == NODE_KINDS.index(kind)).tolist()
 
@@ -322,12 +311,12 @@ def build_graph(
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if variant not in (VARIANT_STANDARD, VARIANT_CMAD):
         raise ValueError(f"unknown variant {variant!r}")
-    if not source_cells.cells:
+    if not len(source_cells.cells):
         raise EmptySide(
             "no source cells qualified at the requested band",
             hint="loosen the source band or widen the window",
         )
-    if not target_cells.cells:
+    if not len(target_cells.cells):
         raise EmptySide(
             "no target cells qualified at the requested band",
             hint="loosen the target band or widen the window",
@@ -344,16 +333,16 @@ def build_graph(
                 hint="crop the mask with the same window as the grids",
             )
 
-    cells = np.asarray(source_cells.cells + target_cells.cells, dtype=np.float64).reshape(-1, 3)
-    rows, cols = cells[:, 0].astype(np.int64), cells[:, 1].astype(np.int64)
-    target = np.arange(len(cells)) >= len(source_cells.cells)
+    rows, cols = np.concatenate([source_cells.cells, target_cells.cells]).T
+    values = np.concatenate([source_cells.values, target_cells.values])
+    target = np.arange(len(rows)) >= len(source_cells.cells)
     # Node ids follow (row, col) order; of the entries of one cell the last
     # is kept, a target entry coming after every source entry.
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
     last = np.append((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]), True)
     keep = order[last]
-    rows, cols, target, values = rows[last], cols[last], target[keep], cells[keep, 2]
+    rows, cols, target, values = rows[last], cols[last], target[keep], values[keep]
 
     anomalous = np.full(len(rows), -1, dtype=np.int8)
     if mask is not None:

@@ -199,11 +199,16 @@ class ThresholdBands:
 
 @dataclass
 class CellSet:
-    """Cells of one field qualified at one band, tagged with a graph role."""
+    """Cells of one field qualified at one band, tagged with a graph role.
+
+    ``cells`` is an ``(n, 2)`` int64 array of (row, col) and ``values``
+    the n signed change values.
+    """
 
     kind: str
     band: str
-    cells: list[tuple[int, int, float]]
+    cells: np.ndarray
+    values: np.ndarray
 
 
 def in_band(values, orientation: str, lo: float, hi: float):
@@ -260,10 +265,7 @@ def classify_cells(
     if kind not in (KIND_SOURCE, KIND_TARGET):
         raise ValueError(f"unknown kind {kind!r}")
     selected = grid.valid_mask & in_band(grid.values, orientation, *bands.interval(band))
-    rows, cols = np.nonzero(selected)
-    values = grid.values[rows, cols]
-    cells = [(int(r), int(c), float(v)) for r, c, v in zip(rows, cols, values)]
-    return CellSet(kind=kind, band=band, cells=cells)
+    return CellSet(kind, band, np.argwhere(selected), grid.values[selected])
 
 
 def crop_region(grid: ChangeGrid, window: RegionWindow) -> ChangeGrid:

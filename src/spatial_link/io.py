@@ -288,7 +288,7 @@ def _document(head: dict, **arrays: str) -> str:
 
 def _cells(graph: SpatialGraph):
     """Each node's ``[row, col]`` as an item of a row's list field, or as that field; cached."""
-    return cache(lambda i: _ints(graph.cells[i], _FIELD + "  "))
+    return cache(lambda i: _ints((graph.row[i], graph.col[i]), _FIELD + "  "))
 
 
 def _node_texts(render, paths: PathStore) -> list[str]:
@@ -494,9 +494,10 @@ def export_geojson(
     the source end to the target end.
     """
     def lon_lat(i: int) -> str:
-        lat, lon = registration.cell_center(*graph.cells[i])
-        return _array((_float(lon), _float(lat)), _FIELD + "    ")
+        return _array((_float(lons[i]), _float(lats[i])), _FIELD + "    ")
 
+    # With no path to draw, no graph is read; the caller may pass None.
+    lats, lons = registration.cell_center(graph.row, graph.col) if len(significant) else ((), ())
     coords, cells = _node_texts(cache(lon_lat), significant.paths), _cells(graph)
     ids, offsets = significant.paths.nodes.tolist(), significant.paths.offsets.tolist()
     features = [

@@ -40,15 +40,27 @@ def is_dims(v) -> bool:
 _SWITCH = ("true or false", lambda v: isinstance(v, bool))
 _PATH = ("a string", lambda v: isinstance(v, str))
 
+
+def _one_of(choices: tuple) -> tuple:
+    return f"one of {choices}", lambda v: v in choices
+
+
 # The one type and range rule of each run setting: (requirement, test).
 # A bool is neither an integer nor a number here. The last four are
-# settings of the aar mode. resample_source has its rule in validate, as
-# its flag carries ROWSxCOLS text.
+# settings of the aar mode. resample_source and window have their rules in
+# validate, as their flags carry text that is parsed.
 RANGE_RULES = {
     "source": _PATH,
     "target": _PATH,
     "mask": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "out_dir": _PATH,
+    "variant": _one_of((VARIANT_STANDARD, VARIANT_CMAD)),
+    "orientation_source": _one_of(ORIENTATIONS),
+    "orientation_target": _one_of(ORIENTATIONS),
+    "band_source": _one_of(BANDS),
+    "band_target": _one_of(BANDS),
+    "band_scope": _one_of((SCOPE_WINDOW, SCOPE_GLOBAL)),
+    "metric": _one_of(METRICS),
     "share_null": _SWITCH,
     "bh": _SWITCH,
     "sweep_bands": _SWITCH,
@@ -107,23 +119,11 @@ class RunConfig:
     out_dir: str = "."
 
     def validate(self) -> None:
-        if self.variant not in (VARIANT_STANDARD, VARIANT_CMAD):
-            raise ConfigError(f"unknown variant {self.variant!r}")
         if self.variant == VARIANT_CMAD and not self.mask:
             raise ConfigError(
                 "the cmad variant requires --mask",
                 hint="pass the anomaly mask with --mask or the config's mask entry",
             )
-        for name in ("orientation_source", "orientation_target"):
-            if getattr(self, name) not in ORIENTATIONS:
-                raise ConfigError(f"{name} must be one of {ORIENTATIONS}")
-        for name in ("band_source", "band_target"):
-            if getattr(self, name) not in BANDS:
-                raise ConfigError(f"{name} must be one of {BANDS}")
-        if self.band_scope not in (SCOPE_WINDOW, SCOPE_GLOBAL):
-            raise ConfigError(f"band_scope must be {SCOPE_WINDOW!r} or {SCOPE_GLOBAL!r}")
-        if self.metric not in METRICS:
-            raise ConfigError(f"metric must be one of {METRICS}")
         for f in fields(self):
             if f.name in RANGE_RULES:
                 check_range(f.name, getattr(self, f.name))

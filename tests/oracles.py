@@ -132,6 +132,13 @@ def cmad_weight(u, v) -> int:
     return 1
 
 
+def edge_weights(graph) -> dict[tuple[int, int], int]:
+    """Each edge's weight keyed by (u, v) and by (v, u), read from the edge columns."""
+    ends = list(zip(graph.u.tolist(), graph.v.tolist()))
+    weights = graph.weight.tolist()
+    return {**dict(zip(ends, weights)), **dict(zip([(v, u) for u, v in ends], weights))}
+
+
 def quantile_linear(sorted_values, p: float) -> float:
     """Linear-interpolation quantile at h = (n - 1) p, written longhand."""
     vals = sorted(float(v) for v in sorted_values)

@@ -230,6 +230,19 @@ class TestComponents:
         assert comps[1].extent_km < 400
         assert not comps[1].retained
 
+    def test_point_columns_are_built_once_per_call(self, monkeypatch):
+        g, pts = self.build_two_clusters()
+        built = []
+
+        def counting(points):
+            built.append(len(points))
+            return coords(points)
+
+        coords = aar._coords
+        monkeypatch.setattr(aar, "_coords", counting)
+        assert len(connected_components(g, pts)) == 2
+        assert built == [len(pts)]
+
     def test_retention_is_strictly_greater(self):
         g, pts = self.build_two_clusters()
         comps = connected_components(g, pts, min_extent_km=0.0)
@@ -249,11 +262,11 @@ class TestComponents:
 
     def test_singleton_extent_zero(self):
         pts = [GeoPoint(lat=0.0, lon=0.0), GeoPoint(lat=50.0, lon=50.0)]
-        assert component_extent([0], pts) == 0.0
+        assert component_extent([0], aar._coords(pts)) == 0.0
 
     def test_empty_component_rejected(self):
         with pytest.raises(ValueError):
-            component_extent([], [])
+            component_extent([], aar._coords([]))
 
     def test_blocked_extent_equals_brute_force(self, monkeypatch):
         # Points near both poles and across the antimeridian; 61 of them
@@ -269,7 +282,7 @@ class TestComponents:
             for i in ids for j in ids
         )
         monkeypatch.setattr(aar, "EXTENT_BLOCK_PAIRS", 3 * len(ids))
-        assert component_extent(ids, pts) == brute
+        assert component_extent(ids, aar._coords(pts)) == brute
 
     def test_extent_memory_is_linear_in_points(self):
         # A dense 6,000 x 6,000 distance matrix would take 288 MB per
@@ -279,9 +292,10 @@ class TestComponents:
             GeoPoint(lat=float(la), lon=float(lo))
             for la, lo in zip(rng.uniform(30, 60, 6000), rng.uniform(-20, 20, 6000))
         ]
+        columns = aar._coords(pts)
         tracemalloc.start()
         try:
-            component_extent(range(6000), pts)
+            component_extent(range(6000), columns)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -305,7 +319,8 @@ class TestComponents:
 
         equirect = aar._equirect_km
         monkeypatch.setattr(aar, "_equirect_km", counting)
-        assert component_extent(range(len(pts)), pts) == oracles.blocked_extent(range(len(pts)), pts)
+        ids = range(len(pts))
+        assert component_extent(ids, aar._coords(pts)) == oracles.blocked_extent(ids, pts)
         assert sum(evaluated) < 0.05 * len(pts) ** 2
 
 
@@ -341,7 +356,7 @@ def test_pruned_extent_equals_blocked_extent(n, region, seed):
     rng = np.random.default_rng(seed)
     pts = _region_points(rng, n + 5, region)
     ids = rng.permutation(n + 5)[:n].tolist()
-    assert component_extent(ids, pts) == oracles.blocked_extent(ids, pts)
+    assert component_extent(ids, aar._coords(pts)) == oracles.blocked_extent(ids, pts)
 
 
 class TestSnap:

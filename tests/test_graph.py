@@ -16,11 +16,15 @@ from spatial_link.graph import (
     filter_edges_by_distance,
 )
 
-from oracles import brute_delaunay_edges, cmad_weight, coherence_weight
+from oracles import brute_delaunay_edges, cmad_weight, coherence_weight, edge_weights
 
 
 def cellset(kind, cells, band="moderate") -> CellSet:
-    return CellSet(kind=kind, band=band, cells=[(r, c, v) for r, c, v in cells])
+    """The cell set of these ``(row, col, value)`` triples, in this order."""
+    return CellSet(
+        kind, band, np.array([(r, c) for r, c, _ in cells], dtype=np.int64).reshape(-1, 2),
+        np.array([v for _, _, v in cells], dtype=np.float64),
+    )
 
 
 class TestDelaunay:
@@ -310,7 +314,7 @@ class TestSpatialGraphType:
             cellset("target", [(0, 1, 2.0)]),
             max_edge_cells=5.0,
         )
-        assert g.edge_weight(0, 1) == g.edge_weight(1, 0) == -1
+        assert edge_weights(g) == {(0, 1): -1, (1, 0): -1}
 
     def test_nodes_of_kind(self):
         g = build_graph(

@@ -162,14 +162,15 @@ class TestClassifyCells:
         moderate = classify_cells(g, self.bands, BAND_MODERATE, "source")
         high = classify_cells(g, self.bands, BAND_HIGH, "source")
         anomalous = classify_cells(g, self.bands, BAND_ANOMALOUS, "source")
-        assert [(r, c) for r, c, _ in moderate.cells] == [(0, 0), (0, 1)]
-        assert [(r, c) for r, c, _ in high.cells] == [(0, 2)]
-        assert [(r, c) for r, c, _ in anomalous.cells] == [(0, 3)]
+        assert moderate.cells.tolist() == [[0, 0], [0, 1]]
+        assert moderate.values.tolist() == [-4.5, -6.0]
+        assert high.cells.tolist() == [[0, 2]]
+        assert anomalous.cells.tolist() == [[0, 3]]
 
     def test_below_median_in_no_band(self):
         g = grid_from([[-4.0]])
         for band in (BAND_MODERATE, BAND_HIGH, BAND_ANOMALOUS):
-            assert classify_cells(g, self.bands, band, "source").cells == []
+            assert len(classify_cells(g, self.bands, band, "source").cells) == 0
 
     def test_bands_partition_upper_half(self):
         """The three bands exactly cover the oriented cells at or above the median."""
@@ -178,7 +179,7 @@ class TestClassifyCells:
         g = grid_from(vals)
         bands = compute_threshold_bands(g, LOSS_NEGATIVE)
         sets = [
-            {(r, c) for r, c, _ in classify_cells(g, bands, band, "source").cells}
+            set(map(tuple, classify_cells(g, bands, band, "source").cells.tolist()))
             for band in (BAND_MODERATE, BAND_HIGH, BAND_ANOMALOUS)
         ]
         assert not (sets[0] & sets[1]) and not (sets[0] & sets[2]) and not (sets[1] & sets[2])
@@ -200,6 +201,28 @@ class TestClassifyCells:
         )
         assert abs(n_mod / n_upper - 0.5) <= 0.05
 
+    @pytest.mark.parametrize("orientation", [LOSS_NEGATIVE, LOSS_POSITIVE])
+    def test_matches_a_per_cell_loop_on_a_grid_with_invalid_cells(self, orientation):
+        rng = np.random.default_rng(29)
+        vals = rng.normal(0, 1, (30, 40))
+        vals[rng.random(vals.shape) < 0.05] = 0.0
+        valid = rng.random(vals.shape) < 0.8
+        vals[~valid & (rng.random(vals.shape) < 0.5)] = np.nan
+        g = grid_from(vals, valid)
+        bands = compute_threshold_bands(g, orientation)
+        sign = -1.0 if orientation == LOSS_NEGATIVE else 1.0
+        for band in (BAND_MODERATE, BAND_HIGH, BAND_ANOMALOUS):
+            lo, hi = bands.interval(band)
+            expected = [
+                ((r, c), float(vals[r, c])) for r in range(30) for c in range(40)
+                if valid[r, c] and sign * vals[r, c] > 0 and lo <= abs(vals[r, c]) < hi
+            ]
+            got = classify_cells(g, bands, band, "target", orientation=orientation)
+            assert got.cells.dtype == np.int64 and got.cells.shape == (len(expected), 2)
+            assert got.values.dtype == np.float64
+            assert list(zip(map(tuple, got.cells.tolist()), got.values.tolist())) == expected
+            assert (got.kind, got.band) == ("target", band)
+
     def test_window_restricts_and_rebases_cells(self):
         vals = np.zeros((4, 4))
         vals[2, 2] = -5.0
@@ -207,13 +230,13 @@ class TestClassifyCells:
         g = grid_from(vals)
         window = RegionWindow(2, 3, 2, 3)
         cells = classify_cells(crop_region(g, window), self.bands, BAND_MODERATE, "source")
-        assert [(r, c) for r, c, _ in cells.cells] == [(0, 0)]
+        assert cells.cells.tolist() == [[0, 0]]
 
     def test_empty_window_intersection(self):
         g = grid_from(-5.0 * np.ones((4, 4)))
         sub = crop_region(g, RegionWindow(3, 3, 3, 3))
         cells = classify_cells(sub, ThresholdBands(6, 7, 8), BAND_MODERATE, "source")
-        assert cells.cells == []
+        assert cells.cells.shape == (0, 2)
 
 
 class TestCrop:

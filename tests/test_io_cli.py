@@ -1187,6 +1187,8 @@ class TestCli:
         ("pipeline", "--threads", "0"),
         ("pipeline", "--dmax", "inf"),
         ("pipeline", "--ub-multiplier", "inf"),
+        ("pipeline", "--orientation-source", "up"),
+        ("pipeline", "--band-target", "extreme"),
     ])
     def test_out_of_range_setting_fails_before_any_output(
         self, command, flag, value, instance_files, tmp_path, capsys
@@ -1221,7 +1223,8 @@ class TestCli:
         ("bh", "false"), ("share_null", "no"), ("sweep_bands", 1), ("source", 5),
         ("target", ["t.raw"]), ("mask", 7), ("resample_source", ["a", 3]),
         ("resample_source", [15.7, 16]), ("resample_source", [12, 0]),
-        ("resample_source", "12x12"), ("out_dir", 5),
+        ("resample_source", "12x12"), ("out_dir", 5), ("band_source", "bogus"),
+        ("variant", "cmadx"),
     ])
     def test_config_setting_of_the_wrong_type_is_a_config_error(
         self, name, value, instance_files, tmp_path, capsys
@@ -1232,6 +1235,8 @@ class TestCli:
             "bh": "true or false", "share_null": "true or false", "sweep_bands": "true or false",
             "source": "a string", "target": "a string", "out_dir": "a string",
             "mask": "a string or null", "resample_source": "[rows, cols] of positive integers",
+            "band_source": "one of ('moderate', 'high', 'anomalous')",
+            "variant": "one of ('standard', 'cmad')",
         }[name]
         spath, tpath = instance_files
         cpath = tmp_path / "config.json"
@@ -1241,7 +1246,7 @@ class TestCli:
         rc, _, err = self.run(["pipeline", "--config", str(cpath)], capsys)
         assert rc == 1
         assert f"spatial-link: error [io-cli]: {name} must be {requirement}, got {value!r}" in err
-        assert "spatial-link: hint: " in err
+        assert f"spatial-link: hint: give --{name.replace('_', '-')} " in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

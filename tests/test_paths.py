@@ -284,8 +284,8 @@ class TestPrune:
         gives the CSR slots of every neighbour list the walker and its hop
         search read, so it counts the reads.
         """
-        block = CellSet(KIND_SOURCE, "moderate", [(r, c, -1.0) for r in range(8) for c in range(8)])
-        far = CellSet(KIND_TARGET, "moderate", [(20, 20, -1.0)])
+        block = CellSet(KIND_SOURCE, "moderate", np.argwhere(np.ones((8, 8))), -np.ones(64))
+        far = CellSet(KIND_TARGET, "moderate", np.array([[20, 20]]), np.array([-1.0]))
         graph = build_graph(block, far, max_edge_cells=1.5)
         assert graph.n_nodes == 65 and graph.n_edges > 100
         reads = []

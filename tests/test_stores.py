@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spatial_link.errors import PathExplosion
-from spatial_link.graph import NODE_KINDS, GraphEdge, GraphNode, SpatialGraph
-from spatial_link.grid import KIND_SOURCE, KIND_TARGET
+from spatial_link.graph import NODE_KINDS, GraphEdge, GraphNode, SpatialGraph, build_graph
+from spatial_link.grid import KIND_SOURCE, KIND_TARGET, CellSet
 from spatial_link.paths import enumerate_walks, extract_all_paths, path_score
 
-from oracles import brute_force_paths
+from oracles import brute_force_paths, edge_weights
 
 
 @st.composite
@@ -34,8 +35,9 @@ def test_store_walks_weights_and_scores_match_the_oracles(graph, max_nodes):
     store = extract_all_paths(graph, max_nodes=max_nodes)
     expected = sorted(brute_force_paths(graph.adjacency, sources, targets, max_nodes))
     assert [p.nodes for p in store] == expected
+    weight = edge_weights(graph)
     for path in store:
-        weights = tuple(map(graph.edge_weight, path.nodes[:-1], path.nodes[1:]))
+        weights = tuple(weight[step] for step in zip(path.nodes[:-1], path.nodes[1:]))
         assert path.edge_weights == weights
         assert path.score == path_score(weights)
 
@@ -73,9 +75,10 @@ def test_graphs_from_objects_and_from_arrays_agree(graph):
     assert np.array_equal(twin.adjacency.indptr, graph.adjacency.indptr)
     assert np.array_equal(twin.adjacency.indices, graph.adjacency.indices)
     assert np.array_equal(twin.adjacency.weight, graph.adjacency.weight)
-    for u, nbrs in enumerate(graph.adjacency):
-        for v in nbrs:
-            assert twin.edge_weight(u, v) == graph.edge_weight(v, u)
+    weight = edge_weights(graph)
+    assert twin.adjacency.weight.tolist() == [
+        weight[u, v] for u, nbrs in enumerate(graph.adjacency) for v in nbrs
+    ]
 
 
 def first_broken_invariant(n: int, edges) -> str | None:
@@ -111,3 +114,36 @@ def test_both_constructors_raise_the_same_invariant_error(n, raw_edges):
         except ValueError as exc:
             errors.append(str(exc))
     assert errors[0] == errors[1] == first_broken_invariant(n, raw_edges)
+
+
+@st.composite
+def overlapping_sides(draw):
+    """Source and target cell sets, each in any order, on a small grid and sharing cells."""
+    shape = draw(st.tuples(st.integers(1, 7), st.integers(1, 7)))
+    grid = [(r, c) for r in range(shape[0]) for c in range(shape[1])]
+    values = st.sampled_from([0.0, -1.0, 2.5]) | st.floats(-5, 5)
+    sides = []
+    for kind in (KIND_SOURCE, KIND_TARGET):
+        cells = draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
+        vals = draw(st.lists(values, min_size=len(cells), max_size=len(cells)))
+        sides.append(CellSet(kind, "moderate", np.array(cells, dtype=np.int64), np.array(vals)))
+    return shape, *sides, draw(arrays(np.bool_, shape))
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlapping_sides(), st.sampled_from(["standard", "cmad"]))
+def test_graph_nodes_match_a_per_cell_reference(sides, variant):
+    shape, source, target, mask = sides
+    # The reference keys every cell once; a target entry replaces a source one.
+    by_cell = {}
+    for side in (source, target):
+        for cell, value in zip(map(tuple, side.cells.tolist()), side.values.tolist()):
+            by_cell[cell] = (side.kind, value)
+    expected = [
+        GraphNode(k, r, c, kind, value,
+                  bool(mask[r, c]) if variant == "cmad" and kind == KIND_SOURCE else None)
+        for k, ((r, c), (kind, value)) in enumerate(sorted(by_cell.items()))
+    ]
+    graph = build_graph(source, target, max_edge_cells=2.0, variant=variant,
+                        anomaly_mask=mask, grid_shape=shape)
+    assert graph.nodes == expected

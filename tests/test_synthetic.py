@@ -145,8 +145,8 @@ class TestGenerate:
         source, target, truth = generate(spec, dims=(40, 40))
         bands_s = compute_threshold_bands(source, LOSS_NEGATIVE)
         bands_t = compute_threshold_bands(target, LOSS_NEGATIVE)
-        src_sel = {(r, c) for r, c, _ in classify_cells(source, bands_s, band, KIND_SOURCE).cells}
-        tgt_sel = {(r, c) for r, c, _ in classify_cells(target, bands_t, band, KIND_TARGET).cells}
+        src_sel = set(map(tuple, classify_cells(source, bands_s, band, KIND_SOURCE).cells.tolist()))
+        tgt_sel = set(map(tuple, classify_cells(target, bands_t, band, KIND_TARGET).cells.tolist()))
         assert set(truth.cells[:truth.split_index]) <= src_sel
         assert set(truth.cells[truth.split_index:]) <= tgt_sel
 
@@ -155,18 +155,12 @@ class TestGenerate:
         spec = spec_for(seed=7)
         source, target, truth = generate(spec, dims=(30, 30))
         for band in ("moderate", "high", "anomalous"):
-            tgt_sel = {
-                (r, c)
-                for r, c, _ in classify_cells(
-                    target, compute_threshold_bands(target, LOSS_NEGATIVE), band, KIND_TARGET
-                ).cells
-            }
-            src_sel = {
-                (r, c)
-                for r, c, _ in classify_cells(
-                    source, compute_threshold_bands(source, LOSS_NEGATIVE), band, KIND_SOURCE
-                ).cells
-            }
+            tgt_sel = set(map(tuple, classify_cells(
+                target, compute_threshold_bands(target, LOSS_NEGATIVE), band, KIND_TARGET
+            ).cells.tolist()))
+            src_sel = set(map(tuple, classify_cells(
+                source, compute_threshold_bands(source, LOSS_NEGATIVE), band, KIND_SOURCE
+            ).cells.tolist()))
             assert not (set(truth.cells[:truth.split_index]) & tgt_sel)
             assert not (set(truth.cells[truth.split_index:]) & src_sel)
 

@@ -9,7 +9,8 @@ Each of ``--base`` and ``--head`` is the root of a checkout holding
 inputs from its own ``src/``, with ``PYTHONHASHSEED=0``, into its own
 output path. ``null_dense`` also runs with ``--threads 2 --share-null
 --bh``, with ``--threads 3 --m 130`` (blocks of the null that do not
-divide the thread ranges), and as a ``stages`` run: ``build-graph``,
+divide the thread ranges), with ``--window``, ``--metric chebyshev`` and
+``--band-scope global``, and as a ``stages`` run: ``build-graph``,
 ``extract-paths`` and ``significance`` with the workload's settings, each
 stage reading the upstream artifact both sides agreed on. ``sweep_cmad``
 also runs with ``--share-null``, and as a ``stages`` run of its
@@ -52,6 +53,11 @@ EXTRA_RUNS = {
         # three threads split them 44/44/42.
         ("threads3-m130", ["--threads", "3", "--m", "130"]),
         ("stages", {}),
+        # No workload crops its grids: this run writes GeoJSON coordinates on
+        # a shifted registration, filters edges by the chebyshev metric and
+        # bands on the whole fields (about 4,600 paths).
+        ("window-chebyshev-global",
+         ["--window", "3:17,5:60", "--metric", "chebyshev", "--band-scope", "global"]),
         # The workload has 8,256 paths, so enumeration passes the cap.
         ("cap", ["--cap", "5000"], FAILS),
     ],
