@@ -114,8 +114,9 @@ class SpatialGraph:
     settings needed to rebuild edge weights during null resampling.
 
     Node ids must be 0..n-1 in order, and each edge must join two distinct
-    nodes, appear once in either direction and weigh +1 or -1;
-    ``ValueError`` names the first node or edge that does not.
+    nodes, appear once in either direction, weigh +1 or -1 and have a
+    distance of at least 0; ``ValueError`` names the first node or edge
+    that does not.
     """
 
     def __init__(self, nodes=(), edges=(), params: dict | None = None):
@@ -143,7 +144,7 @@ class SpatialGraph:
         self.value = np.asarray(value, dtype=np.float64)
         self.params = dict(params or {})
         n, u, v = len(self.row), np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-        weight = np.asarray(weight)
+        weight, distance = np.asarray(weight), np.asarray(distance, dtype=np.float64)
         repeated = np.ones(len(u), dtype=bool)
         repeated[np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)[1]] = False
         # Each invariant is tested on every edge at once; the first edge
@@ -152,15 +153,17 @@ class SpatialGraph:
             f"names a node outside 0..{n - 1}": (u < 0) | (u >= n) | (v < 0) | (v >= n),
             "joins a node to itself": u == v,
             "repeats an edge listed before": repeated,
-            "has weight {!r}; a weight is +1 or -1": ~np.isin(weight, (1, -1)),
+            "has weight {weight!r}; a weight is +1 or -1": ~np.isin(weight, (1, -1)),
+            "has distance {distance!r}; a distance is at least 0": ~(distance >= 0),
         }
         bad = np.flatnonzero(np.logical_or.reduce(list(problems.values())))
         if bad.size:
             k = int(bad[0])
             problem = next(text for text, flag in problems.items() if flag[k])
-            raise ValueError(f"edge ({u[k]}, {v[k]}) " + problem.format(weight[k].item()))
+            raise ValueError(f"edge ({u[k]}, {v[k]}) " + problem.format(
+                weight=weight[k].item(), distance=distance[k].item()))
         self.u, self.v, self.weight = u, v, weight.astype(np.int8)
-        self.distance = np.asarray(distance, dtype=np.float64)
+        self.distance = distance
         ends, others = np.concatenate([u, v]), np.concatenate([v, u])
         order = np.lexsort((others, ends))
         indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])

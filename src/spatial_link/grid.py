@@ -86,6 +86,12 @@ QUARTER_DEGREE_GLOBAL = GridRegistration(
 )
 
 
+WINDOW_HINT = (
+    "give --window ROW0:ROW1,COL0:COL1, inclusive zero-based indices with ROW0 <= ROW1 and "
+    "COL0 <= COL1"
+)
+
+
 @dataclass(frozen=True)
 class RegionWindow:
     """Inclusive index window ``[row_min, row_max] x [col_min, col_max]``."""
@@ -98,11 +104,12 @@ class RegionWindow:
     def __post_init__(self):
         if self.row_min < 0 or self.col_min < 0:
             raise WindowOutOfBounds(
-                f"window corner ({self.row_min}, {self.col_min}) has negative index"
+                f"window corner ({self.row_min}, {self.col_min}) has negative index",
+                hint=WINDOW_HINT,
             )
         if self.row_max < self.row_min or self.col_max < self.col_min:
             raise WindowOutOfBounds(
-                f"window {self.spec()} is empty (max index below min index)"
+                f"window {self.spec()} is empty (max index below min index)", hint=WINDOW_HINT
             )
 
     @classmethod

@@ -334,17 +334,19 @@ _PATHS_LAYOUT = 'expected {"paths": [{"nodes": [...], "edge_weights": [...], "sc
 
 _KIND = ("'source' or 'target'", lambda v: v in (KIND_SOURCE, KIND_TARGET))
 _FLAG = ("true, false or absent", lambda v: v is None or isinstance(v, bool))
+_LIST = ("a list", lambda v: isinstance(v, list))
 
 
 def graph_from_json(doc: dict) -> SpatialGraph:
     """The graph of a graph.json document.
 
-    Ids, rows, cols, edge ends and edge weights must be JSON integers,
-    values and distances finite JSON numbers, ``anomalous`` a bool or
-    absent, and ``kind`` source or target; nothing is converted. A
-    document that breaks one of these rules or an invariant of
-    ``SpatialGraph`` (node ids, edge ends, +1/-1 weights) raises
-    ``MalformedHeader``, as a malformed one does.
+    ``nodes`` and ``edges`` must be lists. Ids, rows, cols, edge ends and
+    edge weights must be JSON integers, values and distances finite JSON
+    numbers, ``anomalous`` a bool or absent, and ``kind`` source or target;
+    nothing is converted. A document that breaks one of these rules or an
+    invariant of ``SpatialGraph`` (node ids, edge ends, +1/-1 weights,
+    distances of at least 0) raises ``MalformedHeader``, as a malformed one
+    does.
     """
     with reading(MalformedHeader, "malformed graph document", _GRAPH_LAYOUT):
         nodes = [
@@ -356,7 +358,7 @@ def graph_from_json(doc: dict) -> SpatialGraph:
                 value=float(checked(n["value"], "node value", FINITE)),
                 anomalous=checked(n.get("anomalous"), "node anomalous", _FLAG),
             )
-            for n in doc["nodes"]
+            for n in checked(doc["nodes"], "nodes", _LIST)
         ]
         edges = [
             GraphEdge(
@@ -365,7 +367,7 @@ def graph_from_json(doc: dict) -> SpatialGraph:
                 weight=checked(e["weight"], "edge weight", INTEGER),
                 distance=float(checked(e["distance"], "edge distance", FINITE)),
             )
-            for e in doc["edges"]
+            for e in checked(doc["edges"], "edges", _LIST)
         ]
         return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
 
@@ -388,11 +390,11 @@ def paths_to_json(paths: PathStore, graph: SpatialGraph, metadata: dict) -> str:
 def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
     """The paths of a paths.json document, each rebuilt from its walk on ``graph``.
 
-    Node ids and edge weights must be JSON integers and the score a finite
-    JSON number (``MalformedHeader`` otherwise). Raises ``DimMismatch`` when
-    a walk names a node outside the graph, has fewer than two nodes or
-    steps off an edge, or when the document's edge weights and score are
-    not the ones the graph gives the walk.
+    ``paths`` must be a list, node ids and edge weights JSON integers and
+    the score a finite JSON number (``MalformedHeader`` otherwise). Raises
+    ``DimMismatch`` when a walk names a node outside the graph, has fewer
+    than two nodes or steps off an edge, or when the document's edge
+    weights and score are not the ones the graph gives the walk.
     """
     with reading(MalformedHeader, "malformed paths document", _PATHS_LAYOUT):
         recorded = [
@@ -401,7 +403,7 @@ def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
                 edge_weights=tuple(checked(w, "edge weight", INTEGER) for w in p["edge_weights"]),
                 score=float(checked(p["score"], "path score", FINITE)),
             )
-            for p in doc["paths"]
+            for p in checked(doc["paths"], "paths", _LIST)
         ]
     hint = "extract the paths from this graph (spatial-link extract-paths --graph ...)"
     ids = [node for path in recorded for node in path.nodes]

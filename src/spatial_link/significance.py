@@ -2,11 +2,15 @@
 
 The null model holds path geometry fixed and permutes field values among
 the valid cells of each field independently, recomputing each path's
-coherence score per replicate. Replicate seeds derive from a single base
-seed through a pure function of the replicate index, so results are
-independent of evaluation order and thread count. The reported p-value
-uses the add-one estimator (1 + #{null >= observed}) / (1 + M), which is
-never zero and is exact under the discrete permutation distribution.
+coherence score per replicate. Under a permutation, the cells read at a
+pool's distinct path nodes form a uniformly random ordered subset of the
+pool, so each replicate draws that subset directly (``lemire_subsets``)
+from the raw output of its own PCG64 stream. Replicate seeds derive from a
+single base seed through a pure function of the replicate index, so
+results are independent of evaluation order and thread count. The
+reported p-value uses the add-one estimator (1 + #{null >= observed}) /
+(1 + M), which is never zero and is exact under the discrete permutation
+distribution.
 """
 from __future__ import annotations
 
@@ -29,6 +33,8 @@ DEFAULT_ALPHA = 0.05
 # most BLOCK_COUNTS (path, replicate) ok-edge counts at once.
 MAX_BLOCK = 64
 BLOCK_COUNTS = 1 << 20
+# Pools are sampled with 32-bit words, so a pool holds fewer than 2**32 cells.
+WORD = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,9 @@ def pool_positions(grid: ChangeGrid, cells, ids, field: str) -> np.ndarray:
     cell of ``field`` is named, by its node id, in the ``DimMismatch``
     raised for it. ``PermutationNull.for_graph`` maps all source nodes
     before any target node, so it names the lowest bad source node id if
-    there is one, else the lowest bad target node id.
+    there is one, else the lowest bad target node id. The null draws a cell
+    of its own for each node, so two nodes on one cell are a
+    ``DimMismatch`` too.
     """
     rows, cols = np.asarray(cells, dtype=np.int64).reshape(-1, 2).T
     positions = np.full(grid.shape, -1, dtype=np.int64)
@@ -137,6 +145,15 @@ def pool_positions(grid: ChangeGrid, cells, ids, field: str) -> np.ndarray:
         raise DimMismatch(
             f"graph node {ids[k]} at cell ({rows[k]}, {cols[k]}) lies {where}",
             hint="pass the fields (and mask) the graph was built from",
+        )
+    _, first = np.unique(pos, return_index=True)
+    if len(first) < len(pos):
+        k = int(np.setdiff1d(np.arange(len(pos)), first)[0])
+        j = int(np.flatnonzero(pos == pos[k])[0])
+        raise DimMismatch(
+            f"graph nodes {ids[j]} and {ids[k]} both lie at cell ({rows[k]}, {cols[k]}) of the "
+            f"{field} field",
+            hint="a graph has one node per cell of each field; rebuild it with build-graph",
         )
     return pos
 
@@ -160,6 +177,71 @@ def ok_edges_needed(scores: np.ndarray, n_edges: np.ndarray) -> np.ndarray:
     return need
 
 
+def lemire_subsets(raw: np.ndarray, sizes, counts) -> tuple[list[np.ndarray], np.ndarray]:
+    """Distinct uniform positions per pool, drawn from each row of raw PCG64 output.
+
+    ``raw`` is an (R, H) uint64 array; each value gives two 32-bit words,
+    low half first. For a pool of ``n`` cells a word ``w`` gives
+    ``m = w * n``: it is accepted iff ``m mod 2**32 >= (2**32 - n) % n``
+    (Lemire 2019) and then draws position ``m >> 32``. Pools are drawn in
+    order; each takes words in stream order, skipping rejected words and
+    positions it holds already, until it holds its count, and the next
+    pool starts at the word after the one that completed it. Returns one
+    (R, count) int64 array per pool, positions in draw order, and a mask
+    of the rows whose words sufficed for every pool; the arrays' other
+    rows are undefined.
+    """
+    words = raw.astype("<u8", copy=False).view("<u4").reshape(len(raw), -1).astype(np.uint64)
+    rows, width = words.shape
+    shift = width.bit_length()
+    start, done, out = np.zeros(rows, np.int64), np.ones(rows, bool), []
+    for n, d in zip(sizes, counts):
+        if d == 0:
+            out.append(np.zeros((rows, 0), np.int64))
+            continue
+        # Words before the earliest row's start are no row's to draw.
+        lo = int(start.min())
+        cols = np.arange(lo, width)
+        m = words[:, lo:] * np.uint64(n)
+        valid = ((m & np.uint64(WORD - 1)) >= (WORD - n) % n) & (cols >= start[:, None])
+        pos = (m >> np.uint64(32)).view(np.int64)
+        # Invalid words draw position n. Sorting (position, column) keys
+        # puts the words of one position in stream order, so each word
+        # after the first of its position repeats it.
+        pos[~valid] = n
+        keys = (pos << shift) | cols
+        # Small pools' keys fit int32, which sorts about three times faster.
+        if (n + 1) << shift < 2**31:
+            keys = keys.astype(np.int32)
+        keys.sort(axis=1)
+        drawn_pos = keys >> shift
+        repeat = drawn_pos[:, 1:] == drawn_pos[:, :-1]
+        valid[np.nonzero(repeat)[0], (keys[:, 1:][repeat] & ((1 << shift) - 1)) - lo] = False
+        held = np.cumsum(valid, axis=1, dtype=np.int32)
+        full = held[:, -1] >= d
+        drawn = np.zeros((rows, d), np.int64)
+        drawn[full] = pos[valid & (held <= d) & full[:, None]].reshape(-1, d)
+        out.append(drawn)
+        done &= full
+        start = lo + np.argmax(held >= d, axis=1) + 1
+    return out, done
+
+
+def words_needed(sizes, counts) -> int:
+    """Words per replicate that draw every pool's count with room to spare; an even number.
+
+    Drawing the j-th distinct position of n takes n / (n - j) accepted
+    words on average, with variance j n / (n - j)**2. The total mean plus
+    four standard deviations and eight words leaves few rows short.
+    """
+    mean = var = 0.0
+    for n, d in zip(sizes, counts):
+        j = np.arange(d, dtype=float)
+        mean += float((n / (n - j)).sum()) * WORD / (WORD - WORD % n)
+        var += float((j * n / (n - j) ** 2).sum())
+    return 2 * int(np.ceil((mean + 4 * np.sqrt(var) + 8) / 2))
+
+
 class PermutationNull:
     """Vectorized permutation-null engine over a batch of paths.
 
@@ -167,13 +249,14 @@ class PermutationNull:
     cell: its sign (``standard``), its anomaly bit for the source field or
     its oriented in-band test for the target field (``cmad``), or whether
     it reaches the threshold (``threshold``). The constructors derive the
-    states; permuting the states is permuting the values. One replicate
-    draws a fresh permutation of each pool (source field first, target
-    field second, from the replicate's generator), reads the permuted
-    state of each distinct path node, and rescores every path from one
-    ok-bit per distinct path edge. Scores are fractions k / n_edges, so a
-    null score is compared with the observed score of the same path as
-    counts: its k against the fewest ok edges that reach the observed score.
+    states; permuting the states is permuting the values. ``node_pool``
+    gives the pool each node reads, and the nodes of one pool lie on
+    distinct cells of it. One replicate draws, per pool, as many distinct
+    uniform cells as the pool has distinct path nodes, reads their states
+    for those nodes, and rescores every path from one ok-bit per distinct
+    path edge. Scores are fractions k / n_edges, so a null score is
+    compared with the observed score of the same path as counts: its k
+    against the fewest ok edges that reach the observed score.
     """
 
     def __init__(
@@ -181,7 +264,6 @@ class PermutationNull:
         *,
         pools: list[np.ndarray],
         node_pool: np.ndarray,
-        node_pos: np.ndarray,
         policy: SeedPolicy,
         n_replicates: int = DEFAULT_REPLICATES,
         threads: int = 1,
@@ -191,7 +273,12 @@ class PermutationNull:
             raise ValueError("n_replicates must be at least 1")
         self.pools = [np.asarray(p) for p in pools]
         self.node_pool = np.asarray(node_pool, dtype=np.int64)
-        self.node_pos = np.asarray(node_pos, dtype=np.int64)
+        sizes = [len(p) for p in self.pools]
+        if max(sizes) >= WORD:
+            raise ValueError(f"a pool holds {max(sizes)} cells; the null draws from under 2**32")
+        nodes = np.bincount(self.node_pool, minlength=len(sizes))
+        if (nodes > sizes).any():
+            raise ValueError(f"pools of {sizes} cells cannot hold {nodes.tolist()} distinct nodes")
         self.policy = policy
         self.n_replicates = int(n_replicates)
         self.threads = max(1, int(threads))
@@ -221,10 +308,9 @@ class PermutationNull:
         variant = graph.params.get("variant", VARIANT_STANDARD)
         cells = np.column_stack([graph.row, graph.col])
         node_pool = (graph.kind != NODE_KINDS.index(KIND_SOURCE)).astype(np.int64)
-        node_pos = np.zeros(graph.n_nodes, dtype=np.int64)
         for k, (grid, field) in enumerate(((source, "source"), (target, "target"))):
             ids = np.flatnonzero(node_pool == k)
-            node_pos[ids] = pool_positions(grid, cells[ids], ids, field)
+            pool_positions(grid, cells[ids], ids, field)
 
         if variant == VARIANT_CMAD:
             if anomaly_mask is None:
@@ -250,7 +336,6 @@ class PermutationNull:
         return cls(
             pools=pools,
             node_pool=node_pool,
-            node_pos=node_pos,
             policy=policy,
             n_replicates=n_replicates,
             threads=threads,
@@ -275,10 +360,10 @@ class PermutationNull:
         onto the path.
         """
         n = len(cells)
+        pool_positions(values_grid, cells, range(n), "value")
         return cls(
             pools=[values_grid.values[values_grid.valid_mask] >= float(threshold)],
             node_pool=np.zeros(n, dtype=np.int64),
-            node_pos=pool_positions(values_grid, cells, range(n), "value"),
             policy=policy,
             n_replicates=n_replicates,
             threads=threads,
@@ -287,8 +372,41 @@ class PermutationNull:
 
     # -- scoring --------------------------------------------------------
 
+    def _draw(self, block: range, counts: list[int], width: int) -> list[np.ndarray]:
+        """Each pool's drawn positions for the replicates of ``block``, a row per replicate.
+
+        Each replicate reads ``width`` words of its stream at once; a row
+        that runs short reads as many words again, from where it stopped,
+        until every pool is drawn.
+        """
+        sizes = [len(p) for p in self.pools]
+        streams = [self.policy.generator(i).bit_generator for i in block]
+        raw = np.array([g.random_raw(width // 2) for g in streams])
+        rows = np.arange(len(streams))
+        out = [np.empty((len(streams), d), np.int64) for d in counts]
+        while True:
+            drawn, done = lemire_subsets(raw, sizes, counts)
+            for positions, part in zip(out, drawn):
+                positions[rows[done]] = part[done]
+            if done.all():
+                return out
+            rows, raw = rows[~done], raw[~done]
+            raw = np.concatenate([raw, [streams[r].random_raw(raw.shape[1]) for r in rows]], axis=1)
+
     def _run(self, paths: PathStore) -> np.ndarray:
         """Exceedance counts per path: replicates scoring at least the observed score.
+
+        The stream contract. Replicate ``i`` reads only the raw output of
+        the PCG64 bit generator of ``policy.generator(i)``, never a
+        ``Generator`` method, so its draws depend only on the seed. Each
+        pool (source, then target; the one pool of a point field) draws as
+        many distinct positions as it has distinct path nodes in the store,
+        by ``lemire_subsets``; its j-th position is read for its j-th
+        distinct path node in ascending node id order. The positions of
+        one pool are a uniformly random ordered subset of it, as the cells
+        under those nodes are after a permutation, so the null's law is the
+        permutation law; a path's draws depend on the store's distinct
+        node set. How many words a replicate reads at once is tuning only.
 
         Replicates are scored in blocks of ``replicate_block(n_paths)``.
         Each replicate of a block sets its own row of a (block x distinct
@@ -298,7 +416,7 @@ class PermutationNull:
         all its replicates at once. A path exceeds in a replicate when its
         count reaches ``ok_edges_needed``. Each thread takes one contiguous
         range of replicates and splits it into blocks, so the counts are
-        the same for every thread count.
+        the same for every block size and thread count.
         """
         n_paths, (a, b) = len(paths), steps(paths.offsets, paths.nodes)
         # Edge (u, v) and (v, u) share the key min * n + max.
@@ -317,12 +435,10 @@ class PermutationNull:
             shape=(n_paths, len(edge_keys)),
         )
         need = ok_edges_needed(paths.scores, n_edges).astype(np.float32)[:, None]
-        # (path-node slots, pool positions) of each pool's nodes.
-        node_pool = self.node_pool[nodes]
-        reads = [
-            (np.nonzero(node_pool == k)[0], self.node_pos[nodes[node_pool == k]])
-            for k in range(len(self.pools))
-        ]
+        # The path-node slots of each pool's nodes, in ascending node id order.
+        slots = [np.flatnonzero(self.node_pool[nodes] == k) for k in range(len(self.pools))]
+        counts = [len(s) for s in slots]
+        width = words_needed([len(p) for p in self.pools], counts)
         size = replicate_block(n_paths)
         m = self.n_replicates
 
@@ -331,16 +447,13 @@ class PermutationNull:
             state = np.empty((size, len(nodes)), dtype=self.pools[0].dtype)
             for first in range(indices.start, indices.stop, size):
                 block = range(first, min(first + size, indices.stop))
-                for row, i in enumerate(block):
-                    # Pools are permuted in order (source, then target) from
-                    # the replicate's own stream; only path nodes are read.
-                    g = self.policy.generator(i)
-                    for states, (slots, pos) in zip(self.pools, reads):
-                        state[row, slots] = states[g.permutation(len(states))[pos]]
                 rows = state[: len(block)]
+                drawn = self._draw(block, counts, width)
+                for states, where, positions in zip(self.pools, slots, drawn):
+                    rows[:, where] = states[positions]
                 ok = edge_ok(self.variant, rows[:, end_a], rows[:, end_b])
-                counts = incidence @ np.ascontiguousarray(ok.T, dtype=np.float32)
-                ge += np.count_nonzero(counts >= need, axis=1)
+                ok_counts = incidence @ np.ascontiguousarray(ok.T, dtype=np.float32)
+                ge += np.count_nonzero(ok_counts >= need, axis=1)
             return ge
 
         step = -(-m // self.threads)
@@ -367,8 +480,10 @@ class PermutationNull:
         because under value permutation the null score law of a path
         depends on the path only through its length and node composition.
         The first path of a length stands in once per distinct observed
-        score of that length; as every pool is permuted in full in each
-        replicate, its replicate scores depend only on its own nodes.
+        score of that length, in one store of stand-ins. Whatever else a
+        store holds, the states a replicate draws at any path's distinct
+        nodes follow the permutation law, so each stand-in's replicate
+        scores are draws from its own null law, and its copies share them.
         """
         if not 0 < alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")

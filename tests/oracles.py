@@ -3,9 +3,10 @@
 Nothing here shares code with the package: triangulation is re-derived
 from the empty-circumcircle definition, path enumeration from a recursive
 depth-first search, each rule's cell states from the raw grids cell by
-cell, the permutation null from full-pool permutations rescored path
-position by path position, and the score-1.0 null law in closed form, so
-agreement between the two routes is evidence rather than tautology.
+cell, the null's draws from a word-by-word loop over the raw PCG64 stream
+with integer arithmetic, rescored path position by path position, and the
+score-1.0 null law in closed form, so agreement between the two routes is
+evidence rather than tautology.
 """
 from __future__ import annotations
 
@@ -150,19 +151,67 @@ def quantile_linear(sorted_values, p: float) -> float:
     return vals[lo] + (h - lo) * (vals[hi] - vals[lo])
 
 
-def permute_fields(source, target, seed):
+def raw_words(bit_generator):
+    """The 32-bit words of a bit generator's raw stream: each 64-bit output, low half first."""
+    while True:
+        value = int(bit_generator.random_raw())
+        yield value % 2**32
+        yield value // 2**32
+
+
+def reference_subsets(bit_generator, sizes, counts) -> list[list[int]]:
+    """Distinct positions per pool, drawn one word at a time (Lemire 2019).
+
+    For a pool of n cells, word w gives m = w * n; the word is rejected
+    when m mod 2**32 falls below (2**32 - n) mod n, and otherwise draws
+    position m // 2**32. A pool skips rejected words and positions it
+    holds already until it holds its count; the next pool reads on from
+    the word after.
+    """
+    words = raw_words(bit_generator)
+    out = []
+    for n, count in zip(sizes, counts):
+        drawn, held = [], set()
+        while len(drawn) < count:
+            m = next(words) * n
+            if m % 2**32 >= (2**32 - n) % n and m // 2**32 not in held:
+                drawn.append(m // 2**32)
+                held.add(m // 2**32)
+        out.append(drawn)
+    return out
+
+
+def permute_fields(source, target, seed, reads=None):
     """One null replicate: permute each field's values among its valid cells.
 
-    ``seed`` may be an int, a SeedSequence, or a Generator. The source
-    field is permuted first, then the target field, from the same stream;
-    invalid cells are untouched. Returns the two permuted value arrays.
+    ``seed`` may be an int, a SeedSequence, a Generator or a bit
+    generator; the draws read its raw stream. ``reads`` holds, per field,
+    the cells the replicate reads, in the order their draws are made (all
+    valid cells in row-major order by default). The source field is drawn
+    first, then the target field, with ``reference_subsets``: the i-th
+    read cell takes the value of the i-th drawn valid cell, and the other
+    valid cells take the undrawn values in row-major order. Invalid cells
+    are untouched. Returns the two permuted value arrays.
     """
-    g = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    bits = np.random.default_rng(seed).bit_generator
+    grids = (source, target)
+    if reads is None:
+        reads = [[tuple(c) for c in np.argwhere(g.valid_mask).tolist()] for g in grids]
+    drawn = reference_subsets(
+        bits, [int(g.valid_mask.sum()) for g in grids], [len(cells) for cells in reads]
+    )
     out = []
-    for grid in (source, target):
+    for grid, cells, order in zip(grids, reads, drawn):
+        pool = grid.values[grid.valid_mask]
+        slot = np.full(grid.values.shape, -1)
+        slot[grid.valid_mask] = np.arange(len(pool))
+        read = [int(slot[c]) for c in cells]
+        source_of = dict(zip(read, order))
+        rest = iter(sorted(set(range(len(pool))) - set(order)))
         vals = grid.values.copy()
-        pool = vals[grid.valid_mask]
-        vals[grid.valid_mask] = pool[g.permutation(len(pool))]
+        vals[grid.valid_mask] = pool[
+            [source_of[k] if k in source_of else next(rest) for k in range(len(pool))]
+        ]
         out.append(vals)
     return out[0], out[1]
 
@@ -201,45 +250,41 @@ def position_null_scores(engine, paths) -> np.ndarray:
     """Null scores of every path, rescored path position by path position.
 
     Reads only the inputs of a permutation-null engine (its per-cell state
-    pools, each node's pool and pool position, rule and seed policy),
-    never its scoring code. Each replicate permutes every pool in full,
-    source pool first, from the replicate's generator; gathers the
-    permuted state at every (path, position) pair; and applies the rule
-    edge by edge: equal states (signs) for ``standard``, both states true
-    for ``cmad`` and ``threshold``. Returns an (n_replicates, n_paths)
-    array of fractions k / n_edges.
+    pools, each node's pool, rule and seed policy), never its scoring
+    code. Each replicate draws, per pool in order, one distinct cell for
+    each distinct node of the paths in that pool, in ascending node id
+    order, with ``reference_subsets`` from the replicate's bit generator;
+    gathers the drawn state at every (path, position) pair; and applies
+    the rule edge by edge: equal states (signs) for ``standard``, both
+    states true for ``cmad`` and ``threshold``. Returns an
+    (n_replicates, n_paths) array of fractions k / n_edges.
     """
-    n_paths = len(paths)
+    nodes = sorted({i for p in paths for i in p.nodes})
+    by_pool = [[i for i in nodes if engine.node_pool[i] == k] for k in range(len(engine.pools))]
+    sizes = [len(pool) for pool in engine.pools]
     width = max(len(p.nodes) for p in paths)
-    pos_a = np.zeros((n_paths, width), dtype=np.int64)
-    pos_b = np.zeros((n_paths, width), dtype=np.int64)
-    in_a = np.zeros((n_paths, width), dtype=bool)
-    edge_valid = np.zeros((n_paths, width - 1), dtype=bool)
-    n_edges = np.zeros(n_paths, dtype=np.int64)
+    ids = np.zeros((len(paths), width), dtype=np.int64)
+    edge_valid = np.zeros((len(paths), width - 1), dtype=bool)
+    n_edges = np.zeros(len(paths), dtype=np.int64)
     for k, path in enumerate(paths):
-        ids = np.asarray(path.nodes, dtype=np.int64)
-        m = len(ids)
-        pools = engine.node_pool[ids]
-        posns = engine.node_pos[ids]
-        in_a[k, :m] = pools == 0
-        pos_a[k, :m] = np.where(pools == 0, posns, 0)
-        pos_b[k, :m] = np.where(pools == 0, 0, posns)
-        edge_valid[k, : m - 1] = True
-        n_edges[k] = m - 1
+        ids[k, : len(path.nodes)] = path.nodes
+        edge_valid[k, : len(path.nodes) - 1] = True
+        n_edges[k] = len(path.nodes) - 1
 
-    out = np.zeros((engine.n_replicates, n_paths))
-    for i in range(engine.n_replicates):
-        g = engine.policy.generator(i)
-        permuted = [pool[g.permutation(len(pool))] for pool in engine.pools]
-        if len(permuted) == 1:
-            states = permuted[0][pos_a]
-        else:
-            states = np.where(in_a, permuted[0][pos_a], permuted[1][pos_b])
+    out = np.zeros((engine.n_replicates, len(paths)))
+    for r in range(engine.n_replicates):
+        drawn = reference_subsets(
+            engine.policy.generator(r).bit_generator, sizes, [len(pool) for pool in by_pool]
+        )
+        node_state = np.zeros(len(engine.node_pool), dtype=engine.pools[0].dtype)
+        for pool, pool_ids, cells in zip(engine.pools, by_pool, drawn):
+            node_state[pool_ids] = pool[cells]
+        states = node_state[ids]
         if engine.variant == "standard":
             ok = (states[:, 1:] == states[:, :-1]) & edge_valid
         else:
             ok = states[:, 1:] & states[:, :-1] & edge_valid
-        out[i] = ok.sum(axis=1) / n_edges
+        out[r] = ok.sum(axis=1) / n_edges
     return out
 
 

@@ -279,8 +279,10 @@ class TestGraphJson:
         ({}, {"weight": 0.5}, "edge weight must be an integer, got 0.5"),
         ({}, {"weight": 7}, r"edge \(0, 1\) has weight 7; a weight is \+1 or -1"),
         ({}, {"distance": True}, "edge distance must be a finite number, got True"),
+        ({}, {"distance": -5.0}, r"edge \(0, 1\) has distance -5.0; a distance is at least 0"),
     ], ids=["row-float", "col-string", "id-bool", "value-string", "value-nan", "kind-sink",
-            "anomalous-int", "v-float", "weight-float", "weight-seven", "distance-bool"])
+            "anomalous-int", "v-float", "weight-float", "weight-seven", "distance-bool",
+            "distance-negative"])
     def test_fields_are_not_coerced(self, node, edge, message):
         nodes = [{"id": k, "row": k, "col": 0, "kind": KIND_SOURCE, "value": -1.0}
                  for k in range(2)]
@@ -288,6 +290,16 @@ class TestGraphJson:
         nodes[0].update(node)
         doc = {"nodes": nodes, "edges": [{"u": 0, "v": 1, "weight": 1, "distance": 1.0, **edge}]}
         with pytest.raises(MalformedHeader, match=message) as info:
+            io.graph_from_json(doc)
+        assert info.value.hint.startswith('expected {"params"')
+
+    @pytest.mark.parametrize("key", ["nodes", "edges"])
+    def test_nodes_and_edges_are_lists(self, key):
+        nodes = [{"id": k, "row": k, "col": 0, "kind": KIND_SOURCE, "value": -1.0}
+                 for k in range(2)]
+        doc = {"nodes": nodes, "edges": [{"u": 0, "v": 1, "weight": 1, "distance": 1.0}]}
+        doc[key] = {}
+        with pytest.raises(MalformedHeader, match=f"{key} must be a list, got {{}}") as info:
             io.graph_from_json(doc)
         assert info.value.hint.startswith('expected {"params"')
 
@@ -789,6 +801,44 @@ class TestCli:
         assert "spatial-link: error [grid-core]: path" in err and expected in err
         assert "spatial-link: hint: extract the paths from this graph" in err
         assert not os.path.exists(tmp_path / "r.json")
+
+    def test_significance_paths_given_as_an_object(self, instance_files, tmp_path, capsys):
+        gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
+        with open(ppath, "w") as fh:
+            json.dump({"metadata": {}, "paths": {}}, fh)
+        rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
+        assert rc == 1
+        assert "spatial-link: error [grid-core]: malformed paths document" in err
+        assert "paths must be a list, got {}" in err
+        assert 'spatial-link: hint: expected {"paths": [' in err
+        assert not os.path.exists(tmp_path / "r.json")
+
+    def test_significance_graph_with_a_negative_distance(self, instance_files, tmp_path, capsys):
+        gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
+        doc = json.loads(open(gpath).read())
+        doc["edges"][0]["distance"] = -5.0
+        with open(gpath, "w") as fh:
+            json.dump(doc, fh)
+        rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
+        assert rc == 1
+        u, v = doc["edges"][0]["u"], doc["edges"][0]["v"]
+        assert f"edge ({u}, {v}) has distance -5.0; a distance is at least 0" in err
+        assert 'spatial-link: hint: expected {"params": {...}, "nodes": [' in err
+        assert not os.path.exists(tmp_path / "r.json")
+
+    @pytest.mark.parametrize("window, message", [
+        ("3:1,5:15", "window 3:1,5:15 is empty (max index below min index)"),
+        ("-1:5,0:10", "window corner (-1, 0) has negative index"),
+    ], ids=["empty", "negative"])
+    def test_pipeline_window_out_of_order_has_a_hint(self, window, message, instance_files,
+                                                     tmp_path, capsys):
+        spath, tpath = instance_files
+        rc, _, err = self.run(["pipeline", "--source", spath, "--target", tpath,
+                               f"--window={window}", "--out-dir", str(tmp_path / "out")], capsys)
+        assert rc == 1
+        assert f"spatial-link: error [grid-core]: {message}" in err
+        assert "spatial-link: hint: give --window ROW0:ROW1,COL0:COL1" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("dims", ["3x4x5", "axb", "12"])
     def test_pipeline_rejects_bad_resample_dims(self, dims, instance_files, tmp_path, capsys):

@@ -1,20 +1,24 @@
 """Permutation-null engine: seeding, p-values, and oracle equivalence.
 
 The vectorized engine is cross-checked replicate by replicate against a
-slow loop that permutes the fields with permute_fields (or permutes the
-pools longhand) and rescores each path from first principles, and against
-the per-(path, position) reference scorer in oracles.py.
+slow loop that permutes the fields with permute_fields (or draws the
+pools' cells longhand) and rescores each path from first principles, and
+against the per-(path, position) reference scorer in oracles.py. Both
+draw through the word-by-word reference sampler ``reference_subsets``.
+The sampler's law is checked against enumerated permutations.
 """
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.stats import binom, chisquare
 
 from spatial_link.errors import DimMismatch, MalformedHeader
 from spatial_link.grid import (
@@ -26,14 +30,16 @@ from spatial_link.grid import (
     classify_cells,
     compute_threshold_bands,
 )
-from spatial_link.graph import VARIANT_CMAD, build_graph
+from spatial_link.graph import VARIANT_CMAD, GraphEdge, GraphNode, SpatialGraph, build_graph
 from spatial_link.paths import LinkagePath, PathStore, extract_all_paths
+from spatial_link import significance
 from spatial_link.significance import (
     BLOCK_COUNTS,
     MAX_BLOCK,
     PermutationNull,
     SeedPolicy,
     benjamini_hochberg,
+    lemire_subsets,
     ok_edges_needed,
     p_value,
     pool_positions,
@@ -42,7 +48,7 @@ from spatial_link.significance import (
 from spatial_link.synthetic import generate_null
 
 from oracles import (
-    exact_full_score_p, permute_fields, position_null_scores, reference_states,
+    exact_full_score_p, permute_fields, position_null_scores, reference_states, reference_subsets,
 )
 from stores import path_store
 
@@ -54,11 +60,10 @@ def grid_of(values, valid=None) -> ChangeGrid:
 
 
 def two_node_engine(src_signs, tgt_signs, **kw) -> PermutationNull:
-    """Hand-built standard engine: node 0 reads source sign slot 0, node 1 target slot 0."""
+    """Hand-built standard engine: node 0 reads the source signs, node 1 the target signs."""
     return PermutationNull(
         pools=[np.asarray(src_signs, np.int8), np.asarray(tgt_signs, np.int8)],
         node_pool=np.array([0, 1]),
-        node_pos=np.array([0, 0]),
         policy=SeedPolicy(base_seed=7),
         **kw,
     )
@@ -95,19 +100,34 @@ class TestSeedPolicy:
         b = SeedPolicy(base_seed=2).generator(0).random(4)
         assert not np.array_equal(a, b)
 
-    def test_replicate_permutations_are_pinned(self):
-        """The first replicate permutations of base seed 0, as NumPy 2.4 draws them.
+    @pytest.mark.parametrize("sizes, counts, pinned", [
+        ((12, 9), (5, 4), [
+            ([9, 11, 0, 3, 8], [1, 8, 3, 6]),
+            ([7, 8, 4, 2, 0], [5, 0, 3, 4]),
+            ([7, 10, 5, 1, 11], [5, 2, 6, 4]),
+        ]),
+        ((86_400,), (6,), [
+            ([69313, 81469, 473, 27331, 65575, 62410],),
+            ([57201, 58509, 30481, 20994, 6824, 52856],),
+            ([56711, 72426, 39989, 7233, 86214, 53361],),
+        ]),
+    ], ids=["two-pools", "one-pool"])
+    def test_replicate_draws_are_pinned(self, sizes, counts, pinned):
+        """The first three replicates' draws at base seed 0, for two pools and for one.
 
-        A failure means the installed NumPy draws a different permutation
-        null, so artifacts are no longer byte-identical to those of earlier
-        runs with the same seed.
+        They read only PCG64's raw stream, which NumPy keeps stable, so a
+        failure means the sampler changed, and artifacts are no longer
+        byte-identical to those of earlier runs with the same seed.
         """
         policy = SeedPolicy(base_seed=0)
-        assert [policy.generator(i).permutation(12).tolist() for i in range(3)] == [
-            [4, 9, 0, 10, 11, 5, 7, 3, 8, 1, 2, 6],
-            [6, 8, 3, 11, 10, 4, 7, 2, 9, 0, 1, 5],
-            [10, 11, 4, 3, 7, 1, 0, 5, 6, 8, 9, 2],
-        ]
+        streams = [policy.generator(i).bit_generator for i in range(3)]
+        raw = np.array([g.random_raw(16) for g in streams])
+        drawn, done = lemire_subsets(raw, sizes, counts)
+        assert done.all()
+        got = [tuple(pool[r].tolist() for pool in drawn) for r in range(3)]
+        assert got == [tuple(p) for p in pinned]
+        refs = [policy.generator(i).bit_generator for i in range(3)]
+        assert [tuple(reference_subsets(g, sizes, counts)) for g in refs] == got
 
 
 class TestPermuteFields:
@@ -283,10 +303,14 @@ class TestEngineAgainstFieldPermutationOracle:
         m = 59
         policy = SeedPolicy(base_seed=123)
         eng = PermutationNull.for_graph(graph, source, target, policy, n_replicates=m)
+        # A replicate reads the cells of the paths' distinct nodes, by node id.
+        nodes = sorted({i for p in paths for i in p.nodes})
+        reads = [[(graph.nodes[i].row, graph.nodes[i].col) for i in nodes
+                  if graph.nodes[i].kind == kind] for kind in (KIND_SOURCE, KIND_TARGET)]
 
         exceed = np.zeros(len(paths), dtype=int)
         for i in range(m):
-            ps, pt = permute_fields(source, target, policy.generator(i))
+            ps, pt = permute_fields(source, target, policy.generator(i), reads)
             for k, path in enumerate(paths):
                 s = oracle_sign_score(path, graph, ps, pt)
                 exceed[k] += s >= path.score
@@ -397,27 +421,26 @@ class TestCmadEngineAgainstOracle:
         )
 
         kinds = {n.id: n.kind for n in graph.nodes}
-        cells = {n.id: (n.row, n.col) for n in graph.nodes}
-        src_pool = source.values[source.valid_mask]
         tgt_pool = target.values[target.valid_mask]
         bit_pool = mask[source.valid_mask]
-        pos_grid = np.full(source.shape, -1)
-        pos_grid[source.valid_mask] = np.arange(src_pool.size)
         lo, hi = bands_t.interval("moderate")
+        # Each pool draws one cell per distinct path node of its field, by node id.
+        nodes = sorted({i for p in paths for i in p.nodes})
+        by_pool = [[i for i in nodes if kinds[i] == kind] for kind in (KIND_SOURCE, KIND_TARGET)]
+        sizes = [bit_pool.size, tgt_pool.size]
 
         exceed = np.zeros(len(paths), dtype=int)
         for i in range(m):
-            g = policy.generator(i)
-            perm_s = g.permutation(src_pool.size)
-            perm_t = g.permutation(tgt_pool.size)
-            s_vals, s_bits = src_pool[perm_s], bit_pool[perm_s]
-            t_vals = tgt_pool[perm_t]
+            drawn = reference_subsets(
+                policy.generator(i).bit_generator, sizes, [len(ids) for ids in by_pool]
+            )
+            cell_of = {nid: c for ids, cells in zip(by_pool, drawn) for nid, c in zip(ids, cells)}
 
             def qual(nid):
-                p = pos_grid[cells[nid]]
+                p = cell_of[nid]
                 if kinds[nid] == KIND_SOURCE:
-                    return bool(s_bits[p])
-                v = t_vals[p]
+                    return bool(bit_pool[p])
+                v = tgt_pool[p]
                 return v < 0 and lo <= abs(v) < hi
 
             for k, path in enumerate(paths):
@@ -456,11 +479,11 @@ class TestThresholdEngineAgainstOracle:
         path = LinkagePath(nodes=(0, 1, 2), edge_weights=(1, 1), score=1.0)
 
         pool = field.values[field.valid_mask]
-        pos_grid = np.arange(pool.size).reshape(dims)
         exceed = 0
         for i in range(m):
-            vals = pool[policy.generator(i).permutation(pool.size)]
-            qual = [vals[pos_grid[r, c]] >= threshold for r, c in cells[:3]]
+            # The path's nodes 0, 1 and 2 each draw a cell of the whole pool.
+            (drawn,) = reference_subsets(policy.generator(i).bit_generator, [pool.size], [3])
+            qual = [pool[c] >= threshold for c in drawn]
             ok = [qual[0] and qual[1], qual[1] and qual[2]]
             exceed += sum(ok) / 2 >= path.score
         expected = (1 + exceed) / (1 + m)
@@ -533,16 +556,40 @@ class TestNodeCellsOnPools:
                                               r"cell of the value field"):
             PermutationNull.for_point_field(field, [(0, 0), (3, 3), (1, 1)], 0.5, SeedPolicy(0))
 
+    def test_graph_nodes_on_one_cell(self):
+        nodes = [GraphNode(0, 0, 0, KIND_SOURCE, -1.0), GraphNode(1, 0, 0, KIND_SOURCE, -2.0),
+                 GraphNode(2, 1, 1, KIND_TARGET, -1.0)]
+        graph = SpatialGraph(nodes, [GraphEdge(0, 2, 1, 1.4), GraphEdge(1, 2, 1, 1.4)])
+        field = grid_of(-np.ones((3, 3)))
+        with pytest.raises(DimMismatch, match=r"graph nodes 0 and 1 both lie at cell \(0, 0\) "
+                                              r"of the source field") as info:
+            PermutationNull.for_graph(graph, field, field, SeedPolicy(0))
+        assert info.value.hint.endswith("rebuild it with build-graph")
 
-def reference_p_values(scores, paths, share_null_by_length) -> list[float]:
+    def test_points_on_one_cell(self):
+        field = grid_of(np.ones((4, 4)))
+        with pytest.raises(DimMismatch, match=r"graph nodes 0 and 2 both lie at cell \(3, 1\)"):
+            PermutationNull.for_point_field(field, [(3, 1), (0, 0), (3, 1)], 0.5, SeedPolicy(0))
+
+
+def reference_p_values(scores, paths) -> list[float]:
     """Add-one p-values from an (n_replicates, n_paths) array of reference scores."""
-    if share_null_by_length:
-        first = {}
-        for k, path in enumerate(paths):
-            first.setdefault(path.n_nodes, k)
-        return [p_value(path.score, scores[:, first[path.n_nodes]]) for path in paths]
     exceed = (scores >= np.array([p.score for p in paths])).sum(axis=0)
     return ((1 + exceed) / (1 + len(scores))).tolist()
+
+
+def shared_reference_p_values(engine, paths) -> list[float]:
+    """Add-one p-values under ``share_null_by_length``: the first path of a length stands in.
+
+    The engine scores a store of the stand-ins alone, so their draws follow
+    the stand-ins' distinct nodes.
+    """
+    first = {}
+    for path in paths:
+        first.setdefault(path.n_nodes, path)
+    scores = position_null_scores(engine, list(first.values()))
+    column = {n_nodes: k for k, n_nodes in enumerate(first)}
+    return [p_value(path.score, scores[:, column[path.n_nodes]]) for path in paths]
 
 
 def assert_engine_matches_reference(engine, paths):
@@ -552,16 +599,17 @@ def assert_engine_matches_reference(engine, paths):
     can take; equal exceedance counts at every level pin its null law.
     """
     scores = position_null_scores(engine, paths)
-    for share in (False, True):
-        got = [r.p_value for r in engine.evaluate(path_store(paths), share_null_by_length=share)]
-        assert got == reference_p_values(scores, paths, share)
+    got = [r.p_value for r in engine.evaluate(path_store(paths))]
+    assert got == reference_p_values(scores, paths)
+    shared = [r.p_value for r in engine.evaluate(path_store(paths), share_null_by_length=True)]
+    assert shared == shared_reference_p_values(engine, paths)
     levels = [replace(p, score=j / (p.n_nodes - 1)) for p in paths for j in range(p.n_nodes)]
     level_scores = scores[:, [k for k, p in enumerate(paths) for _ in p.nodes]]
     m = engine.n_replicates
     counts = [round(r.p_value * (1 + m)) - 1 for r in engine.evaluate(path_store(levels))]
     assert counts == (level_scores >= [p.score for p in levels]).sum(axis=0).tolist()
     shared = [r.p_value for r in engine.evaluate(path_store(levels), share_null_by_length=True)]
-    assert shared == reference_p_values(level_scores, levels, True)
+    assert shared == shared_reference_p_values(engine, levels)
 
 
 def assert_pools_equal(engine, expected):
@@ -591,16 +639,13 @@ def null_instances(draw):
     n_nodes = draw(st.integers(2, 7))
     node_pool = np.array(draw(st.lists(st.integers(0, n_pools - 1), min_size=n_nodes,
                                        max_size=n_nodes)))
-    pools, node_pos = [], np.zeros(n_nodes, dtype=np.int64)
+    pools = []
     for k in range(n_pools):
-        members = np.nonzero(node_pool == k)[0]
-        size = len(members) + draw(st.integers(1, 5))
+        size = int((node_pool == k).sum()) + draw(st.integers(1, 5))
         pools.append(np.array(draw(st.lists(states, min_size=size, max_size=size)), dtype=dtype))
-        node_pos[members] = draw(st.permutations(range(size)))[: len(members)]
     engine = PermutationNull(
         pools=pools,
         node_pool=node_pool,
-        node_pos=node_pos,
         policy=SeedPolicy(base_seed=draw(st.integers(0, 2**32 - 1))),
         n_replicates=draw(st.sampled_from([1, 7, 10, 11])),
         threads=draw(st.sampled_from([1, 3])),
@@ -677,7 +722,6 @@ class TestEngineAgainstPositionReference:
         engine = PermutationNull(
             pools=[np.array([-1, 0, 1, 0, -1], np.int8), np.array([0, 1, -1, 1], np.int8)],
             node_pool=np.array([0, 1, 0, 1]),
-            node_pos=np.array([4, 0, 1, 3]),
             policy=SeedPolicy(base_seed=1),
             n_replicates=29,
             threads=3,
@@ -691,17 +735,15 @@ def random_engine(variant, n_nodes, n_replicates, threads, seed=0) -> Permutatio
     rng = np.random.default_rng(seed)
     n_pools = 1 if variant == "threshold" else 2
     node_pool = rng.integers(0, n_pools, n_nodes)
-    pools, node_pos = [], np.zeros(n_nodes, dtype=np.int64)
+    pools = []
     for k in range(n_pools):
-        members = np.flatnonzero(node_pool == k)
-        size = len(members) + 7
+        size = int((node_pool == k).sum()) + 7
         if variant == "standard":
             pools.append(rng.integers(-1, 2, size).astype(np.int8))
         else:
             pools.append(rng.random(size) < 0.6)
-        node_pos[members] = rng.permutation(size)[: len(members)]
     return PermutationNull(
-        pools=pools, node_pool=node_pool, node_pos=node_pos, policy=SeedPolicy(base_seed=seed),
+        pools=pools, node_pool=node_pool, policy=SeedPolicy(base_seed=seed),
         n_replicates=n_replicates, threads=threads, variant=variant,
     )
 
@@ -842,3 +884,150 @@ class TestExactLaw:
         paths = [path_of(range(j, j + k), 1.0) for k in range(2, 7) for j in range(0, 30, 3)]
         pools = reference_states("threshold", (field,), threshold=0.4)
         self.assert_within_law(engine, paths, "threshold", pools)
+
+
+def pack_words(words) -> np.ndarray:
+    """One row of raw 64-bit output holding these 32-bit words, low half first."""
+    words = np.asarray(words, dtype=np.uint64).reshape(-1, 2)
+    return (words[:, 0] | (words[:, 1] << np.uint64(32)))[None, :]
+
+
+class WordStream:
+    """A stand-in bit generator whose raw output packs the given 32-bit words."""
+
+    def __init__(self, words):
+        self.raw = iter(pack_words(words)[0].tolist())
+
+    def random_raw(self):
+        return next(self.raw)
+
+
+class TestLemireSampler:
+    """The sampler's law, its reject zone, and its independence of how many words are read."""
+
+    @pytest.mark.parametrize("n, d", [(5, 3), (7, 2)])
+    def test_ordered_subsets_of_tiny_pools_are_uniform(self, n, d):
+        raw = np.random.PCG64(n).random_raw((60_000, 16))
+        (drawn,), done = lemire_subsets(raw, [n], [d])
+        assert done.all()
+        tally = Counter(map(tuple, drawn.tolist()))
+        subsets = list(permutations(range(n), d))
+        assert set(tally) == set(subsets)
+        assert chisquare([tally[t] for t in subsets]).pvalue > 1e-6
+
+    def test_a_word_in_the_reject_zone_is_skipped(self):
+        """For n = 7 Lemire rejects w * 7 mod 2**32 below 2**32 mod 7 = 4.
+
+        Word 613566757 gives 7 w = 2**32 + 3, so it would draw position 1 but
+        is rejected; word 0 is rejected too. 2**31 then draws position 3,
+        and 2**30 position 1.
+        """
+        words = [613_566_757, 0, 2**31, 2**31, 2**30, 2**32 - 1]
+        assert [(w * 7) % 2**32 for w in words[:2]] == [3, 0]
+        (drawn,), done = lemire_subsets(pack_words(words), [7], [3])
+        assert done.tolist() == [True]
+        # The repeat of position 3 is skipped as well; 2**32 - 1 draws 6.
+        assert drawn.tolist() == [[3, 1, 6]]
+        (short,), done = lemire_subsets(pack_words(words[:4]), [7], [2])
+        assert done.tolist() == [False]
+
+    def test_next_pool_starts_after_the_completing_word(self):
+        # Pool of 4: 2**31 draws 2, then 2**30 draws 1 and completes it. The
+        # pool of 2 reads on: 0 draws 0, then 2**31 draws 1.
+        words = [2**31, 2**30, 0, 2**31, 2**31 + 1, 7]
+        (a, b), done = lemire_subsets(pack_words(words), [4, 2], [2, 2])
+        assert done.tolist() == [True]
+        assert (a.tolist(), b.tolist()) == ([[2, 1]], [[0, 1]])
+        assert reference_subsets(WordStream(words), [4, 2], [2, 2]) == [[2, 1], [0, 1]]
+
+    @pytest.mark.parametrize("variant", ["standard", "cmad", "threshold"])
+    def test_words_read_at_once_change_nothing(self, variant, monkeypatch):
+        """Rows that run short read on from where they stopped, so the read size is tuning only."""
+        paths = random_walks(24, 300, seed=2, max_nodes=5)
+        engine = random_engine(variant, 24, 70, threads=2, seed=4)
+        want = engine.evaluate(paths).p_values.tolist()
+        for width in (2, 6, 30):
+            monkeypatch.setattr(significance, "words_needed", lambda sizes, counts: width)
+            assert engine.evaluate(paths).p_values.tolist() == want
+
+    def test_pools_of_2_32_cells_are_refused(self):
+        huge = np.broadcast_to(np.int8(1), (2**32,))
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            PermutationNull(pools=[huge, np.ones(3, np.int8)], node_pool=[0, 1],
+                            policy=SeedPolicy(0))
+        PermutationNull(pools=[huge[1:], np.ones(3, np.int8)], node_pool=[0, 1],
+                        policy=SeedPolicy(0))
+
+    def test_more_nodes_than_cells_are_refused(self):
+        with pytest.raises(ValueError, match="cannot hold"):
+            PermutationNull(pools=[np.ones(2, bool)], node_pool=[0, 0, 0], policy=SeedPolicy(0),
+                            variant="threshold")
+
+
+def enumerated_law(pools, node_pool, variant, paths):
+    """Exact exceedance chance of each path at each level j, by enumerating permutations.
+
+    Node i of pool k sits on a cell of its own (the i-th of the pool's
+    nodes on cell i); every permutation of every pool is listed, and the
+    pools are permuted independently. Returns {(path index, j): chance}
+    that a replicate has at least j ok edges.
+    """
+    laws = []
+    for k, pool in enumerate(pools):
+        ids = [i for i in range(len(node_pool)) if node_pool[i] == k]
+        perms = list(permutations(range(len(pool))))
+        tally = Counter(tuple(pool[perm[c]] for c in range(len(ids))) for perm in perms)
+        laws.append([(dict(zip(ids, states)), count / len(perms)) for states, count in tally.items()])
+    out = Counter()
+    for combo in product(*laws):
+        state, chance = {}, 1.0
+        for part, p in combo:
+            state.update(part)
+            chance *= p
+        for k, path in enumerate(paths):
+            ends = list(zip(path[:-1], path[1:]))
+            if variant == "standard":
+                ok = sum(state[u] == state[v] for u, v in ends)
+            else:
+                ok = sum(bool(state[u]) and bool(state[v]) for u, v in ends)
+            for j in range(ok + 1):
+                out[k, j] += chance
+    return out
+
+
+class TestExactLawBruteForce:
+    """Every level of every path follows the law of enumerated permutations of pools of <= 8 cells.
+
+    Each engine exceedance count must lie inside the central Binomial(M,
+    p_exact) interval of mass 1 - 1e-6, p_exact taken over every
+    permutation, so scores below 1.0 are covered as well as 1.0.
+    """
+
+    M = 999
+    CASES = {
+        "standard": ([np.array([-1, -1, 1, 0, -1, 1, 1, -1], np.int8),
+                      np.array([1, -1, 1, 1, 0, -1, 1], np.int8)], [0, 0, 0, 0, 1, 1]),
+        "cmad": ([np.array([1, 0, 1, 1, 0, 1, 0, 1], bool), np.array([1, 0, 0, 1, 1, 0, 1], bool)],
+                 [0, 0, 0, 0, 1, 1]),
+        "threshold": ([np.array([1, 0, 1, 1, 0, 1, 0, 1], bool)], [0, 0, 0, 0, 0]),
+    }
+    WALKS = {
+        "standard": [(0, 1, 4), (2, 3, 1, 5), (3, 4), (0, 2, 1, 3, 5), (1, 0, 5)],
+        "cmad": [(0, 1, 4), (2, 3, 1, 5), (3, 4), (0, 2, 1, 3, 5), (1, 0, 5)],
+        "threshold": [(0, 1, 2), (3, 1, 4, 2), (4, 0), (0, 1, 2, 3, 4)],
+    }
+
+    @pytest.mark.parametrize("variant", ["standard", "cmad", "threshold"])
+    def test_counts_follow_the_enumerated_law(self, variant):
+        pools, node_pool = self.CASES[variant]
+        walks = self.WALKS[variant]
+        law = enumerated_law(pools, node_pool, variant, walks)
+        engine = PermutationNull(pools=pools, node_pool=node_pool, policy=SeedPolicy(base_seed=5),
+                                 n_replicates=self.M, variant=variant)
+        levels = [(k, j) for k, w in enumerate(walks) for j in range(len(w))]
+        store = path_store([path_of(walks[k], j / (len(walks[k]) - 1)) for k, j in levels])
+        counts = [round(p * (1 + self.M)) - 1 for p in engine.evaluate(store).p_values.tolist()]
+        assert any(0 < law[key] < 1 for key in levels)
+        for key, count in zip(levels, counts):
+            lo, hi = binom.interval(1 - 1e-6, self.M, min(1.0, law[key]))
+            assert lo <= count <= hi, (key, count, lo, hi, law[key])

@@ -12,7 +12,7 @@ output path. ``null_dense`` also runs with ``--threads 2 --share-null
 divide the thread ranges), with ``--window``, ``--metric chebyshev`` and
 ``--band-scope global``, and as a ``stages`` run: ``build-graph``,
 ``extract-paths`` and ``significance`` with the workload's settings, each
-stage reading the upstream artifact both sides agreed on. ``sweep_cmad``
+stage reading the base side's upstream artifact on both sides. ``sweep_cmad``
 also runs with ``--share-null``, and as a ``stages`` run of its
 moderate/moderate pairing with its anomaly mask, and with ``--max-len
 7``, so that the path walker runs deeper levels. ``aar_corridors`` also
@@ -23,8 +23,9 @@ for byte, and standard output is compared with each side's output path
 masked; a run expected to fail must fail on both sides with the same exit
 code and the same standard error, masked the same way.
 
-Prints one line per run and exits 0 when everything matches; otherwise
-names the first artifact (or standard output) that differs and exits 1.
+Prints one line per run: ``identical``, or every part that differs (exit
+code, standard output, standard error, each artifact file) and how many
+artifact files are identical. Exits 0 when every run matches, else 1.
 """
 from __future__ import annotations
 
@@ -95,27 +96,29 @@ def artifact_files(root: str) -> list[str]:
     )
 
 
-def first_difference(base_dir: str, head_dir: str) -> str | None:
-    base_files, head_files = artifact_files(base_dir), artifact_files(head_dir)
-    if base_files != head_files:
-        only = sorted(set(base_files) ^ set(head_files))
-        return f"file sets differ: {only[0]} is on one side only"
-    for rel in base_files:
-        if not filecmp.cmp(os.path.join(base_dir, rel), os.path.join(head_dir, rel), shallow=False):
-            return f"{rel} differs"
-    return None
+def artifact_differences(base_dir: str, head_dir: str) -> tuple[list[str], int]:
+    """The artifact files that differ or exist on one side only, and the count of identical ones."""
+    base_files, head_files = set(artifact_files(base_dir)), set(artifact_files(head_dir))
+    problems = [f"{rel} is on one side only" for rel in sorted(base_files ^ head_files)]
+    same = 0
+    for rel in sorted(base_files & head_files):
+        if filecmp.cmp(os.path.join(base_dir, rel), os.path.join(head_dir, rel), shallow=False):
+            same += 1
+        else:
+            problems.append(f"{rel} differs")
+    return problems, same
 
 
 def compare(
     argv: list[str], output: str, roots: dict, work: str, fails: bool = False
-) -> str | None:
-    """The first difference between the two sides' runs of one command, or None.
+) -> tuple[list[str], int]:
+    """Every difference between the two sides' runs of one command, and the identical files.
 
     Each side writes where ``argv`` names ``output``, but under ``work/<side>``.
     With ``fails`` both sides must exit nonzero, with the same code and the
     same standard error.
     """
-    outcomes = {}
+    outcomes, problems = {}, []
     for side, root in roots.items():
         side_dir = os.path.join(work, side)
         shutil.rmtree(side_dir, ignore_errors=True)
@@ -124,14 +127,15 @@ def compare(
         side_argv = [side_output if arg == output else arg for arg in argv]
         code, stdout, stderr = run_cli(root, side_argv, side_output)
         if code == 0 and fails:
-            return f"{side} exited 0, but the run is expected to fail"
+            problems.append(f"{side} exited 0, but the run is expected to fail")
         if code != 0 and not fails:
-            return f"{side} exited {code}: {(stderr.strip().splitlines() or [''])[-1]}"
+            problems.append(f"{side} exited {code}: {(stderr.strip().splitlines() or [''])[-1]}")
         outcomes[side] = (code, stdout, stderr.replace(side_output, OUTPUT_MASK))
     for part, what in enumerate(("exit code", "standard output", "standard error")):
         if outcomes["base"][part] != outcomes["head"][part]:
-            return f"{what} differs"
-    return first_difference(os.path.join(work, "base"), os.path.join(work, "head"))
+            problems.append(f"{what} differs")
+    files, same = artifact_differences(os.path.join(work, "base"), os.path.join(work, "head"))
+    return problems + files, same
 
 
 def stage_commands(config: dict, shared: str) -> list[list[str]]:
@@ -157,16 +161,22 @@ def stage_commands(config: dict, shared: str) -> list[list[str]]:
     ]
 
 
-def compare_stages(wl: workloads.Workload, overrides: dict, roots: dict, work: str) -> str | None:
-    """The first difference between the two sides' stage commands, or None."""
+def compare_stages(
+    wl: workloads.Workload, overrides: dict, roots: dict, work: str
+) -> tuple[list[str], int]:
+    """Every difference between the two sides' stage commands, and the identical files."""
+    problems, same = [], 0
     for argv in stage_commands({**wl.params["config"], **overrides}, work):
         output = argv[-1]
-        problem = compare(argv, output, roots, os.path.join(work, argv[0]))
-        if problem:
-            return f"{argv[0]}: {problem}"
-        # Both sides wrote the same bytes; the next stage reads them from here.
-        shutil.copyfile(os.path.join(work, argv[0], "base", os.path.basename(output)), output)
-    return None
+        found, identical = compare(argv, output, roots, os.path.join(work, argv[0]))
+        problems += [f"{argv[0]}: {problem}" for problem in found]
+        same += identical
+        # The next stage reads the base side's artifact on both sides.
+        base_output = os.path.join(work, argv[0], "base", os.path.basename(output))
+        if not os.path.exists(base_output):
+            break
+        shutil.copyfile(base_output, output)
+    return problems, same
 
 
 def main(argv=None) -> int:
@@ -183,6 +193,7 @@ def main(argv=None) -> int:
             return 2
 
     work = args.work or tempfile.mkdtemp(prefix="compare-artifacts-")
+    differed = False
     try:
         for seed in args.seeds:
             for name in workloads.WORKLOADS:
@@ -192,17 +203,20 @@ def main(argv=None) -> int:
                     run_name = f"{name}{' ' + label if label else ''} seed {seed}"
                     run_dir = os.path.join(inputs, label or "default")
                     if isinstance(flags, dict):
-                        problem = compare_stages(wl, flags, roots, run_dir)
+                        problems, same = compare_stages(wl, flags, roots, run_dir)
                     else:
-                        problem = compare(wl.argv + flags, wl.output, roots, run_dir, *fails)
-                    if problem:
-                        print(f"{run_name}: {problem}")
-                        return 1
-                    print(f"{run_name}: identical")
+                        problems, same = compare(wl.argv + flags, wl.output, roots, run_dir,
+                                                 *fails)
+                    if problems:
+                        differed = True
+                        print(f"{run_name}: differs: {'; '.join(problems)} "
+                              f"({same} artifact files identical)")
+                    else:
+                        print(f"{run_name}: identical")
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
-    return 0
+    return 1 if differed else 0
 
 
 if __name__ == "__main__":
