@@ -21,11 +21,13 @@ from dataclasses import asdict, fields
 
 from . import __version__, io
 from .aar import run_aar
-from .errors import FINITE, INTEGER, ConfigError, SpatialLinkError, checked, is_number, reading
+from .errors import (
+    FINITE, INTEGER, ConfigError, SpatialLinkError, WindowOutOfBounds, checked, is_number, reading,
+)
 from .graph import DEFAULT_MAX_EDGE_CELLS, METRICS, VARIANT_CMAD, VARIANT_STANDARD
 from .grid import (
-    DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, RegionWindow, compute_threshold_bands,
-    crop_region, diff_grids,
+    DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, WINDOW_HINT, RegionWindow,
+    compute_threshold_bands, crop_region, diff_grids,
 )
 from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, extract_all_paths
 from .pipeline import (
@@ -172,7 +174,18 @@ def cmd_significance(args) -> int:
     paths = io.paths_from_json(io.read_json(args.paths), graph)
     # The fields are windowed and rescored exactly as the graph was built.
     built_with = ("variant", "orientation_source", "orientation_target", "window", "band_scope")
-    config = _config(args, {k: graph.params[k] for k in built_with if k in graph.params})
+    doc = {k: graph.params[k] for k in built_with if k in graph.params}
+    for name, value in doc.items():
+        given_as = f"params.{name} in {args.graph} (spatial-link build-graph writes it)"
+        if name in RANGE_RULES:
+            check_range(name, value, given_as=given_as)
+        elif value is not None:
+            try:
+                RegionWindow.parse(value)
+            except WindowOutOfBounds as exc:
+                hint = WINDOW_HINT.replace("--window", given_as)
+                raise WindowOutOfBounds(str(exc), hint) from exc
+    config = _config(args, doc)
     results = score_paths(config, graph, paths, prepare_grids(config))
     echo = {"command": "significance", "graph": args.graph, "paths": args.paths}
     echo.update((name, getattr(config, name)) for name in NULL_FIELDS)

@@ -16,7 +16,6 @@ import dataclasses
 import json
 import os
 from contextlib import contextmanager, suppress
-from functools import cache
 
 import numpy as np
 
@@ -248,81 +247,106 @@ def load_grid(path: str) -> ChangeGrid:
 # indent=2)`` plus a newline: two-space indent, ASCII-escaped strings and
 # ``float.__repr__`` floats. With ``indent`` set, ``json`` always takes its
 # pure-Python encoder, so the writers below render the long lists (nodes,
-# edges, paths, results, features) from per-row templates and per-node
-# fragments, and only the short head (metadata, params, type) goes through
-# ``json.dumps``. tests/oracles.py keeps the documents they must match.
-
-_float = float.__repr__  # json's text for a float; only finite floats reach the rows
-
-
-def _bool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-def _array(items, indent: str) -> str:
-    """A JSON array closed at ``indent``, its items one level deeper.
-
-    Each item is rendered text; the lines of an item after its first carry
-    their own indentation.
-    """
-    body = f",\n{indent}  ".join(items)
-    return f"[\n{indent}  {body}\n{indent}]" if body else "[]"
-
-
-def _ints(values, indent: str) -> str:
-    return _array(map(str, values), indent)
-
+# edges, paths, results, features) in columns: one list of texts per field,
+# interleaved with the row template's fixed texts and joined once. Only the
+# short head (metadata, params, type) goes through ``json.dumps``.
+# tests/oracles.py keeps the documents they must match.
 
 # A row's list fields close at this indent; their items sit two spaces deeper.
 _FIELD = " " * 6
+_BOOLS = np.array(["false", "true"], dtype=object)
 
 
-def _document(head: dict, **arrays: str) -> str:
-    """The text of ``{**head, **arrays}``, each array given rendered at depth 1.
+def _floats(values: np.ndarray) -> list[str]:
+    """json's text of each finite float, rendered once per distinct bit pattern.
 
-    ``head`` is never empty: it holds the metadata.
+    Keying on the bits, not on float equality, keeps ``-0.0`` apart from ``0.0``.
     """
-    tail = "".join(f',\n  "{key}": {text}' for key, text in arrays.items())
-    return f"{json.dumps(head, indent=2)[:-2]}{tail}\n}}\n"
+    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
-def _cells(graph: SpatialGraph):
-    """Each node's ``[row, col]`` as an item of a row's list field, or as that field; cached."""
-    return cache(lambda i: _ints((graph.row[i], graph.col[i]), _FIELD + "  "))
+def _ints(values: np.ndarray) -> list[str]:
+    return list(map(str, values.tolist()))
 
 
-def _node_texts(render, paths: PathStore) -> list[str]:
-    """``render`` of every node of every path; path k's are ``[offsets[k]:offsets[k + 1]]``.
+def _table(n: int, *pieces) -> list[str]:
+    """The parts of a depth-1 JSON array of ``n`` rows; row k joins each piece's k-th text.
 
-    A row renders its lists from slices of these, so no path's list text
-    outlives its row.
+    A piece is one text shared by every row, or a list of ``n`` texts.
     """
-    return list(map(render, paths.nodes.tolist()))
+    if not n:
+        return ["[]"]
+    width = len(pieces) + 1
+    parts = [",\n    "] * (n * width + 1)
+    parts[0] = "[\n    "
+    for j, piece in enumerate(pieces, 1):
+        parts[j::width] = [piece] * n if isinstance(piece, str) else piece
+    parts[-1] = "\n  ]"
+    return parts
+
+
+def _lists(texts: np.ndarray, index: np.ndarray, offsets: np.ndarray, indent: str) -> list[str]:
+    """The JSON array closed at ``indent`` of each ``texts[index[offsets[k]:offsets[k + 1]]]``.
+
+    ``texts`` is an object array. Every list holds an item and no text a NUL:
+    each item is gathered with the separator after it, a list's last with
+    the close and a NUL; all lists are joined once and split at the NULs.
+    """
+    ends = offsets[1:] - 1
+    items = (texts + f",\n{indent}  ")[index]
+    items[ends] = (texts + f"\n{indent}]\0[\n{indent}  ")[index[ends]]
+    lists = "".join(items.tolist()).split("\0")
+    lists[0] = f"[\n{indent}  {lists[0]}"
+    return lists[:-1]
+
+
+def _document(head: dict, **arrays: list[str]) -> str:
+    """The text of ``{**head, **arrays}``, each array given as the parts of its text at depth 1.
+
+    ``head`` is never empty: it holds the metadata. All parts are joined once.
+    """
+    parts = [json.dumps(head, indent=2)[:-2]]
+    for key, array in arrays.items():
+        parts.append(f',\n  "{key}": ')
+        parts += array
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+def _pairs(firsts: list[str], seconds: list[str], indent: str) -> np.ndarray:
+    """The JSON array ``[firsts[i], seconds[i]]`` closed at ``indent``, for each i."""
+    return np.array([
+        f"[\n{indent}  {a},\n{indent}  {b}\n{indent}]" for a, b in zip(firsts, seconds)
+    ], dtype=object)
+
+
+def node_lists(paths: PathStore) -> list[str]:
+    """Each path's node-id list, as the text of a row's ``nodes`` field."""
+    ids = np.array(list(map(str, range(paths.nodes.max(initial=-1) + 1))), dtype=object)
+    return _lists(ids, paths.nodes, paths.offsets, _FIELD)
 
 
 def graph_to_json(graph: SpatialGraph, metadata: dict) -> str:
-    kinds = [json.dumps(kind) for kind in NODE_KINDS]
-    flags = ("", ',\n      "anomalous": false', ',\n      "anomalous": true')
-    nodes = [
-        f'{{\n      "id": {k},\n      "row": {r},\n      "col": {c},\n'
-        f'      "kind": {kinds[t]},\n      "value": {_float(value)}{flags[a + 1]}\n    }}'
-        for k, (r, c, t, value, a) in enumerate(zip(
-            graph.row.tolist(), graph.col.tolist(), graph.kind.tolist(), graph.value.tolist(),
-            graph.anomalous.tolist(),
-        ))
-    ]
-    edges = [
-        f'{{\n      "u": {u},\n      "v": {v},\n      "weight": {w},\n'
-        f'      "distance": {_float(d)}\n    }}'
-        for u, v, w, d in zip(
-            graph.u.tolist(), graph.v.tolist(), graph.weight.tolist(), graph.distance.tolist()
-        )
-    ]
-    return _document(
-        {"metadata": metadata, "params": graph.params},
-        nodes=_array(nodes, "  "),
-        edges=_array(edges, "  "),
+    kinds = np.array([json.dumps(kind) for kind in NODE_KINDS], dtype=object)
+    flag = ',\n      "anomalous": '
+    flags = np.array(["", flag + "false", flag + "true"], dtype=object)
+    nodes = _table(
+        graph.n_nodes,
+        '{\n      "id": ', list(map(str, range(graph.n_nodes))),
+        ',\n      "row": ', _ints(graph.row), ',\n      "col": ', _ints(graph.col),
+        ',\n      "kind": ', kinds[graph.kind].tolist(),
+        ',\n      "value": ', _floats(graph.value), flags[graph.anomalous + 1].tolist(),
+        "\n    }",
     )
+    edges = _table(
+        graph.n_edges,
+        '{\n      "u": ', _ints(graph.u), ',\n      "v": ', _ints(graph.v),
+        ',\n      "weight": ', _ints(graph.weight),
+        ',\n      "distance": ', _floats(graph.distance), "\n    }",
+    )
+    return _document({"metadata": metadata, "params": graph.params}, nodes=nodes, edges=edges)
 
 
 _GRAPH_LAYOUT = (
@@ -372,19 +396,18 @@ def graph_from_json(doc: dict) -> SpatialGraph:
         return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
 
 
-def paths_to_json(paths: PathStore, graph: SpatialGraph, metadata: dict) -> str:
-    ids, cells = _node_texts(cache(str), paths), _node_texts(_cells(graph), paths)
-    # A path's step weights, as bytes, key the text of its weight list.
-    weights = cache(lambda key: _ints(np.frombuffer(key, np.int8).tolist(), _FIELD))
-    offsets, steps = paths.offsets.tolist(), paths.step_offsets().tolist()
-    step_bytes = paths.edge_weights.tobytes()
-    rows = [
-        f'{{\n      "nodes": {_array(ids[a:b], _FIELD)},\n'
-        f'      "cells": {_array(cells[a:b], _FIELD)},\n'
-        f'      "edge_weights": {weights(step_bytes[c:d])},\n      "score": {_float(score)}\n    }}'
-        for a, b, c, d, score in zip(offsets, offsets[1:], steps, steps[1:], paths.scores.tolist())
-    ]
-    return _document({"metadata": metadata}, paths=_array(rows, "  "))
+def paths_to_json(paths: PathStore, graph: SpatialGraph, metadata: dict, nodes=None) -> str:
+    """paths.json; ``nodes`` is ``node_lists(paths)`` when the caller has rendered it."""
+    weights, steps = np.array(["-1", "0", "1"], dtype=object), paths.edge_weights + 1
+    cells = _pairs(_ints(graph.row), _ints(graph.col), _FIELD + "  ")
+    rows = _table(
+        len(paths),
+        '{\n      "nodes": ', node_lists(paths) if nodes is None else nodes,
+        ',\n      "cells": ', _lists(cells, paths.nodes, paths.offsets, _FIELD),
+        ',\n      "edge_weights": ', _lists(weights, steps, paths.step_offsets(), _FIELD),
+        ',\n      "score": ', _floats(paths.scores), "\n    }",
+    )
+    return _document({"metadata": metadata}, paths=rows)
 
 
 def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
@@ -436,22 +459,21 @@ def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
     return paths
 
 
-def _result_rows(results: Results) -> str:
-    ids, offsets = _node_texts(cache(str), results.paths), results.paths.offsets.tolist()
-    rows = [
-        f'{{\n      "path_index": {k},\n      "nodes": {_array(ids[a:b], _FIELD)},\n'
-        f'      "observed": {_float(observed)},\n      "p_value": {_float(p)},\n'
-        f'      "significant": {_bool(significant)},\n      "alpha": {_float(alpha)}\n    }}'
-        for k, (a, b, observed, p, significant, alpha) in enumerate(zip(
-            offsets, offsets[1:], results.observed.tolist(), results.p_values.tolist(),
-            results.significant.tolist(), results.alpha.tolist(),
-        ))
-    ]
-    return _array(rows, "  ")
+def _result_rows(results: Results, nodes=None) -> list[str]:
+    return _table(
+        len(results),
+        '{\n      "path_index": ', list(map(str, range(len(results)))),
+        ',\n      "nodes": ', node_lists(results.paths) if nodes is None else nodes,
+        ',\n      "observed": ', _floats(results.observed),
+        ',\n      "p_value": ', _floats(results.p_values),
+        ',\n      "significant": ', _BOOLS[results.significant.astype(np.intp)].tolist(),
+        ',\n      "alpha": ', _floats(results.alpha), "\n    }",
+    )
 
 
-def results_to_json(results: Results, metadata: dict) -> str:
-    return _document({"metadata": metadata}, results=_result_rows(results))
+def results_to_json(results: Results, metadata: dict, nodes=None) -> str:
+    """results.json; ``nodes`` is ``node_lists(results.paths)`` when the caller has rendered it."""
+    return _document({"metadata": metadata}, results=_result_rows(results, nodes))
 
 
 def aar_report_to_json(report: AarReport, metadata: dict) -> str:
@@ -495,26 +517,23 @@ def export_geojson(
     Each path becomes a LineString of (lon, lat) cell centers ordered from
     the source end to the target end.
     """
-    def lon_lat(i: int) -> str:
-        return _array((_float(lons[i]), _float(lats[i])), _FIELD + "    ")
-
+    paths, features = significant.paths, ["[]"]
     # With no path to draw, no graph is read; the caller may pass None.
-    lats, lons = registration.cell_center(graph.row, graph.col) if len(significant) else ((), ())
-    coords, cells = _node_texts(cache(lon_lat), significant.paths), _cells(graph)
-    ids, offsets = significant.paths.nodes.tolist(), significant.paths.offsets.tolist()
-    features = [
-        f'{{\n      "type": "Feature",\n      "geometry": {{\n        "type": "LineString",\n'
-        f'        "coordinates": {_array(coords[a:b], _FIELD + "  ")}\n      }},\n'
-        f'      "properties": {{\n        "score": {_float(observed)},\n'
-        f'        "p_value": {_float(p)},\n        "source_cell": {cells(ids[a])},\n'
-        f'        "target_cell": {cells(ids[b - 1])}\n      }}\n    }}'
-        for a, b, observed, p in zip(
-            offsets, offsets[1:], significant.observed.tolist(), significant.p_values.tolist()
+    if len(paths):
+        lats, lons = registration.cell_center(graph.row, graph.col)
+        coords = _pairs(_floats(lons), _floats(lats), _FIELD + "    ")
+        cells = _pairs(_ints(graph.row), _ints(graph.col), _FIELD + "  ")
+        features = _table(
+            len(paths),
+            '{\n      "type": "Feature",\n      "geometry": {\n        "type": "LineString",\n'
+            '        "coordinates": ', _lists(coords, paths.nodes, paths.offsets, _FIELD + "  "),
+            '\n      },\n      "properties": {\n        "score": ', _floats(significant.observed),
+            ',\n        "p_value": ', _floats(significant.p_values),
+            ',\n        "source_cell": ', cells[paths.nodes[paths.offsets[:-1]]].tolist(),
+            ',\n        "target_cell": ', cells[paths.nodes[paths.offsets[1:] - 1]].tolist(),
+            "\n      }\n    }",
         )
-    ]
-    return _document(
-        {"type": "FeatureCollection", "metadata": metadata}, features=_array(features, "  ")
-    )
+    return _document({"type": "FeatureCollection", "metadata": metadata}, features=features)
 
 
 def frequency_to_csv(freq: np.ndarray, metadata: dict, path: str) -> None:

@@ -331,10 +331,16 @@ def _run_band_pair(
     io.write_json(io.graph_to_json(graph, metadata), os.path.join(out_dir, "graph.json"))
 
     paths = extract_all_paths(graph, max_nodes=config.max_len, cap=config.cap)
-    io.write_json(io.paths_to_json(paths, graph, metadata), os.path.join(out_dir, "paths.json"))
+    # Both path writers list each path's node ids; results.paths is this store.
+    nodes = io.node_lists(paths)
+    io.write_json(
+        io.paths_to_json(paths, graph, metadata, nodes), os.path.join(out_dir, "paths.json")
+    )
 
     results = score_paths(config, graph, paths, grids)
-    io.write_json(io.results_to_json(results, metadata), os.path.join(out_dir, "results.json"))
+    io.write_json(
+        io.results_to_json(results, metadata, nodes), os.path.join(out_dir, "results.json")
+    )
 
     significant = results.take(results.significant)
     io.write_json(

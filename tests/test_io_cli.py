@@ -692,6 +692,29 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("variant", "bogus", "[io-cli]: variant must be one of ('standard', 'cmad')"),
+        ("orientation_source", "up", "[io-cli]: orientation_source must be one of"),
+        ("orientation_target", 1, "[io-cli]: orientation_target must be one of"),
+        ("band_scope", "planet", "[io-cli]: band_scope must be one of ('window', 'global')"),
+        ("window", "3:1,5:15", "[grid-core]: window 3:1,5:15 is empty"),
+    ], ids=["variant", "orientation-source", "orientation-target", "band-scope", "window"])
+    def test_significance_hint_names_the_graph_params(self, name, value, message,
+                                                       instance_files, tmp_path, capsys):
+        """A setting read from graph.json is named as such, not as a flag significance lacks."""
+        gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
+        doc = json.loads(open(gpath).read())
+        doc["params"][name] = value
+        with open(gpath, "w") as fh:
+            json.dump(doc, fh)
+        rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
+        assert rc == 1
+        assert f"spatial-link: error {message}" in err
+        assert f"spatial-link: hint: give params.{name} in {gpath} (spatial-link build-graph " \
+               "writes it)" in err
+        assert "--" not in err.split("hint:")[1]
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("command", ["build-graph", "extract-paths", "significance", "aar"])
     def test_output_in_a_missing_directory(self, command, instance_files, tmp_path, capsys):
         spath, tpath = instance_files

@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -166,3 +168,75 @@ def aar_reports(draw):
 def test_aar_report_text_is_the_json_layout_of_the_reference_document(case):
     report, meta = case
     assert io.aar_report_to_json(report, meta) == layout(oracles.aar_report_document(report, meta))
+
+
+def column_case(n_paths: int, floats, seed: int = 0):
+    """A 30-node graph, ``n_paths`` paths of 2 to 6 nodes over it and their results.
+
+    Every float column (node values, distances, scores, observed, p-values,
+    alpha) cycles through ``floats``. The writers do not check that a path
+    walks the graph's edges, so the paths are drawn freely.
+    """
+    rng = np.random.default_rng(seed)
+    take = lambda n: [floats[k % len(floats)] for k in range(n)]  # noqa: E731
+    nodes = [GraphNode(id=k, row=k // 6, col=k % 6, kind=(KIND_SOURCE, KIND_TARGET)[k % 2],
+                       value=v, anomalous=(None, True, None, False)[k % 4])
+             for k, v in enumerate(take(30))]
+    edges = [GraphEdge(u=k, v=k + 1, weight=(1, -1)[k % 2], distance=d)
+             for k, d in enumerate(take(29))]
+    graph = SpatialGraph(nodes=nodes, edges=edges, params={"window": None})
+    paths = []
+    for score in take(n_paths):
+        walk = tuple(rng.integers(0, 30, rng.integers(2, 7)).tolist())
+        paths.append(LinkagePath(walk, tuple(rng.choice([1, -1], len(walk) - 1).tolist()), score))
+    results = [SignificanceResult(p, o, q, bool(k % 3), a) for k, (p, o, q, a) in enumerate(
+        zip(paths, take(n_paths), take(n_paths + 1)[1:], take(n_paths + 2)[2:]))]
+    return graph, paths, results
+
+
+def assert_writers_match_the_reference_documents(graph, paths, results):
+    meta = io.metadata_block({"alpha": 0.1}, 3)
+    reg = GridRegistration(lat0=-70.0, lon0=10.0, dlat=0.25, dlon=0.5, cell_km=25.0)
+    significant = [r for r in results if r.significant]
+    store, nodes = path_store(paths), io.node_lists(path_store(paths))
+    assert io.graph_to_json(graph, meta) == layout(oracles.graph_document(graph, meta))
+    text = layout(oracles.paths_document(paths, graph, meta))
+    assert io.paths_to_json(store, graph, meta) == text
+    assert io.paths_to_json(store, graph, meta, nodes) == text
+    text = layout(oracles.results_document(results, meta))
+    assert io.results_to_json(results_store(results), meta) == text
+    assert io.results_to_json(results_store(results), meta, nodes) == text
+    assert io.export_geojson(results_store(significant), graph, reg, meta) == layout(
+        oracles.geojson_document(significant, graph, reg, meta)
+    )
+
+
+@pytest.mark.parametrize("n_paths", [0, 1, 40])
+def test_stores_of_no_one_and_many_rows_that_share_every_float(n_paths):
+    assert_writers_match_the_reference_documents(*column_case(n_paths, [0.1]))
+
+
+def test_a_float_column_keeps_negative_zero_apart_from_zero():
+    """Each float text is rendered once per bit pattern; ``-0.0 == 0.0`` must not merge them."""
+    graph, paths, results = column_case(12, [-0.0, 0.0, 0.25])
+    assert_writers_match_the_reference_documents(graph, paths, results)
+    text = io.results_to_json(results_store(results), io.metadata_block({}, 0))
+    assert '"observed": -0.0,' in text and '"observed": 0.0,' in text
+
+
+@pytest.mark.parametrize("writer", ["paths_to_json", "results_to_json"])
+def test_writer_peak_memory_is_below_four_documents(writer):
+    """At 50,000 paths a writer holds at most four times its document at once."""
+    graph, paths, results = column_case(50_000, [0.2, 0.4, 0.6, 0.8, 1.0])
+    store = results_store(results)
+    render = {
+        "paths_to_json": lambda: io.paths_to_json(store.paths, graph, io.metadata_block({}, 0)),
+        "results_to_json": lambda: io.results_to_json(store, io.metadata_block({}, 0)),
+    }[writer]
+    tracemalloc.start()
+    try:
+        size = len(render())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * size

@@ -9,10 +9,11 @@ Each of ``--base`` and ``--head`` is the root of a checkout holding
 inputs from its own ``src/``, with ``PYTHONHASHSEED=0``, into its own
 output path. ``null_dense`` also runs with ``--threads 2 --share-null
 --bh``, with ``--threads 3 --m 130`` (blocks of the null that do not
-divide the thread ranges), with ``--window``, ``--metric chebyshev`` and
-``--band-scope global``, and as a ``stages`` run: ``build-graph``,
-``extract-paths`` and ``significance`` with the workload's settings, each
-stage reading the base side's upstream artifact on both sides. ``sweep_cmad``
+divide the thread ranges), with ``--m 19`` (no path is significant), with
+``--window``, ``--metric chebyshev`` and ``--band-scope global``, and as a
+``stages`` run: ``build-graph``, ``extract-paths`` and ``significance``
+with the workload's settings, each stage reading the base side's upstream
+artifact on both sides. ``sweep_cmad``
 also runs with ``--share-null``, and as a ``stages`` run of its
 moderate/moderate pairing with its anomaly mask, and with ``--max-len
 7``, so that the path walker runs deeper levels. ``aar_corridors`` also
@@ -59,6 +60,10 @@ EXTRA_RUNS = {
         # bands on the whole fields (about 4,600 paths).
         ("window-chebyshev-global",
          ["--window", "3:17,5:60", "--metric", "chebyshev", "--band-scope", "global"]),
+        # Every p-value is at least 1/(1 + 19) = alpha, so no path is
+        # significant: the GeoJSON has no features and results.json's
+        # significant column is all false.
+        ("none-significant", ["--m", "19"]),
         # The workload has 8,256 paths, so enumeration passes the cap.
         ("cap", ["--cap", "5000"], FAILS),
     ],
