@@ -98,22 +98,25 @@ def reading(error: type[SpatialLinkError], what: str, hint: str | None = None):
     """Raise ``error`` for a lookup or conversion failure while reading ``what``."""
     try:
         yield
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise error(f"{what}: {type(exc).__name__}: {exc}", hint=hint) from exc
 
 
 def is_integer(v) -> bool:
     """Is ``v`` an integer, as JSON writes one? A bool is not."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def is_number(v) -> bool:
     """Is ``v`` a real number, as JSON writes one (NaN included)? A bool is not."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    return type(v) in (float, int) or isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def is_finite(v) -> bool:
-    return is_number(v) and math.isfinite(v)
+    try:
+        return is_number(v) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float is not finite
+        return False
 
 
 # (requirement, test) rules for ``checked``.

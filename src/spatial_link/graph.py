@@ -33,6 +33,7 @@ DEFAULT_MAX_EDGE_CELLS = 11.0
 # The kind of an aar node; ``SpatialGraph.kind`` indexes NODE_KINDS.
 KIND_POINT = "point"
 NODE_KINDS = (KIND_SOURCE, KIND_TARGET, KIND_POINT)
+ANOMALOUS = {None: -1, False: 0, True: 1}  # GraphNode.anomalous -> SpatialGraph.anomalous
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,10 @@ class SpatialGraph:
         for k, node in enumerate(nodes):
             if node.id != k:
                 raise ValueError(f"node {k} has id {node.id}; ids must be 0..n-1 in order")
-        flags = {None: -1, False: 0, True: 1}
         self._set_arrays(
             [n.row for n in nodes], [n.col for n in nodes],
             [NODE_KINDS.index(n.kind) for n in nodes], [n.value for n in nodes],
-            [flags[n.anomalous] for n in nodes], [e.u for e in edges], [e.v for e in edges],
+            [ANOMALOUS[n.anomalous] for n in nodes], [e.u for e in edges], [e.v for e in edges],
             [e.weight for e in edges], [e.distance for e in edges], params,
         )
 

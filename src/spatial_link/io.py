@@ -26,8 +26,8 @@ from .errors import (
     reading,
 )
 from .grid import ChangeGrid, GridRegistration
-from .graph import KIND_SOURCE, KIND_TARGET, NODE_KINDS, GraphEdge, GraphNode, SpatialGraph
-from .paths import LinkagePath, PathStore, to_linkage_paths
+from .graph import ANOMALOUS, KIND_SOURCE, KIND_TARGET, NODE_KINDS, SpatialGraph
+from .paths import PathStore, steps
 from .significance import Results
 
 TOOL_NAME = "spatial-link"
@@ -94,7 +94,7 @@ def read_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise MalformedHeader(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise MalformedHeader(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -359,41 +359,38 @@ _PATHS_LAYOUT = 'expected {"paths": [{"nodes": [...], "edge_weights": [...], "sc
 _KIND = ("'source' or 'target'", lambda v: v in (KIND_SOURCE, KIND_TARGET))
 _FLAG = ("true, false or absent", lambda v: v is None or isinstance(v, bool))
 _LIST = ("a list", lambda v: isinstance(v, list))
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
 
 
 def graph_from_json(doc: dict) -> SpatialGraph:
     """The graph of a graph.json document.
 
-    ``nodes`` and ``edges`` must be lists. Ids, rows, cols, edge ends and
-    edge weights must be JSON integers, values and distances finite JSON
-    numbers, ``anomalous`` a bool or absent, and ``kind`` source or target;
-    nothing is converted. A document that breaks one of these rules or an
-    invariant of ``SpatialGraph`` (node ids, edge ends, +1/-1 weights,
-    distances of at least 0) raises ``MalformedHeader``, as a malformed one
-    does.
+    ``nodes`` and ``edges`` must be lists, ``params`` an object or absent.
+    Ids, rows, cols, edge ends and edge weights must be JSON integers, values
+    and distances finite JSON numbers, ``anomalous`` a bool or absent, and
+    ``kind`` source or target; nothing is converted. Breaking one of these
+    rules or an invariant of ``SpatialGraph`` (node ids, edge ends, +1/-1
+    weights, distances of at least 0) raises ``MalformedHeader``.
     """
     with reading(MalformedHeader, "malformed graph document", _GRAPH_LAYOUT):
-        nodes = [
-            GraphNode(
-                id=checked(n["id"], "node id", INTEGER),
-                row=checked(n["row"], "node row", INTEGER),
-                col=checked(n["col"], "node col", INTEGER),
-                kind=checked(n["kind"], "node kind", _KIND),
-                value=float(checked(n["value"], "node value", FINITE)),
-                anomalous=checked(n.get("anomalous"), "node anomalous", _FLAG),
-            )
-            for n in checked(doc["nodes"], "nodes", _LIST)
-        ]
-        edges = [
-            GraphEdge(
-                u=checked(e["u"], "edge u", INTEGER),
-                v=checked(e["v"], "edge v", INTEGER),
-                weight=checked(e["weight"], "edge weight", INTEGER),
-                distance=float(checked(e["distance"], "edge distance", FINITE)),
-            )
-            for e in checked(doc["edges"], "edges", _LIST)
-        ]
-        return SpatialGraph(nodes=nodes, edges=edges, params=doc.get("params", {}))
+        nodes = [(
+            checked(n["id"], "node id", INTEGER), checked(n["row"], "node row", INTEGER),
+            checked(n["col"], "node col", INTEGER),
+            NODE_KINDS.index(checked(n["kind"], "node kind", _KIND)),
+            checked(n["value"], "node value", FINITE),
+            ANOMALOUS[checked(n.get("anomalous"), "node anomalous", _FLAG)],
+        ) for n in checked(doc["nodes"], "nodes", _LIST)]
+        edges = [(
+            checked(e["u"], "edge u", INTEGER), checked(e["v"], "edge v", INTEGER),
+            checked(e["weight"], "edge weight", INTEGER),
+            checked(e["distance"], "edge distance", FINITE),
+        ) for e in checked(doc["edges"], "edges", _LIST)]
+        params = checked(doc.get("params", {}), "params", _OBJECT)
+        ids, *columns = zip(*nodes) if nodes else [()] * 6
+        for k, i in enumerate(ids):
+            if i != k:
+                raise ValueError(f"node {k} has id {i}; ids must be 0..n-1 in order")
+        return SpatialGraph.from_arrays(*columns, *(zip(*edges) if edges else [()] * 4), params)
 
 
 def paths_to_json(paths: PathStore, graph: SpatialGraph, metadata: dict, nodes=None) -> str:
@@ -419,43 +416,44 @@ def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
     than two nodes or steps off an edge, or when the document's edge
     weights and score are not the ones the graph gives the walk.
     """
+    ids, weights, ends, step_ends, scores = [], [], [0], [0], []
     with reading(MalformedHeader, "malformed paths document", _PATHS_LAYOUT):
-        recorded = [
-            LinkagePath(
-                nodes=tuple(checked(i, "path node", INTEGER) for i in p["nodes"]),
-                edge_weights=tuple(checked(w, "edge weight", INTEGER) for w in p["edge_weights"]),
-                score=float(checked(p["score"], "path score", FINITE)),
-            )
-            for p in checked(doc["paths"], "paths", _LIST)
-        ]
+        for p in checked(doc["paths"], "paths", _LIST):
+            ids += [checked(i, "path node", INTEGER) for i in p["nodes"]]
+            weights += [checked(w, "edge weight", INTEGER) for w in p["edge_weights"]]
+            scores.append(float(checked(p["score"], "path score", FINITE)))
+            ends.append(len(ids))
+            step_ends.append(len(weights))
     hint = "extract the paths from this graph (spatial-link extract-paths --graph ...)"
-    ids = [node for path in recorded for node in path.nodes]
     if ids and not 0 <= min(ids) <= max(ids) < graph.n_nodes:
         raise DimMismatch(
             f"the paths name node ids {min(ids)} to {max(ids)}, but the graph has "
             f"{graph.n_nodes} nodes",
             hint=hint,
         )
-    for k, path in enumerate(recorded):
-        if path.n_nodes < 2:
-            raise DimMismatch(
-                f"path {k} is {list(path.nodes)}; a path needs two or more nodes", hint=hint
-            )
-    try:
-        paths = to_linkage_paths([path.nodes for path in recorded], graph)
-    except KeyError as exc:
-        u, v = exc.args[0]
+    offsets, nodes = np.array(ends), np.array(ids, dtype=np.int64)
+    for k in np.flatnonzero(np.diff(offsets) < 2)[:1]:
         raise DimMismatch(
-            f"path steps from node {u} to node {v}, which is not an edge of the graph", hint=hint
-        ) from exc
-    for k, (path, rebuilt) in enumerate(zip(recorded, paths)):
-        if path != rebuilt:
-            raise DimMismatch(
-                f"path {k} records edge weights {list(path.edge_weights)} and score "
-                f"{path.score!r}, but the graph gives it {list(rebuilt.edge_weights)} and "
-                f"{rebuilt.score!r}",
-                hint=hint,
-            )
+            f"path {k} is {ids[ends[k]:ends[k + 1]]}; a path needs two or more nodes", hint=hint
+        )
+    a, b = steps(offsets, nodes)
+    slots = graph.adjacency.slots(a, b)
+    for s in np.flatnonzero(slots < 0)[:1]:
+        raise DimMismatch(
+            f"path steps from node {a[s]} to node {b[s]}, which is not an edge of the graph",
+            hint=hint,
+        )
+    paths = PathStore.weighted(offsets, nodes, graph.adjacency.weight[slots])
+    rebuilt = (paths.step_offsets().tolist(), paths.edge_weights.tolist(), paths.scores.tolist())
+    if (step_ends, weights, scores) != rebuilt:
+        for k, path in enumerate(paths):
+            recorded = weights[step_ends[k]:step_ends[k + 1]]
+            if recorded != list(path.edge_weights) or scores[k] != path.score:
+                raise DimMismatch(
+                    f"path {k} records edge weights {recorded} and score {scores[k]!r}, but "
+                    f"the graph gives it {list(path.edge_weights)} and {path.score!r}",
+                    hint=hint,
+                )
     return paths
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -164,6 +163,7 @@ def enumerate_walks(
         raise ValueError("cap must be positive")
     if max_nodes < 2:
         raise ValueError("max_nodes must allow at least one edge")
+    max_nodes = min(max_nodes, max(len(adjacency), 2))  # no simple walk is longer
     starts = np.fromiter(starts, dtype=np.int64)
     is_terminal = np.zeros(len(adjacency), dtype=bool)
     is_terminal[np.fromiter(terminal, dtype=np.int64)] = True
@@ -205,21 +205,6 @@ def enumerate_walks(
         walks[walks >= 0],
         adjacency.weight[slots[slots >= 0]],
     )
-
-
-def to_linkage_paths(walks: list[tuple[int, ...]], graph: SpatialGraph) -> PathStore:
-    """Turn node walks into paths, weighting each step with the graph's edge weight.
-
-    Raises ``KeyError((u, v))`` for the first step that is not an edge.
-    """
-    offsets = np.cumsum([0] + [len(w) for w in walks])
-    nodes = np.fromiter(chain.from_iterable(walks), np.int64)
-    a, b = steps(offsets, nodes)
-    slots = graph.adjacency.slots(a, b)
-    missing = np.flatnonzero(slots < 0)
-    if missing.size:
-        raise KeyError((int(a[missing[0]]), int(b[missing[0]])))
-    return PathStore.weighted(offsets, nodes, graph.adjacency.weight[slots])
 
 
 def extract_all_paths(

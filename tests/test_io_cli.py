@@ -1069,6 +1069,62 @@ class TestCli:
         assert "spatial-link: hint: " in err and expected[1] in err
         assert not any((tmp_path / name).exists() for name in ("r.json", "p.json", "out"))
 
+    def test_graph_params_given_as_pairs_are_rejected(self, instance_files, tmp_path, capsys):
+        gpath, _ = self.stage_files(instance_files, tmp_path, capsys)
+        graph = json.loads(open(gpath).read())
+        graph["params"] = [[key, value] for key, value in graph["params"].items()]
+        with open(gpath, "w") as fh:
+            json.dump(graph, fh)
+        rc, _, err = self.run(["extract-paths", "--graph", gpath, "-o", str(tmp_path / "p.json")],
+                              capsys)
+        assert rc == 1
+        assert "spatial-link: error [grid-core]: malformed graph document: ValueError: params " \
+               "must be an object, got [['variant', 'standard']" in err
+        assert 'spatial-link: hint: expected {"params": {...}, "nodes": [' in err
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("case", ["config-dmax", "paths-score", "graph-row"])
+    def test_integers_too_large_are_typed_errors(self, case, instance_files, tmp_path, capsys):
+        """An integer no float or int64 holds ends in a typed error, not an OverflowError."""
+        gpath, ppath = self.stage_files(instance_files, tmp_path, capsys)
+        spath, tpath = instance_files
+        if case == "config-dmax":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"source": spath, "target": tpath, "dmax": 10 ** 400}))
+            argv = ["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+            expected = "[io-cli]: dmax must be a finite number > 0, got 1000"
+        elif case == "paths-score":
+            doc = json.loads(open(ppath).read())
+            doc["paths"][0]["score"] = 10 ** 400
+            with open(ppath, "w") as fh:
+                json.dump(doc, fh)
+            argv = ["significance", "--graph", gpath, "--paths", ppath, "--source", spath,
+                    "--target", tpath, "--m", "9", "-o", str(tmp_path / "out")]
+            expected = "[grid-core]: malformed paths document: ValueError: path score must be " \
+                       "a finite number, got 1000"
+        else:
+            doc = json.loads(open(gpath).read())
+            doc["nodes"][0]["row"] = 10 ** 30
+            with open(gpath, "w") as fh:
+                json.dump(doc, fh)
+            argv = ["extract-paths", "--graph", gpath, "-o", str(tmp_path / "out")]
+            expected = "[grid-core]: malformed graph document: OverflowError: "
+        rc, _, err = self.run(argv, capsys)
+        assert rc == 1
+        assert f"spatial-link: error {expected}" in err
+        assert "spatial-link: hint: " in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_of_too_many_digits_is_a_typed_error(self, tmp_path, capsys):
+        """Python reads at most 4,300 digits of an integer from text by default."""
+        config = tmp_path / "config.json"
+        config.write_text('{"dmax": 1' + "0" * 5000 + "}")
+        rc, _, err = self.run(["pipeline", "--config", str(config), "--out-dir",
+                               str(tmp_path / "out")], capsys)
+        assert rc == 1
+        assert f"spatial-link: error [grid-core]: {config} is not valid JSON: " in err
+        assert not (tmp_path / "out").exists()
+
     def test_thread_setting_is_not_read_by_build_graph(
         self, instance_files, tmp_path, capsys, monkeypatch
     ):

@@ -23,7 +23,6 @@ from spatial_link.paths import (
     extract_all_paths,
     linkage_frequency,
     path_score,
-    to_linkage_paths,
 )
 from spatial_link.synthetic import generate_null
 
@@ -121,6 +120,18 @@ class TestExtractAllPaths:
             expected = brute_force_paths(g.adjacency, sources, targets, max_nodes)
             got = {p.nodes for p in extract_all_paths(g, max_nodes=max_nodes)}
             assert got == expected
+
+    def test_a_length_bound_past_the_graph_is_the_node_count(self):
+        """No simple walk holds more nodes than the graph, so a larger bound changes nothing."""
+        assert extract_all_paths(make_graph(2, [(0, 1)], target_ids=[1]), max_nodes=10 ** 20) == [
+            (0, 1)
+        ]
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            g = random_graph(rng)
+            assert extract_all_paths(g, max_nodes=10 ** 20) == extract_all_paths(
+                g, max_nodes=g.n_nodes
+            )
 
     def test_monotone_in_length_bound(self):
         rng = np.random.default_rng(41)
@@ -238,7 +249,7 @@ class TestScores:
         g = make_graph(
             3, [(0, 1), (1, 2)], target_ids=[2], weights={(0, 1): 1, (1, 2): -1}
         )
-        (path,) = to_linkage_paths(walks_from(g, 0, max_nodes=3), g)
+        (path,) = enumerate_walks(g.adjacency, [0], [2], 3)
         assert path.edge_weights == (1, -1)
         assert path.score == pytest.approx(0.5)
         assert path.score == path_score(path.edge_weights)

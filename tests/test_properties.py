@@ -8,15 +8,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spatial_link import io
 from spatial_link.aar import AarComponent, AarReport, GeoPoint
+from spatial_link.errors import DimMismatch
 from spatial_link.graph import GraphEdge, GraphNode, SpatialGraph
 from spatial_link.grid import KIND_SOURCE, KIND_TARGET, ChangeGrid, GridRegistration
-from spatial_link.paths import LinkagePath
+from spatial_link.paths import LinkagePath, path_score
 from spatial_link.significance import SignificanceResult
 
 import oracles
@@ -93,6 +94,66 @@ def test_graph_json_round_trip(graph):
     assert back.edges == graph.edges
     assert back.params == graph.params
     assert back.adjacency == graph.adjacency
+
+
+@st.composite
+def walks_on_graphs(draw):
+    """A graph with an edge and 1 to 5 walks along its edges, each weighted and scored."""
+    graph = draw(graphs().filter(lambda g: g.n_edges))
+    weight = {}
+    for e in graph.edges:
+        weight[e.u, e.v] = weight[e.v, e.u] = e.weight
+    walks = []
+    for _ in range(draw(st.integers(1, 5))):
+        walk = [draw(st.sampled_from([i for i in range(graph.n_nodes) if graph.adjacency[i]]))]
+        for _ in range(draw(st.integers(1, 5))):
+            walk.append(draw(st.sampled_from(graph.adjacency[walk[-1]])))
+        weights = tuple(weight[step] for step in zip(walk, walk[1:]))
+        walks.append(LinkagePath(tuple(walk), weights, path_score(weights)))
+    return graph, walks
+
+
+# A shifted weight moves path k's last weight to the front of path k + 1's, so
+# only the per-path weight counts differ from the graph's.
+READER_FAULTS = ["weight-flipped", "weight-dropped", "weight-shifted", "score-changed",
+                 "single-node", "off-graph"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(walks_on_graphs(), st.sampled_from(READER_FAULTS), st.data())
+def test_paths_reader_round_trips_and_names_the_faulty_path(case, fault, data):
+    graph, walks = case
+    doc = json.loads(io.paths_to_json(path_store(walks), graph, io.metadata_block({}, 0)))
+    assert io.paths_from_json(doc, graph) == walks
+    shifted = fault == "weight-shifted"
+    assume(len(walks) > shifted)
+    k = data.draw(st.integers(0, len(walks) - 1 - shifted))
+    entry, weights, score = doc["paths"][k], list(walks[k].edge_weights), walks[k].score
+    if fault == "single-node":
+        del entry["nodes"][1:]
+        message = f"path {k} is {entry['nodes']}; a path needs two or more nodes"
+    elif fault == "off-graph":
+        u = entry["nodes"][-1]
+        v = data.draw(st.sampled_from([v for v in range(graph.n_nodes)
+                                       if v not in graph.adjacency[u]]))
+        entry["nodes"].append(v)
+        message = f"path steps from node {u} to node {v}, which is not an edge of the graph"
+    else:
+        j = data.draw(st.integers(0, len(weights) - 1))
+        if fault == "weight-flipped":
+            entry["edge_weights"][j] *= -1
+        elif fault == "weight-dropped":
+            del entry["edge_weights"][j]
+        elif shifted:
+            doc["paths"][k + 1]["edge_weights"].insert(0, entry["edge_weights"].pop())
+        else:
+            entry["score"] = data.draw(FINITE.filter(lambda s: s != score))
+        message = (f"path {k} records edge weights {entry['edge_weights']} and score "
+                   f"{entry['score']!r}, but the graph gives it {weights} and {score!r}")
+    with pytest.raises(DimMismatch) as info:
+        io.paths_from_json(doc, graph)
+    assert str(info.value) == message
+    assert info.value.hint.startswith("extract the paths from this graph")
 
 
 @st.composite
