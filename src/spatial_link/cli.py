@@ -18,21 +18,20 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields
+from typing import get_args, get_type_hints
 
 from . import __version__, io
 from .aar import run_aar
-from .errors import (
-    FINITE, INTEGER, ConfigError, SpatialLinkError, WindowOutOfBounds, checked, is_number, reading,
-)
-from .graph import DEFAULT_MAX_EDGE_CELLS, METRICS, VARIANT_CMAD, VARIANT_STANDARD
+from .errors import FINITE, INTEGER, ConfigError, SpatialLinkError, checked, is_number, reading
+from .graph import DEFAULT_MAX_EDGE_CELLS
 from .grid import (
-    DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, WINDOW_HINT, RegionWindow,
-    compute_threshold_bands, crop_region, diff_grids,
+    DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, RegionWindow, compute_threshold_bands,
+    crop_region, diff_grids,
 )
 from .paths import DEFAULT_CAP, DEFAULT_MAX_NODES, extract_all_paths
 from .pipeline import (
-    RANGE_RULES, SCOPE_GLOBAL, SCOPE_WINDOW, RunConfig, build_band_graph, check_range,
-    is_dims, prepare_grids, run_pipeline, score_paths,
+    RANGE_RULES, RunConfig, build_band_graph, check_range, is_dims, prepare_grids, run_pipeline,
+    score_paths,
 )
 from .synthetic import DEFAULT_SIGMA, NoiseModel, PlantSpec, chain_spec, generate, generate_null
 
@@ -78,31 +77,23 @@ def cmd_diff(args) -> int:
 
 
 # Every RunConfig field, and each aar setting, has a flag of the same name
-# (--max-len sets max_len); this table holds the options of the flags that
-# are not plain strings or that carry help. Each default is None, so a flag
+# (--max-len sets max_len) of the type the field or run_aar keyword
+# declares: a bool is a switch, an int or a float (or None) a number,
+# anything else text. A flag without help of its own shows its rule, so a
+# choice flag lists its values. Each default is None, so a flag
 # left out keeps the config file's entry or else the RunConfig default; a
 # command that runs without a RunConfig sets its defaults with set_defaults.
-FLAG_OPTIONS = {
-    "variant": {"choices": [VARIANT_STANDARD, VARIANT_CMAD]},
-    "window": {"help": "inclusive r0:r1,c0:c1"},
-    "band_scope": {"choices": [SCOPE_WINDOW, SCOPE_GLOBAL]},
-    "ub_multiplier": {"type": float},
-    "dmax": {"type": float, "help": "max edge length in cells"},
-    "metric": {"choices": list(METRICS)},
-    "max_len": {"type": int, "help": "max nodes per path"},
-    "cap": {"type": int},
-    "m": {"type": int, "help": "null replicates"},
-    "alpha": {"type": float},
-    "seed": {"type": int, "help": "base seed (default 0)"},
-    "threads": {"type": int, "help": f"null worker threads (default: ${ENV_THREADS} or 1)"},
-    "share_null": {"action": "store_true"},
-    "bh": {"action": "store_true", "help": "Benjamini-Hochberg correction"},
-    "sweep_bands": {"action": "store_true"},
-    "resample_source": {"help": "ROWSxCOLS for the source grid"},
-    "max_edge_km": {"type": float},
-    "min_extent_km": {"type": float},
-    "threshold": {"type": float},
-    "snap_km": {"type": float},
+DECLARED = {**get_type_hints(run_aar), **get_type_hints(RunConfig)}
+KIND_OPTIONS = {bool: {"action": "store_true"}, int: {"type": int}, float: {"type": float}}
+FLAG_HELP = {
+    "window": "inclusive r0:r1,c0:c1",
+    "dmax": "max edge length in cells",
+    "max_len": "max nodes per path",
+    "m": "null replicates",
+    "seed": "base seed (default 0)",
+    "threads": f"null worker threads (default: ${ENV_THREADS} or 1)",
+    "bh": "Benjamini-Hochberg correction",
+    "resample_source": "ROWSxCOLS for the source grid",
 }
 RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
 GRAPH_FIELDS = (
@@ -125,15 +116,16 @@ AAR_ECHO = ("values", "mask", "origins", "station") + AAR_FIELDS[:-2]
 def _add_config_flags(parser, names, required=()) -> None:
     """Declare one flag per setting, once per command; main range-checks those with a rule."""
     for name in names:
+        kind = next((t for t in get_args(DECLARED[name]) if t is not type(None)), DECLARED[name])
         parser.add_argument(
             "--" + name.replace("_", "-"), default=None, required=name in required,
-            **FLAG_OPTIONS.get(name, {}),
+            help=FLAG_HELP.get(name) or RANGE_RULES[name][0], **KIND_OPTIONS.get(kind, {}),
         )
     parser.set_defaults(checked=tuple(name for name in names if name in RANGE_RULES))
 
 
-def _config(args, doc: dict | None = None) -> RunConfig:
-    """The RunConfig of ``doc`` with every flag that was given laid over it."""
+def _config(args, doc: dict | None = None, given_as: dict | None = None) -> RunConfig:
+    """The RunConfig of ``doc`` with every flag that was given laid over it, validated."""
     if doc is not None and not isinstance(doc, dict):
         raise ConfigError("the config is not a JSON object", hint='write {"source": ..., ...}')
     doc = dict(doc or {})
@@ -145,7 +137,7 @@ def _config(args, doc: dict | None = None) -> RunConfig:
         # Only the commands that run the null read the thread setting.
         doc["threads"] = _resolve_threads(doc.get("threads"))
     config = RunConfig.from_dict(doc)
-    config.validate()
+    config.validate(given_as)
     return config
 
 
@@ -175,17 +167,8 @@ def cmd_significance(args) -> int:
     # The fields are windowed and rescored exactly as the graph was built.
     built_with = ("variant", "orientation_source", "orientation_target", "window", "band_scope")
     doc = {k: graph.params[k] for k in built_with if k in graph.params}
-    for name, value in doc.items():
-        given_as = f"params.{name} in {args.graph} (spatial-link build-graph writes it)"
-        if name in RANGE_RULES:
-            check_range(name, value, given_as=given_as)
-        elif value is not None:
-            try:
-                RegionWindow.parse(value)
-            except WindowOutOfBounds as exc:
-                hint = WINDOW_HINT.replace("--window", given_as)
-                raise WindowOutOfBounds(str(exc), hint) from exc
-    config = _config(args, doc)
+    given_as = {k: f"params.{k} in {args.graph} (spatial-link build-graph writes it)" for k in doc}
+    config = _config(args, doc, given_as)
     results = score_paths(config, graph, paths, prepare_grids(config))
     echo = {"command": "significance", "graph": args.graph, "paths": args.paths}
     echo.update((name, getattr(config, name)) for name in NULL_FIELDS)
@@ -262,7 +245,10 @@ def cmd_synth(args) -> int:
     doc = io.read_json(args.spec)
     # The whole instance is made before anything is written.
     with reading(ConfigError, f"bad synth spec {args.spec}", _SYNTH_LAYOUT):
-        seed, source, target, truth = _synth_instance(doc, args.seed)
+        try:
+            seed, source, target, truth = _synth_instance(doc, args.seed)
+        except MemoryError as exc:
+            raise ValueError(f"dims {doc['dims']} are too large to hold: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     if truth is not None:
         truth_doc = {

@@ -212,8 +212,11 @@ def _load_grid_csv(path: str) -> ChangeGrid:
         seen.add((r, c))
     rows = max(r for r, _, _, _ in entries) + 1
     cols = max(c for _, c, _, _ in entries) + 1
-    values = np.zeros((rows, cols), dtype=np.float64)
-    mask = np.zeros((rows, cols), dtype=bool)
+    try:
+        values = np.zeros((rows, cols), dtype=np.float64)
+        mask = np.zeros((rows, cols), dtype=bool)
+    except (MemoryError, ValueError) as exc:
+        raise MalformedHeader(f"{path} declares a {rows}x{cols} grid, too large to hold: {exc}")
     for r, c, v, ok in entries:
         values[r, c] = v
         mask[r, c] = ok

@@ -16,9 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io
-from .errors import ConfigError, DimMismatch, EmptySide, is_finite, is_integer
+from .errors import ConfigError, DimMismatch, EmptySide, WindowOutOfBounds, is_finite, is_integer
 from .grid import (
-    BANDS, DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, ChangeGrid,
+    BANDS, DEFAULT_UB_MULTIPLIER, LOSS_NEGATIVE, ORIENTATIONS, WINDOW_HINT, ChangeGrid,
     RegionWindow, ThresholdBands, classify_cells, compute_threshold_bands, crop_region,
     resample_nearest,
 )
@@ -118,7 +118,9 @@ class RunConfig:
     resample_source: list | None = None
     out_dir: str = "."
 
-    def validate(self) -> None:
+    def validate(self, given_as: dict | None = None) -> None:
+        """Check every setting; ``given_as`` names where a setting came from if not its flag."""
+        given_as = given_as or {}
         if self.variant == VARIANT_CMAD and not self.mask:
             raise ConfigError(
                 "the cmad variant requires --mask",
@@ -126,7 +128,7 @@ class RunConfig:
             )
         for f in fields(self):
             if f.name in RANGE_RULES:
-                check_range(f.name, getattr(self, f.name))
+                check_range(f.name, getattr(self, f.name), given_as.get(f.name))
         if self.resample_source is not None and not is_dims(self.resample_source):
             raise ConfigError(
                 f"resample_source must be [rows, cols] of positive integers, "
@@ -134,7 +136,12 @@ class RunConfig:
                 hint="give --resample-source ROWSxCOLS, or [rows, cols] in the config",
             )
         if self.window is not None:
-            RegionWindow.parse(self.window)
+            try:
+                RegionWindow.parse(self.window)
+            except WindowOutOfBounds as exc:
+                if "window" in given_as:
+                    exc.hint = WINDOW_HINT.replace("--window", given_as["window"])
+                raise
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -175,7 +182,7 @@ class BandRunResult:
 
 
 class PreparedGrids(NamedTuple):
-    """The windowed fields of a run, their anomaly bits and banding thresholds."""
+    """The windowed fields of a run, their anomaly bits (cmad only) and banding thresholds."""
 
     source: ChangeGrid
     target: ChangeGrid
@@ -190,16 +197,18 @@ def prepare_grids(config: RunConfig) -> PreparedGrids:
     target = io.load_grid(config.target)
     mask_grid = io.load_grid(config.mask) if config.mask else None
 
+    # A resampled source takes the dims given, so they are checked before resampling.
+    source_shape = tuple(config.resample_source or source.shape)
+    if source_shape != target.shape:
+        raise DimMismatch(
+            f"source grid {source_shape} and target grid {target.shape} differ",
+            hint="use resample_source to bring the source onto the target dims",
+        )
     if config.resample_source is not None:
         rows, cols = config.resample_source
         source = resample_nearest(source, rows, cols)
         if mask_grid is not None:
             mask_grid = resample_nearest(mask_grid, rows, cols)
-    if source.shape != target.shape:
-        raise DimMismatch(
-            f"source grid {source.shape} and target grid {target.shape} differ",
-            hint="use resample_source to bring the source onto the target dims",
-        )
     if mask_grid is not None and mask_grid.shape != source.shape:
         raise DimMismatch(
             f"anomaly mask {mask_grid.shape} does not match the grids {source.shape}",
@@ -224,7 +233,7 @@ def prepare_grids(config: RunConfig) -> PreparedGrids:
     )
 
     anomaly_bits = None
-    if win_mask is not None:
+    if win_mask is not None and config.variant == VARIANT_CMAD:
         anomaly_bits = win_mask.valid_mask & (win_mask.values != 0)
     return PreparedGrids(win_source, win_target, anomaly_bits, bands_source, bands_target)
 
@@ -256,7 +265,7 @@ def build_band_graph(
         max_edge_cells=config.dmax,
         metric=config.metric,
         variant=config.variant,
-        anomaly_mask=grids.anomaly_bits if config.variant == VARIANT_CMAD else None,
+        anomaly_mask=grids.anomaly_bits,
         grid_shape=grids.source.shape,
         params={
             "orientation_source": config.orientation_source,
@@ -281,7 +290,7 @@ def score_paths(
         policy=SeedPolicy(base_seed=config.seed),
         n_replicates=config.m,
         threads=config.threads,
-        anomaly_mask=grids.anomaly_bits if config.variant == VARIANT_CMAD else None,
+        anomaly_mask=grids.anomaly_bits,
     )
     return engine.evaluate(
         paths,

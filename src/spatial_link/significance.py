@@ -119,24 +119,21 @@ def benjamini_hochberg(p_values, alpha: float) -> np.ndarray:
     return decisions
 
 
-def pool_positions(grid: ChangeGrid, cells, ids, field: str) -> np.ndarray:
-    """Pool index of each cell among the valid cells of ``grid``, in row-major order.
+def check_node_cells(grid: ChangeGrid, cells, ids, field: str) -> None:
+    """Raise ``DimMismatch`` unless each cell is a valid cell of ``grid`` of one node only.
 
     ``cells`` holds one (row, col) per node and ``ids`` the node ids. The
     first cell in that order that lies outside the grid or on an invalid
     cell of ``field`` is named, by its node id, in the ``DimMismatch``
-    raised for it. ``PermutationNull.for_graph`` maps all source nodes
+    raised for it. ``PermutationNull.for_graph`` checks all source nodes
     before any target node, so it names the lowest bad source node id if
     there is one, else the lowest bad target node id. The null draws a cell
     of its own for each node, so two nodes on one cell are a
     ``DimMismatch`` too.
     """
     rows, cols = np.asarray(cells, dtype=np.int64).reshape(-1, 2).T
-    positions = np.full(grid.shape, -1, dtype=np.int64)
-    positions[grid.valid_mask] = np.arange(int(grid.valid_mask.sum()))
     off = (rows < 0) | (rows >= grid.rows) | (cols < 0) | (cols >= grid.cols)
-    pos = np.where(off, -1, positions[np.where(off, 0, rows), np.where(off, 0, cols)])
-    bad = np.flatnonzero(pos < 0)
+    bad = np.flatnonzero(off | ~grid.valid_mask[np.where(off, 0, rows), np.where(off, 0, cols)])
     if bad.size:
         k = int(bad[0])
         where = f"on an invalid cell of the {field} field"
@@ -146,16 +143,16 @@ def pool_positions(grid: ChangeGrid, cells, ids, field: str) -> np.ndarray:
             f"graph node {ids[k]} at cell ({rows[k]}, {cols[k]}) lies {where}",
             hint="pass the fields (and mask) the graph was built from",
         )
-    _, first = np.unique(pos, return_index=True)
-    if len(first) < len(pos):
-        k = int(np.setdiff1d(np.arange(len(pos)), first)[0])
-        j = int(np.flatnonzero(pos == pos[k])[0])
+    flat = rows * grid.cols + cols
+    _, first = np.unique(flat, return_index=True)
+    if len(first) < len(flat):
+        k = int(np.setdiff1d(np.arange(len(flat)), first)[0])
+        j = int(np.flatnonzero(flat == flat[k])[0])
         raise DimMismatch(
             f"graph nodes {ids[j]} and {ids[k]} both lie at cell ({rows[k]}, {cols[k]}) of the "
             f"{field} field",
             hint="a graph has one node per cell of each field; rebuild it with build-graph",
         )
-    return pos
 
 
 def replicate_block(n_paths: int) -> int:
@@ -310,7 +307,7 @@ class PermutationNull:
         node_pool = (graph.kind != NODE_KINDS.index(KIND_SOURCE)).astype(np.int64)
         for k, (grid, field) in enumerate(((source, "source"), (target, "target"))):
             ids = np.flatnonzero(node_pool == k)
-            pool_positions(grid, cells[ids], ids, field)
+            check_node_cells(grid, cells[ids], ids, field)
 
         if variant == VARIANT_CMAD:
             if anomaly_mask is None:
@@ -360,7 +357,7 @@ class PermutationNull:
         onto the path.
         """
         n = len(cells)
-        pool_positions(values_grid, cells, range(n), "value")
+        check_node_cells(values_grid, cells, range(n), "value")
         return cls(
             pools=[values_grid.values[values_grid.valid_mask] >= float(threshold)],
             node_pool=np.zeros(n, dtype=np.int64),

@@ -872,6 +872,42 @@ class TestCli:
         assert f"spatial-link: error [io-cli]: cannot parse dims '{dims}'" in err
         assert "spatial-link: hint: give two integers" in err
 
+    @pytest.mark.parametrize("case", ["resample", "csv", "synth"])
+    def test_grid_too_large_to_hold_is_a_typed_error(self, case, instance_files, tmp_path,
+                                                     capsys):
+        """Dims of 10**15 cells, which numpy refuses at once, end in a typed error."""
+        spath, tpath = instance_files
+        out = tmp_path / "out"
+        if case == "resample":
+            argv = ["pipeline", "--source", spath, "--target", tpath,
+                    "--resample-source", "1000000000000000x1", "--out-dir", str(out)]
+            expected = "[grid-core]: source grid (1000000000000000, 1) and target grid (20, 20) " \
+                       "differ"
+        elif case == "csv":
+            big = tmp_path / "big.csv"
+            big.write_text("row,col,value\n1000000000000000,0,1.0\n")
+            argv = ["thresholds", "--grid", str(big)]
+            expected = f"[grid-core]: {big} declares a 1000000000000001x1 grid, too large to hold"
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"dims": [10 ** 15, 1]}))
+            argv = ["synth", "--spec", str(spec), "--out-dir", str(out)]
+            expected = f"[io-cli]: bad synth spec {spec}: ValueError: dims [1000000000000000, 1] " \
+                       "are too large to hold"
+        rc, stdout, err = self.run(argv, capsys)
+        assert rc == 1
+        assert f"spatial-link: error {expected}" in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_help_shows_each_rule(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["build-graph", "--help"])
+        assert exit_info.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--variant VARIANT one of ('standard', 'cmad')" in help_text
+
     def test_thresholds_rejects_unknown_orientation(self, instance_files, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["thresholds", "--grid", instance_files[0], "--orientation", "bogus"])
@@ -1318,6 +1354,9 @@ class TestCli:
         ("pipeline", "--ub-multiplier", "inf"),
         ("pipeline", "--orientation-source", "up"),
         ("pipeline", "--band-target", "extreme"),
+        ("pipeline", "--variant", "bogus"),
+        ("pipeline", "--metric", "manhattan"),
+        ("pipeline", "--band-scope", "planet"),
     ])
     def test_out_of_range_setting_fails_before_any_output(
         self, command, flag, value, instance_files, tmp_path, capsys

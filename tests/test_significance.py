@@ -39,10 +39,10 @@ from spatial_link.significance import (
     PermutationNull,
     SeedPolicy,
     benjamini_hochberg,
+    check_node_cells,
     lemire_subsets,
     ok_edges_needed,
     p_value,
-    pool_positions,
     replicate_block,
 )
 from spatial_link.synthetic import generate_null
@@ -511,10 +511,9 @@ class TestNodeCellsOnPools:
         vals[cell] = np.nan
         return grid_of(vals, valid)
 
-    def test_positions_count_valid_cells_in_row_major_order(self):
+    def test_valid_cells_of_distinct_nodes_pass(self):
         field = self.holed(grid_of(np.ones((3, 4))), (0, 2))
-        got = pool_positions(field, [(0, 0), (0, 3), (2, 3)], [5, 6, 7], "value")
-        assert got.tolist() == [0, 2, 10]
+        assert check_node_cells(field, [(0, 0), (0, 3), (2, 3)], [5, 6, 7], "value") is None
 
     @pytest.mark.parametrize("kind, field_name", [(KIND_SOURCE, "source"), (KIND_TARGET, "target")])
     def test_graph_node_on_invalid_cell(self, kind, field_name):
