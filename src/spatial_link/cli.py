@@ -270,15 +270,16 @@ def cmd_aar(args) -> int:
     mask = io.load_grid(args.mask)
 
     doc = io.read_json(args.origins)
+    layout = "expected a JSON list or an object with an origins list"
     if isinstance(doc, dict) and "origins" not in doc:
-        raise ConfigError(
-            f"{args.origins} has no 'origins' key",
-            hint="expected a JSON list or an object with an origins list",
-        )
+        raise ConfigError(f"{args.origins} has no 'origins' key", hint=layout)
+    entries = doc["origins"] if isinstance(doc, dict) else doc
+    if not isinstance(entries, list):
+        raise ConfigError(f"the origins in {args.origins} are not a JSON list", hint=layout)
     origins = []
     hint = "entries are [lat, lon] or {lat, lon} in finite degrees, or {cell: [row, col]}"
     with reading(ConfigError, f"bad origin entry in {args.origins}", hint):
-        for entry in doc["origins"] if isinstance(doc, dict) else doc:
+        for entry in entries:
             if isinstance(entry, dict) and "cell" in entry:
                 r, c = entry["cell"]
                 r, c = checked(r, "a cell row", INTEGER), checked(c, "a cell col", INTEGER)

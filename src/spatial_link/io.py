@@ -252,7 +252,7 @@ def load_grid(path: str) -> ChangeGrid:
 # pure-Python encoder, so the writers below render the long lists (nodes,
 # edges, paths, results, features) in columns: one list of texts per field,
 # interleaved with the row template's fixed texts and joined once. Only the
-# short head (metadata, params, type) goes through ``json.dumps``.
+# short head (metadata, note, params, type) goes through ``json.dumps``.
 # tests/oracles.py keeps the documents they must match.
 
 # A row's list fields close at this indent; their items sit two spaces deeper.
@@ -318,6 +318,11 @@ def _document(head: dict, **arrays: list[str]) -> str:
     return "".join(parts)
 
 
+def _head(metadata: dict, note: str | None, **fields) -> dict:
+    """A document's head: the metadata, a note on why it has no rows if given, then ``fields``."""
+    return {"metadata": metadata, **({} if note is None else {"note": note}), **fields}
+
+
 def _pairs(firsts: list[str], seconds: list[str], indent: str) -> np.ndarray:
     """The JSON array ``[firsts[i], seconds[i]]`` closed at ``indent``, for each i."""
     return np.array([
@@ -331,7 +336,7 @@ def node_lists(paths: PathStore) -> list[str]:
     return _lists(ids, paths.nodes, paths.offsets, _FIELD)
 
 
-def graph_to_json(graph: SpatialGraph, metadata: dict) -> str:
+def graph_to_json(graph: SpatialGraph, metadata: dict, note: str | None = None) -> str:
     kinds = np.array([json.dumps(kind) for kind in NODE_KINDS], dtype=object)
     flag = ',\n      "anomalous": '
     flags = np.array(["", flag + "false", flag + "true"], dtype=object)
@@ -349,7 +354,7 @@ def graph_to_json(graph: SpatialGraph, metadata: dict) -> str:
         ',\n      "weight": ', _ints(graph.weight),
         ',\n      "distance": ', _floats(graph.distance), "\n    }",
     )
-    return _document({"metadata": metadata, "params": graph.params}, nodes=nodes, edges=edges)
+    return _document(_head(metadata, note, params=graph.params), nodes=nodes, edges=edges)
 
 
 _GRAPH_LAYOUT = (
@@ -396,7 +401,9 @@ def graph_from_json(doc: dict) -> SpatialGraph:
         return SpatialGraph.from_arrays(*columns, *(zip(*edges) if edges else [()] * 4), params)
 
 
-def paths_to_json(paths: PathStore, graph: SpatialGraph, metadata: dict, nodes=None) -> str:
+def paths_to_json(
+    paths: PathStore, graph: SpatialGraph, metadata: dict, nodes=None, note: str | None = None
+) -> str:
     """paths.json; ``nodes`` is ``node_lists(paths)`` when the caller has rendered it."""
     weights, steps = np.array(["-1", "0", "1"], dtype=object), paths.edge_weights + 1
     cells = _pairs(_ints(graph.row), _ints(graph.col), _FIELD + "  ")
@@ -407,7 +414,7 @@ def paths_to_json(paths: PathStore, graph: SpatialGraph, metadata: dict, nodes=N
         ',\n      "edge_weights": ', _lists(weights, steps, paths.step_offsets(), _FIELD),
         ',\n      "score": ', _floats(paths.scores), "\n    }",
     )
-    return _document({"metadata": metadata}, paths=rows)
+    return _document(_head(metadata, note), paths=rows)
 
 
 def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
@@ -472,9 +479,9 @@ def _result_rows(results: Results, nodes=None) -> list[str]:
     )
 
 
-def results_to_json(results: Results, metadata: dict, nodes=None) -> str:
+def results_to_json(results: Results, metadata: dict, nodes=None, note: str | None = None) -> str:
     """results.json; ``nodes`` is ``node_lists(results.paths)`` when the caller has rendered it."""
-    return _document({"metadata": metadata}, results=_result_rows(results, nodes))
+    return _document(_head(metadata, note), results=_result_rows(results, nodes))
 
 
 def aar_report_to_json(report: AarReport, metadata: dict) -> str:
@@ -512,6 +519,7 @@ def export_geojson(
     graph: SpatialGraph,
     registration: GridRegistration,
     metadata: dict,
+    note: str | None = None,
 ) -> str:
     """Significant paths as a GeoJSON FeatureCollection.
 
@@ -534,7 +542,7 @@ def export_geojson(
             ',\n        "target_cell": ', cells[paths.nodes[paths.offsets[1:] - 1]].tolist(),
             "\n      }\n    }",
         )
-    return _document({"type": "FeatureCollection", "metadata": metadata}, features=features)
+    return _document({"type": "FeatureCollection", **_head(metadata, note)}, features=features)
 
 
 def frequency_to_csv(freq: np.ndarray, metadata: dict, path: str) -> None:

@@ -173,7 +173,6 @@ class RunConfig:
 class BandRunResult:
     band_source: str
     band_target: str
-    out_dir: str
     n_nodes: int
     n_edges: int
     n_paths: int
@@ -312,61 +311,47 @@ def _run_band_pair(
     echo["band_source"] = band_source
     echo["band_target"] = band_target
     metadata = io.metadata_block(echo, config.seed)
-    shape = grids.source.shape
 
+    note = None
     try:
         graph = build_band_graph(config, grids, band_source, band_target)
     except EmptySide as exc:
         # A sweep cell with an empty band is an expected outcome, not a
-        # failed run; single-pair runs propagate the error instead.
+        # failed run: its artifacts, written from the empty graph, note
+        # why they have no rows. Single-pair runs propagate the error instead.
         if not config.sweep_bands:
             raise
-        note = str(exc)
-        for name, doc in (
-            ("graph.json", {"metadata": metadata, "note": note, "params": {}, "nodes": [], "edges": []}),
-            ("paths.json", {"metadata": metadata, "note": note, "paths": []}),
-            ("results.json", {"metadata": metadata, "note": note, "results": []}),
-            (
-                "significant.geojson",
-                {"type": "FeatureCollection", "metadata": metadata, "note": note, "features": []},
-            ),
-        ):
-            io.write_json(doc, os.path.join(out_dir, name))
-        io.frequency_to_csv(
-            np.zeros(shape, dtype=np.int64), metadata, os.path.join(out_dir, "frequency.csv")
-        )
-        return BandRunResult(band_source, band_target, out_dir, 0, 0, 0, 0, note=note)
-
-    io.write_json(io.graph_to_json(graph, metadata), os.path.join(out_dir, "graph.json"))
+        note, graph = str(exc), SpatialGraph()
+    io.write_json(io.graph_to_json(graph, metadata, note), os.path.join(out_dir, "graph.json"))
 
     paths = extract_all_paths(graph, max_nodes=config.max_len, cap=config.cap)
     # Both path writers list each path's node ids; results.paths is this store.
     nodes = io.node_lists(paths)
     io.write_json(
-        io.paths_to_json(paths, graph, metadata, nodes), os.path.join(out_dir, "paths.json")
+        io.paths_to_json(paths, graph, metadata, nodes, note), os.path.join(out_dir, "paths.json")
     )
 
     results = score_paths(config, graph, paths, grids)
     io.write_json(
-        io.results_to_json(results, metadata, nodes), os.path.join(out_dir, "results.json")
+        io.results_to_json(results, metadata, nodes, note), os.path.join(out_dir, "results.json")
     )
 
     significant = results.take(results.significant)
     io.write_json(
-        io.export_geojson(significant, graph, grids.source.registration, metadata),
+        io.export_geojson(significant, graph, grids.source.registration, metadata, note),
         os.path.join(out_dir, "significant.geojson"),
     )
-    freq = linkage_frequency(significant.paths, graph, shape)
+    freq = linkage_frequency(significant.paths, graph, grids.source.shape)
     io.frequency_to_csv(freq, metadata, os.path.join(out_dir, "frequency.csv"))
 
     return BandRunResult(
         band_source=band_source,
         band_target=band_target,
-        out_dir=out_dir,
         n_nodes=graph.n_nodes,
         n_edges=graph.n_edges,
         n_paths=len(paths),
         n_significant=len(significant),
+        note=note,
     )
 
 

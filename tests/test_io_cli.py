@@ -23,6 +23,7 @@ from spatial_link.grid import (
     compute_threshold_bands,
 )
 from spatial_link.paths import LinkagePath, extract_all_paths
+from spatial_link.pipeline import RunConfig, run_pipeline
 from spatial_link.significance import PermutationNull, SeedPolicy, SignificanceResult
 from spatial_link.synthetic import chain_spec, generate
 
@@ -976,6 +977,88 @@ class TestCli:
         for sub in subdirs:
             assert os.path.exists(os.path.join(out_dir, sub, "results.json"))
 
+    EMPTY_PAIRS = {
+        ("moderate", "anomalous"): "no target cells qualified at the requested band",
+        ("high", "anomalous"): "no target cells qualified at the requested band",
+        ("anomalous", "moderate"): "no source cells qualified at the requested band",
+        ("anomalous", "high"): "no source cells qualified at the requested band",
+        ("anomalous", "anomalous"): "no source cells qualified at the requested band",
+    }
+
+    def test_pipeline_sweep_writes_every_artifact_of_an_empty_pairing(
+        self, instance_files, tmp_path, capsys
+    ):
+        spath, tpath = instance_files
+        out_dir = str(tmp_path / "sweep")
+        # A tenfold upper bound leaves the anomalous band of both fields empty.
+        rc, out, _ = self.run(
+            ["pipeline", "--source", spath, "--target", tpath, "--sweep-bands",
+             "--ub-multiplier", "10", "--dmax", "2", "--max-len", "4", "--m", "19",
+             "--out-dir", out_dir], capsys
+        )
+        assert rc == 0
+        config = RunConfig(source=spath, target=tpath, ub_multiplier=10.0, dmax=2.0, max_len=4,
+                           m=19, sweep_bands=True, out_dir=str(tmp_path / "api"))
+        for (band_source, band_target), note in self.EMPTY_PAIRS.items():
+            assert f"{band_source}/{band_target}: skipped ({note})" in out
+            sub = os.path.join(out_dir, f"{band_source}_{band_target}")
+            metadata = io.metadata_block(
+                {**config.echo(), "band_source": band_source, "band_target": band_target}, 0
+            )
+            for name, doc in (
+                ("graph.json",
+                 {"metadata": metadata, "note": note, "params": {}, "nodes": [], "edges": []}),
+                ("paths.json", {"metadata": metadata, "note": note, "paths": []}),
+                ("results.json", {"metadata": metadata, "note": note, "results": []}),
+                ("significant.geojson",
+                 {"type": "FeatureCollection", "metadata": metadata, "note": note,
+                  "features": []}),
+            ):
+                assert open(os.path.join(sub, name)).read() == json.dumps(doc, indent=2) + "\n"
+            assert open(os.path.join(sub, "frequency.csv")).read() == (
+                "# metadata: " + json.dumps(metadata) + "\n" + ("0," * 19 + "0\n") * 20
+            )
+
+        runs = run_pipeline(config)
+        assert len(runs) == 9
+        for run in runs:
+            note = self.EMPTY_PAIRS.get((run.band_source, run.band_target))
+            assert run.note == note
+            if note is not None:
+                assert (run.n_nodes, run.n_edges, run.n_paths, run.n_significant) == (0, 0, 0, 0)
+            sub = f"{run.band_source}_{run.band_target}"
+            for name in sorted(os.listdir(os.path.join(out_dir, sub))):
+                assert (open(os.path.join(config.out_dir, sub, name)).read()
+                        == open(os.path.join(out_dir, sub, name)).read()), (sub, name)
+
+        # The empty graph is a valid input of the stage commands.
+        gpath = os.path.join(out_dir, "anomalous_high", "graph.json")
+        ppath, rpath = str(tmp_path / "paths.json"), str(tmp_path / "results.json")
+        rc, out, _ = self.run(["extract-paths", "--graph", gpath, "-o", ppath], capsys)
+        assert rc == 0
+        assert "0 candidates" in out
+        assert json.loads(open(ppath).read())["paths"] == []
+        rc, out, _ = self.run(["significance", "--graph", gpath, "--paths", ppath,
+                               "--source", spath, "--target", tpath, "--m", "19",
+                               "-o", rpath], capsys)
+        assert rc == 0
+        assert "0/0 paths" in out
+        assert json.loads(open(rpath).read())["results"] == []
+
+    def test_pipeline_single_pair_at_an_empty_band_fails(self, instance_files, tmp_path, capsys):
+        spath, tpath = instance_files
+        out_dir = tmp_path / "out"
+        rc, _, err = self.run(
+            ["pipeline", "--source", spath, "--target", tpath, "--band-source", "anomalous",
+             "--ub-multiplier", "10", "--dmax", "2", "--max-len", "4", "--m", "19",
+             "--out-dir", str(out_dir)], capsys
+        )
+        assert rc == 1
+        assert "spatial-link: error [spatial-graph]: no source cells qualified" in err
+        assert "spatial-link: hint: loosen the source band" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out_dir / "graph.json")
+
     def test_pipeline_rejects_unknown_config_key(self, instance_files, tmp_path, capsys):
         spath, tpath = instance_files
         cpath = tmp_path / "config.json"
@@ -1323,6 +1406,23 @@ class TestCli:
         )
         assert rc == 1
         assert "no 'origins' key" in err
+
+    @pytest.mark.parametrize("doc", [{"origins": "x"}, {"origins": None}, 5],
+                             ids=["string", "null", "number"])
+    def test_origins_not_a_list(self, doc, tmp_path, capsys):
+        vpath = str(tmp_path / "v.raw")
+        io.save_grid(grid_of([[1.0, 1.0]]), vpath)
+        opath, rpath = tmp_path / "origins.json", tmp_path / "r.json"
+        opath.write_text(json.dumps(doc))
+        rc, _, err = self.run(
+            ["aar", "--values", vpath, "--mask", vpath, "--origins", str(opath),
+             "--station", "0,0", "-o", str(rpath)], capsys
+        )
+        assert rc == 1
+        assert f"spatial-link: error [io-cli]: the origins in {opath} are not a JSON list" in err
+        assert "hint: expected a JSON list or an object with an origins list" in err
+        assert "Traceback" not in err
+        assert not rpath.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
         ("aar", "--m", "0"),

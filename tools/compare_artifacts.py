@@ -15,8 +15,10 @@ divide the thread ranges), with ``--m 19`` (no path is significant), with
 with the workload's settings, each stage reading the base side's upstream
 artifact on both sides. ``sweep_cmad``
 also runs with ``--share-null``, and as a ``stages`` run of its
-moderate/moderate pairing with its anomaly mask, and with ``--max-len
-7``, so that the path walker runs deeper levels. ``aar_corridors`` also
+moderate/moderate pairing with its anomaly mask, with ``--max-len 7``,
+so that the path walker runs deeper levels, and with ``--ub-multiplier
+10``, which empties the anomalous band, so that 5 of its 9 pairings are
+skipped and write artifacts with a note and no rows. ``aar_corridors`` also
 runs with ``--threshold 1.0``, so that its edges weigh both +1 and -1. A
 run may be expected to fail: ``null_dense`` with ``--cap 5000`` passes
 the path cap after writing graph.json. Every artifact is compared byte
@@ -74,6 +76,10 @@ EXTRA_RUNS = {
         ("stages", {"band_source": "moderate", "band_target": "moderate"}),
         # About 43k paths over deeper walker levels.
         ("maxlen7", ["--max-len", "7"]),
+        # The anomalous band of both fields is then empty, so 5 of the 9
+        # pairings are skipped and write their artifacts with a note and no
+        # rows (checked at seeds 1, 2 and 7).
+        ("empty-bands", ["--ub-multiplier", "10"]),
     ],
     # At the default threshold every aar edge weighs +1.
     "aar_corridors": [("threshold", ["--threshold", "1.0"])],
