@@ -86,13 +86,19 @@ def cmd_diff(args) -> int:
 DECLARED = {**get_type_hints(run_aar), **get_type_hints(RunConfig)}
 KIND_OPTIONS = {bool: {"action": "store_true"}, int: {"type": int}, float: {"type": float}}
 FLAG_HELP = {
+    "source": "source change grid: a .raw payload, its .json sidecar or a .csv",
+    "target": "target change grid, in the same formats",
+    "mask": "anomaly mask grid on the source's dims (required by --variant cmad)",
+    "out_dir": "directory for the artifacts (default .)",
     "window": "inclusive r0:r1,c0:c1",
     "dmax": "max edge length in cells",
     "max_len": "max nodes per path",
     "m": "null replicates",
     "seed": "base seed (default 0)",
     "threads": f"null worker threads (default: ${ENV_THREADS} or 1)",
+    "share_null": "one null per path length and observed score, shared by its paths",
     "bh": "Benjamini-Hochberg correction",
+    "sweep_bands": "run all nine band pairings, each into its own subdirectory",
     "resample_source": "ROWSxCOLS for the source grid",
 }
 RUN_FIELDS = tuple(f.name for f in fields(RunConfig))

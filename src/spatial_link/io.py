@@ -330,7 +330,7 @@ def _pairs(firsts: list[str], seconds: list[str], indent: str) -> np.ndarray:
     ], dtype=object)
 
 
-def node_lists(paths: PathStore) -> list[str]:
+def _node_lists(paths: PathStore) -> list[str]:
     """Each path's node-id list, as the text of a row's ``nodes`` field."""
     ids = np.array(list(map(str, range(paths.nodes.max(initial=-1) + 1))), dtype=object)
     return _lists(ids, paths.nodes, paths.offsets, _FIELD)
@@ -402,14 +402,13 @@ def graph_from_json(doc: dict) -> SpatialGraph:
 
 
 def paths_to_json(
-    paths: PathStore, graph: SpatialGraph, metadata: dict, nodes=None, note: str | None = None
+    paths: PathStore, graph: SpatialGraph, metadata: dict, note: str | None = None
 ) -> str:
-    """paths.json; ``nodes`` is ``node_lists(paths)`` when the caller has rendered it."""
     weights, steps = np.array(["-1", "0", "1"], dtype=object), paths.edge_weights + 1
     cells = _pairs(_ints(graph.row), _ints(graph.col), _FIELD + "  ")
     rows = _table(
         len(paths),
-        '{\n      "nodes": ', node_lists(paths) if nodes is None else nodes,
+        '{\n      "nodes": ', _node_lists(paths),
         ',\n      "cells": ', _lists(cells, paths.nodes, paths.offsets, _FIELD),
         ',\n      "edge_weights": ', _lists(weights, steps, paths.step_offsets(), _FIELD),
         ',\n      "score": ', _floats(paths.scores), "\n    }",
@@ -467,11 +466,11 @@ def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
     return paths
 
 
-def _result_rows(results: Results, nodes=None) -> list[str]:
+def _result_rows(results: Results) -> list[str]:
     return _table(
         len(results),
         '{\n      "path_index": ', list(map(str, range(len(results)))),
-        ',\n      "nodes": ', node_lists(results.paths) if nodes is None else nodes,
+        ',\n      "nodes": ', _node_lists(results.paths),
         ',\n      "observed": ', _floats(results.observed),
         ',\n      "p_value": ', _floats(results.p_values),
         ',\n      "significant": ', _BOOLS[results.significant.astype(np.intp)].tolist(),
@@ -479,9 +478,8 @@ def _result_rows(results: Results, nodes=None) -> list[str]:
     )
 
 
-def results_to_json(results: Results, metadata: dict, nodes=None, note: str | None = None) -> str:
-    """results.json; ``nodes`` is ``node_lists(results.paths)`` when the caller has rendered it."""
-    return _document(_head(metadata, note), results=_result_rows(results, nodes))
+def results_to_json(results: Results, metadata: dict, note: str | None = None) -> str:
+    return _document(_head(metadata, note), results=_result_rows(results))
 
 
 def aar_report_to_json(report: AarReport, metadata: dict) -> str:

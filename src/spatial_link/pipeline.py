@@ -196,23 +196,23 @@ def prepare_grids(config: RunConfig) -> PreparedGrids:
     target = io.load_grid(config.target)
     mask_grid = io.load_grid(config.mask) if config.mask else None
 
-    # A resampled source takes the dims given, so they are checked before resampling.
+    # Checked before resampling: the source at the dims it takes, the mask at the source's own.
     source_shape = tuple(config.resample_source or source.shape)
     if source_shape != target.shape:
         raise DimMismatch(
             f"source grid {source_shape} and target grid {target.shape} differ",
             hint="use resample_source to bring the source onto the target dims",
         )
-    if config.resample_source is not None:
-        rows, cols = config.resample_source
-        source = resample_nearest(source, rows, cols)
-        if mask_grid is not None:
-            mask_grid = resample_nearest(mask_grid, rows, cols)
     if mask_grid is not None and mask_grid.shape != source.shape:
         raise DimMismatch(
             f"anomaly mask {mask_grid.shape} does not match the grids {source.shape}",
             hint="the mask must share the source grid geometry",
         )
+    if config.resample_source is not None:
+        rows, cols = config.resample_source
+        source = resample_nearest(source, rows, cols)
+        if mask_grid is not None:
+            mask_grid = resample_nearest(mask_grid, rows, cols)
 
     window = RegionWindow.parse(config.window) if config.window else None
     if window is not None:
@@ -306,7 +306,6 @@ def _run_band_pair(
     grids: PreparedGrids,
     out_dir: str,
 ) -> BandRunResult:
-    os.makedirs(out_dir, exist_ok=True)
     echo = config.echo()
     echo["band_source"] = band_source
     echo["band_target"] = band_target
@@ -318,22 +317,21 @@ def _run_band_pair(
     except EmptySide as exc:
         # A sweep cell with an empty band is an expected outcome, not a
         # failed run: its artifacts, written from the empty graph, note
-        # why they have no rows. Single-pair runs propagate the error instead.
+        # why they have no rows. Single-pair runs raise before out_dir is made.
         if not config.sweep_bands:
             raise
         note, graph = str(exc), SpatialGraph()
+    os.makedirs(out_dir, exist_ok=True)
     io.write_json(io.graph_to_json(graph, metadata, note), os.path.join(out_dir, "graph.json"))
 
     paths = extract_all_paths(graph, max_nodes=config.max_len, cap=config.cap)
-    # Both path writers list each path's node ids; results.paths is this store.
-    nodes = io.node_lists(paths)
     io.write_json(
-        io.paths_to_json(paths, graph, metadata, nodes, note), os.path.join(out_dir, "paths.json")
+        io.paths_to_json(paths, graph, metadata, note), os.path.join(out_dir, "paths.json")
     )
 
     results = score_paths(config, graph, paths, grids)
     io.write_json(
-        io.results_to_json(results, metadata, nodes, note), os.path.join(out_dir, "results.json")
+        io.results_to_json(results, metadata, note), os.path.join(out_dir, "results.json")
     )
 
     significant = results.take(results.significant)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from spatial_link.grid import (
     QUARTER_DEGREE_GLOBAL,
     classify_cells,
     compute_threshold_bands,
+    resample_nearest,
 )
 from spatial_link.paths import LinkagePath, extract_all_paths
 from spatial_link.pipeline import RunConfig, run_pipeline
@@ -129,6 +131,17 @@ class TestGridFormatA:
         open(path + ".json", "w").write(json.dumps(doc))
         with pytest.raises(MalformedHeader, match="invalid dims"):
             io.load_grid(path)
+
+    @pytest.mark.parametrize("key, dims", [("rows", "0x1"), ("cols", "1x0")])
+    def test_zero_dims(self, key, dims, tmp_path):
+        path = str(tmp_path / "g.raw")
+        io.save_grid(grid_of([[1.0]]), path)
+        doc = json.loads(open(path + ".json").read())
+        doc[key] = 0
+        open(path + ".json", "w").write(json.dumps(doc))
+        with pytest.raises(MalformedHeader) as exc:
+            io.load_grid(path)
+        assert str(exc.value) == f"sidecar {path}.json declares invalid dims {dims}"
 
     def test_mask_size_mismatch(self, tmp_path):
         vals = np.array([[np.nan, 1.0]])
@@ -335,6 +348,15 @@ class TestPathsJson:
         with pytest.raises(DimMismatch, match=f"path steps from node {u} to node {v}, which is "
                            "not an edge of the graph") as info:
             io.paths_from_json(doc, graph)
+        assert info.value.hint.startswith("extract the paths from this graph")
+
+    def test_a_node_id_equal_to_the_node_count_is_out_of_range(self):
+        graph, _, _ = small_graph()
+        n = graph.n_nodes
+        doc = {"paths": [{"nodes": [0, n], "edge_weights": [1], "score": 1.0}]}
+        with pytest.raises(DimMismatch) as info:
+            io.paths_from_json(doc, graph)
+        assert str(info.value) == f"the paths name node ids 0 to {n}, but the graph has {n} nodes"
         assert info.value.hint.startswith("extract the paths from this graph")
 
 
@@ -873,6 +895,50 @@ class TestCli:
         assert f"spatial-link: error [io-cli]: cannot parse dims '{dims}'" in err
         assert "spatial-link: hint: give two integers" in err
 
+    @pytest.mark.parametrize("resample", [[], ["--resample-source", "20x20"]],
+                             ids=["as-is", "resampled"])
+    def test_pipeline_mask_of_other_dims_fails(self, resample, instance_files, tmp_path, capsys):
+        """The mask is checked at the source's own dims, before either is resampled."""
+        spath, tpath = instance_files
+        mpath, out = str(tmp_path / "m73.raw"), tmp_path / "out"
+        io.save_grid(grid_of(np.ones((7, 3))), mpath)
+        rc, stdout, err = self.run(
+            ["pipeline", "--source", spath, "--target", tpath, "--variant", "cmad",
+             "--mask", mpath, *resample, "--out-dir", str(out)], capsys
+        )
+        assert rc == 1
+        assert "spatial-link: error [grid-core]: anomaly mask (7, 3) does not match" in err
+        assert "spatial-link: hint: the mask must share the source grid geometry" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_pipeline_resamples_the_mask_with_the_source(self, instance_files, tmp_path, capsys):
+        """A resampled cmad run equals one on the resampled grids saved first, metadata aside."""
+        spath, tpath = instance_files
+        fine = io.load_grid(spath)
+        coarse = ChangeGrid(values=fine.values[::2, ::2], valid_mask=fine.valid_mask[::2, ::2],
+                            registration=fine.registration)
+        mask = grid_of((fine.values[1::2, ::2] < 0).astype(float))
+        inputs = {}
+        for name, grid in (("source", coarse), ("mask", mask)):
+            inputs[name] = str(tmp_path / f"{name}10.raw")
+            io.save_grid(grid, inputs[name])
+            inputs[name + "20"] = str(tmp_path / f"{name}20.raw")
+            io.save_grid(resample_nearest(grid, 20, 20), inputs[name + "20"])
+        common = ["--target", tpath, "--variant", "cmad", "--dmax", "2", "--max-len", "4",
+                  "--m", "19"]
+        out, out20 = str(tmp_path / "resampled"), str(tmp_path / "saved")
+        assert self.run(["pipeline", *common, "--source", inputs["source"], "--mask",
+                         inputs["mask"], "--resample-source", "20x20", "--out-dir", out],
+                        capsys)[0] == 0
+        assert self.run(["pipeline", *common, "--source", inputs["source20"], "--mask",
+                         inputs["mask20"], "--out-dir", out20], capsys)[0] == 0
+        for name in ("graph.json", "paths.json", "results.json"):
+            doc, doc20 = (json.loads(open(os.path.join(d, name)).read()) for d in (out, out20))
+            del doc["metadata"], doc20["metadata"]
+            assert doc == doc20, name
+        assert doc["results"]
+
     @pytest.mark.parametrize("case", ["resample", "csv", "synth"])
     def test_grid_too_large_to_hold_is_a_typed_error(self, case, instance_files, tmp_path,
                                                      capsys):
@@ -908,6 +974,17 @@ class TestCli:
         assert exit_info.value.code == 0
         help_text = " ".join(capsys.readouterr().out.split())
         assert "--variant VARIANT one of ('standard', 'cmad')" in help_text
+
+    @pytest.mark.parametrize("command", ["build-graph", "significance", "pipeline"])
+    def test_no_flag_help_is_only_a_type_rule(self, command, capsys):
+        """A path or a switch has help of its own; its type rule alone says nothing."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        bare = re.findall(r"(--[a-z-]+(?: [A-Z_]+)?) (a string or null|a string|true or false)"
+                          r"(?= -|$)", help_text)
+        assert not bare
 
     def test_thresholds_rejects_unknown_orientation(self, instance_files, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -1058,6 +1135,19 @@ class TestCli:
         assert "spatial-link: hint: loosen the source band" in err
         assert "Traceback" not in err
         assert not os.path.exists(out_dir / "graph.json")
+
+    def test_pipeline_single_pair_at_an_empty_band_makes_no_out_dir(
+        self, instance_files, tmp_path, capsys
+    ):
+        spath, tpath = instance_files
+        out_dir = tmp_path / "sp0"
+        rc, _, err = self.run(
+            ["pipeline", "--source", spath, "--target", tpath, "--band-source", "anomalous",
+             "--ub-multiplier", "10", "--out-dir", str(out_dir)], capsys
+        )
+        assert rc == 1
+        assert "spatial-link: error [spatial-graph]: no source cells qualified" in err
+        assert not out_dir.exists()
 
     def test_pipeline_rejects_unknown_config_key(self, instance_files, tmp_path, capsys):
         spath, tpath = instance_files

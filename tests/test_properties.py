@@ -259,14 +259,12 @@ def assert_writers_match_the_reference_documents(graph, paths, results):
     meta = io.metadata_block({"alpha": 0.1}, 3)
     reg = GridRegistration(lat0=-70.0, lon0=10.0, dlat=0.25, dlon=0.5, cell_km=25.0)
     significant = [r for r in results if r.significant]
-    store, nodes = path_store(paths), io.node_lists(path_store(paths))
+    store = path_store(paths)
     assert io.graph_to_json(graph, meta) == layout(oracles.graph_document(graph, meta))
     text = layout(oracles.paths_document(paths, graph, meta))
     assert io.paths_to_json(store, graph, meta) == text
-    assert io.paths_to_json(store, graph, meta, nodes) == text
     text = layout(oracles.results_document(results, meta))
     assert io.results_to_json(results_store(results), meta) == text
-    assert io.results_to_json(results_store(results), meta, nodes) == text
     assert io.export_geojson(results_store(significant), graph, reg, meta) == layout(
         oracles.geojson_document(significant, graph, reg, meta)
     )

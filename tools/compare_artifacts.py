@@ -18,13 +18,16 @@ also runs with ``--share-null``, and as a ``stages`` run of its
 moderate/moderate pairing with its anomaly mask, with ``--max-len 7``,
 so that the path walker runs deeper levels, and with ``--ub-multiplier
 10``, which empties the anomalous band, so that 5 of its 9 pairings are
-skipped and write artifacts with a note and no rows. ``aar_corridors`` also
-runs with ``--threshold 1.0``, so that its edges weigh both +1 and -1. A
-run may be expected to fail: ``null_dense`` with ``--cap 5000`` passes
-the path cap after writing graph.json. Every artifact is compared byte
-for byte, and standard output is compared with each side's output path
-masked; a run expected to fail must fail on both sides with the same exit
-code and the same standard error, masked the same way.
+skipped and write artifacts with a note and no rows, and with
+``--resample-source 31x121``, the identity resample of its grids, so that
+the source and the anomaly mask go through ``resample_nearest``.
+``aar_corridors`` also runs with ``--threshold 1.0``, so that its edges
+weigh both +1 and -1. A run may be expected to fail: ``null_dense`` with
+``--cap 5000`` passes the path cap after writing graph.json. Every
+artifact is compared byte for byte, and standard output is compared with
+each side's output path masked; a run expected to fail must fail on both
+sides with the same exit code and the same standard error, masked the
+same way.
 
 Prints one line per run: ``identical``, or every part that differs (exit
 code, standard output, standard error, each artifact file) and how many
@@ -80,6 +83,9 @@ EXTRA_RUNS = {
         # pairings are skipped and write their artifacts with a note and no
         # rows (checked at seeds 1, 2 and 7).
         ("empty-bands", ["--ub-multiplier", "10"]),
+        # The identity resample of the 31x121 grids, which sends the source
+        # and the cmad mask through resample_nearest.
+        ("resample", ["--resample-source", "31x121"]),
     ],
     # At the default threshold every aar edge weighs +1.
     "aar_corridors": [("threshold", ["--threshold", "1.0"])],
