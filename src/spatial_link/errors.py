@@ -27,6 +27,12 @@ class MalformedHeader(SpatialLinkError):
     module = "grid-core"
 
 
+class MalformedDocument(MalformedHeader):
+    """A graph.json or paths.json document breaks its layout."""
+
+    module = "io-cli"
+
+
 class NonFiniteValue(SpatialLinkError):
     """A cell marked valid holds NaN or infinity."""
 
@@ -49,6 +55,12 @@ class DimMismatch(SpatialLinkError):
     """Two grids that must share a shape do not."""
 
     module = "grid-core"
+
+
+class DocumentMismatch(DimMismatch):
+    """A paths.json document does not fit the graph it is read with."""
+
+    module = "io-cli"
 
 
 class DuplicatePoint(SpatialLinkError):

@@ -10,15 +10,59 @@ before handing them to the triangulator.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import machinery, util
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .errors import DuplicatePoint, EmptySide, MaskDimMismatch
 from .grid import KIND_SOURCE, KIND_TARGET, CellSet
+
+
+def _load_extension(name: str):
+    """The compiled module ``name``, loaded from its file without its package's ``__init__``.
+
+    It is registered in ``sys.modules`` under ``name``, so a later import
+    of its package finds this module and does not load the file again.
+    An ImportError means the file is not where it is looked for.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    package = util.find_spec(name.rpartition(".")[0])
+    spec = package and machinery.PathFinder.find_spec(name, package.submodule_search_locations)
+    if spec is None:
+        raise ImportError(f"no file for {name}")
+    module = util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+def load_qhull():
+    """scipy's ``Delaunay`` and ``QhullError``, without importing ``scipy.spatial``.
+
+    ``scipy.spatial``'s package init loads the kd-trees, ``scipy.sparse``,
+    ``scipy.linalg`` and ``scipy.special``; qhull needs none of them, only
+    the LAPACK table it links against. A scipy laid out otherwise falls
+    back to the package import; both give the same classes.
+    """
+    try:
+        _load_extension("scipy.linalg.cython_lapack")
+        qhull = _load_extension("scipy.spatial._qhull")
+    except ImportError:
+        from scipy.spatial import Delaunay, QhullError
+        return Delaunay, QhullError
+    return qhull.Delaunay, qhull.QhullError
+
+
+Delaunay, QhullError = load_qhull()
 
 VARIANT_STANDARD = "standard"
 VARIANT_CMAD = "cmad"

@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .aar import AarReport
 from .errors import (
-    FINITE, INTEGER, NUMBER, ConfigError, DimMismatch, MalformedHeader, checked, is_integer,
-    reading,
+    FINITE, INTEGER, NUMBER, ConfigError, DimMismatch, DocumentMismatch, MalformedDocument,
+    MalformedHeader, checked, is_integer, reading,
 )
 from .grid import ChangeGrid, GridRegistration
 from .graph import ANOMALOUS, KIND_SOURCE, KIND_TARGET, NODE_KINDS, SpatialGraph
@@ -378,9 +378,9 @@ def graph_from_json(doc: dict) -> SpatialGraph:
     and distances finite JSON numbers, ``anomalous`` a bool or absent, and
     ``kind`` source or target; nothing is converted. Breaking one of these
     rules or an invariant of ``SpatialGraph`` (node ids, edge ends, +1/-1
-    weights, distances of at least 0) raises ``MalformedHeader``.
+    weights, distances of at least 0) raises ``MalformedDocument``.
     """
-    with reading(MalformedHeader, "malformed graph document", _GRAPH_LAYOUT):
+    with reading(MalformedDocument, "malformed graph document", _GRAPH_LAYOUT):
         nodes = [(
             checked(n["id"], "node id", INTEGER), checked(n["row"], "node row", INTEGER),
             checked(n["col"], "node col", INTEGER),
@@ -420,13 +420,13 @@ def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
     """The paths of a paths.json document, each rebuilt from its walk on ``graph``.
 
     ``paths`` must be a list, node ids and edge weights JSON integers and
-    the score a finite JSON number (``MalformedHeader`` otherwise). Raises
-    ``DimMismatch`` when a walk names a node outside the graph, has fewer
+    the score a finite JSON number (``MalformedDocument`` otherwise). Raises
+    ``DocumentMismatch`` when a walk names a node outside the graph, has fewer
     than two nodes or steps off an edge, or when the document's edge
     weights and score are not the ones the graph gives the walk.
     """
     ids, weights, ends, step_ends, scores = [], [], [0], [0], []
-    with reading(MalformedHeader, "malformed paths document", _PATHS_LAYOUT):
+    with reading(MalformedDocument, "malformed paths document", _PATHS_LAYOUT):
         for p in checked(doc["paths"], "paths", _LIST):
             ids += [checked(i, "path node", INTEGER) for i in p["nodes"]]
             weights += [checked(w, "edge weight", INTEGER) for w in p["edge_weights"]]
@@ -435,20 +435,20 @@ def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
             step_ends.append(len(weights))
     hint = "extract the paths from this graph (spatial-link extract-paths --graph ...)"
     if ids and not 0 <= min(ids) <= max(ids) < graph.n_nodes:
-        raise DimMismatch(
+        raise DocumentMismatch(
             f"the paths name node ids {min(ids)} to {max(ids)}, but the graph has "
             f"{graph.n_nodes} nodes",
             hint=hint,
         )
     offsets, nodes = np.array(ends), np.array(ids, dtype=np.int64)
     for k in np.flatnonzero(np.diff(offsets) < 2)[:1]:
-        raise DimMismatch(
+        raise DocumentMismatch(
             f"path {k} is {ids[ends[k]:ends[k + 1]]}; a path needs two or more nodes", hint=hint
         )
     a, b = steps(offsets, nodes)
     slots = graph.adjacency.slots(a, b)
     for s in np.flatnonzero(slots < 0)[:1]:
-        raise DimMismatch(
+        raise DocumentMismatch(
             f"path steps from node {a[s]} to node {b[s]}, which is not an edge of the graph",
             hint=hint,
         )
@@ -458,7 +458,7 @@ def paths_from_json(doc: dict, graph: SpatialGraph) -> PathStore:
         for k, path in enumerate(paths):
             recorded = weights[step_ends[k]:step_ends[k + 1]]
             if recorded != list(path.edge_weights) or scores[k] != path.score:
-                raise DimMismatch(
+                raise DocumentMismatch(
                     f"path {k} records edge weights {recorded} and score {scores[k]!r}, but "
                     f"the graph gives it {list(path.edge_weights)} and {path.score!r}",
                     hint=hint,

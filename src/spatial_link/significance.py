@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import DimMismatch, MalformedHeader, reading
 from .grid import KIND_SOURCE, ORIENTATIONS, ChangeGrid, in_band
@@ -156,7 +155,7 @@ def check_node_cells(grid: ChangeGrid, cells, ids, field: str) -> None:
 
 
 def replicate_block(n_paths: int) -> int:
-    """Replicates scored at once over ``n_paths`` paths; their float32 counts take at most 4 MiB."""
+    """Replicates scored at once over ``n_paths`` paths, holding at most BLOCK_COUNTS counts."""
     return max(1, min(MAX_BLOCK, BLOCK_COUNTS // n_paths))
 
 
@@ -408,8 +407,9 @@ class PermutationNull:
         Replicates are scored in blocks of ``replicate_block(n_paths)``.
         Each replicate of a block sets its own row of a (block x distinct
         path node) state matrix; the block then reduces the matrix to one
-        ok-bit per replicate and distinct (undirected) path edge, and counts
-        the ok edges of every path through the path x edge incidence, for
+        ok-bit per replicate and distinct (undirected) path edge, packs each
+        edge's bits into one word of lanes, a lane per replicate, and counts
+        the ok edges of every path by adding the words of its steps, for
         all its replicates at once. A path exceeds in a replicate when its
         count reaches ``ok_edges_needed``. Each thread takes one contiguous
         range of replicates and splits it into blocks, so the counts are
@@ -426,31 +426,62 @@ class PermutationNull:
         )
         end_a, end_b = ends[: len(edge_keys)], ends[len(edge_keys):]
         n_edges = np.diff(paths.step_offsets())
-        # Counts are small integers, exact in float32.
-        incidence = csr_matrix(
-            (np.ones(len(step_edge), np.float32), step_edge, paths.step_offsets()),
-            shape=(n_paths, len(edge_keys)),
-        )
-        need = ok_edges_needed(paths.scores, n_edges).astype(np.float32)[:, None]
+        # Longest paths first, so the paths with a j-th step are a prefix
+        # of them; columns[j] holds the edge of each one's j-th step.
+        order = np.argsort(-n_edges, kind="stable")
+        first_step = paths.step_offsets()[:-1][order]
+        reaching = np.cumsum(np.bincount(n_edges)[::-1])[-2::-1]
+        columns = [step_edge[first_step[:k] + j] for j, k in enumerate(reaching)]
+        # A block packs the ok bits of each edge into one lane of `bits` per
+        # replicate, in words of up to 64 bits. Summed over a path's steps,
+        # a lane counts its ok edges, which stay below 2**(bits - 1), so no
+        # lane carries into the next; adding 2**(bits - 1) - need then sets
+        # the lane's top bit exactly when the count reaches the need.
+        size = replicate_block(n_paths)
+        bits = next(w for w in (8, 16, 32) if len(columns) < 1 << (w - 1))
+        word = np.dtype(f"u{min(64, 1 << (size * bits - 1).bit_length()) // 8}")
+        per_word = 8 * word.itemsize // bits
+        n_words = -(-size // per_word)
+        lane = np.dtype(f"u{bits // 8}")
+        ones = word.type(sum(1 << bits * i for i in range(per_word)))
+        need = ok_edges_needed(paths.scores, n_edges)[order]
+        bias = ((1 << bits - 1) - need).astype(word) * ones
+        if n_words > 1:
+            bias = bias[:, None]
         # The path-node slots of each pool's nodes, in ascending node id order.
         slots = [np.flatnonzero(self.node_pool[nodes] == k) for k in range(len(self.pools))]
         counts = [len(s) for s in slots]
         width = words_needed([len(p) for p in self.pools], counts)
-        size = replicate_block(n_paths)
         m = self.n_replicates
 
         def run_range(indices: range) -> np.ndarray:
-            ge = np.zeros(n_paths, dtype=np.int64)
+            ge = np.zeros(n_paths, dtype=np.uint64)
             state = np.empty((size, len(nodes)), dtype=self.pools[0].dtype)
-            for first in range(indices.start, indices.stop, size):
-                block = range(first, min(first + size, indices.stop))
+            lanes = np.zeros((len(edge_keys), n_words * per_word), lane)
+            packed = lanes.view(word) if n_words > 1 else lanes.view(word)[:, 0]
+            total, part = np.empty((2, n_paths) + packed.shape[1:], word)
+            top = np.zeros(n_words * per_word, lane)
+            for start in range(indices.start, indices.stop, size):
+                block = range(start, min(start + size, indices.stop))
                 rows = state[: len(block)]
                 drawn = self._draw(block, counts, width)
                 for states, where, positions in zip(self.pools, slots, drawn):
                     rows[:, where] = states[positions]
-                ok = edge_ok(self.variant, rows[:, end_a], rows[:, end_b])
-                ok_counts = incidence @ np.ascontiguousarray(ok.T, dtype=np.float32)
-                ge += np.count_nonzero(ok_counts >= need, axis=1)
+                lanes[:, : len(block)] = edge_ok(self.variant, rows[:, end_a], rows[:, end_b]).T
+                np.take(packed, columns[0], axis=0, out=total, mode="wrap")
+                for column in columns[1:]:
+                    head = part[: len(column)]
+                    np.take(packed, column, axis=0, out=head, mode="wrap")
+                    total[: len(column)] += head
+                # The mask keeps the top bits of the block's own lanes only.
+                top[: len(block)], top[len(block):] = 1 << bits - 1, 0
+                total += bias
+                total &= top.view(word)
+                # One bit per lane that reached its need, summed into the top lane.
+                total >>= bits - 1
+                total *= ones
+                total >>= 8 * word.itemsize - bits
+                ge += total if n_words == 1 else total.sum(axis=1, dtype=np.uint64)
             return ge
 
         step = -(-m // self.threads)
@@ -458,9 +489,13 @@ class PermutationNull:
         if len(parts) == 1:
             # On a worker thread the blocks' buffers would come from that
             # thread's own malloc arena, which keeps their pages afterwards.
-            return run_range(parts[0])
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return np.sum(list(pool.map(run_range, parts)), axis=0)
+            ge = run_range(parts[0])
+        else:
+            with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                ge = np.sum(list(pool.map(run_range, parts)), axis=0)
+        out = np.empty(n_paths, dtype=np.int64)
+        out[order] = ge
+        return out
 
     def evaluate(
         self,

@@ -1,9 +1,15 @@
 """Triangulation, distance filtering, and edge-weight rules."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import spatial_link
+from spatial_link import graph
 from spatial_link.errors import DuplicatePoint, EmptySide, MaskDimMismatch
 from spatial_link.grid import CellSet
 from spatial_link.graph import (
@@ -85,6 +91,71 @@ class TestDelaunay:
         first = delaunay_triangulate(pts)
         for _ in range(5):
             assert delaunay_triangulate(pts) == first
+
+
+# Run in a fresh interpreter: import the CLI, check what it loaded, then
+# import scipy.spatial and check that it shares the graph's qhull classes.
+IMPORT_SURFACE = """
+import sys
+{first}
+import spatial_link.cli
+from spatial_link import graph
+{check}
+import scipy.spatial
+assert scipy.spatial.Delaunay is graph.Delaunay
+assert scipy.spatial.QhullError is graph.QhullError
+"""
+NOT_LOADED = """
+heavy = [m for m in ("scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.special")
+         if m in sys.modules]
+assert not heavy, heavy
+"""
+
+
+class TestQhullLoad:
+    """qhull is loaded from its file, shared with scipy.spatial, and has a package fallback."""
+
+    @pytest.mark.parametrize("first, check", [("", NOT_LOADED), ("import scipy.stats", "")],
+                             ids=["cli-first", "scipy-stats-first"])
+    def test_cli_import_loads_qhull_alone(self, first, check):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spatial_link.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = IMPORT_SURFACE.format(first=first, check=check)
+        run = subprocess.run([sys.executable, "-s", "-c", code], env=env, capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stderr
+
+    def test_scipy_spatial_shares_the_classes_in_process(self):
+        import scipy.stats  # noqa: F401  (imports scipy.spatial)
+        import scipy.spatial
+
+        assert scipy.spatial.Delaunay is graph.Delaunay
+        assert scipy.spatial.QhullError is graph.QhullError
+
+    def test_a_missing_file_leaves_no_module_behind(self):
+        name = "scipy.spatial._no_such_extension"
+        with pytest.raises(ImportError):
+            graph._load_extension(name)
+        assert name not in sys.modules
+
+    def test_package_import_fallback_gives_the_same_edges(self, monkeypatch):
+        lattice = [(r, c) for r in range(12) for c in range(12)]
+        rng = np.random.default_rng(5)
+        jittered = [(r + rng.uniform(-0.3, 0.3), c + rng.uniform(-0.3, 0.3)) for r, c in lattice]
+        direct = [delaunay_triangulate(points) for points in (lattice, jittered)]
+        assert set(direct[1]) == brute_delaunay_edges(jittered)
+
+        def no_file(name):
+            raise ImportError(f"no file for {name}")
+
+        monkeypatch.setattr(graph, "_load_extension", no_file)
+        delaunay, qhull_error = graph.load_qhull()
+        import scipy.spatial
+
+        assert (delaunay, qhull_error) == (scipy.spatial.Delaunay, scipy.spatial.QhullError)
+        monkeypatch.setattr(graph, "Delaunay", delaunay)
+        monkeypatch.setattr(graph, "QhullError", qhull_error)
+        assert [delaunay_triangulate(points) for points in (lattice, jittered)] == direct
 
 
 class TestDistanceFilter:

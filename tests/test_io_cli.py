@@ -802,7 +802,7 @@ class TestCli:
                   "-o", gpath], capsys)
         rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
         assert rc == 1
-        assert "spatial-link: error [grid-core]: path" in err
+        assert "spatial-link: error [io-cli]: path" in err
         assert "which is not an edge of the graph" in err
         assert "spatial-link: hint: extract the paths from this graph" in err
         assert not os.path.exists(tmp_path / "r.json")
@@ -844,7 +844,7 @@ class TestCli:
             json.dump(doc, fh)
         rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
         assert rc == 1
-        assert "spatial-link: error [grid-core]: path" in err and expected in err
+        assert "spatial-link: error [io-cli]: path" in err and expected in err
         assert "spatial-link: hint: extract the paths from this graph" in err
         assert not os.path.exists(tmp_path / "r.json")
 
@@ -854,7 +854,7 @@ class TestCli:
             json.dump({"metadata": {}, "paths": {}}, fh)
         rc, _, err = self.significance(capsys, tmp_path, gpath, ppath, *instance_files)
         assert rc == 1
-        assert "spatial-link: error [grid-core]: malformed paths document" in err
+        assert "spatial-link: error [io-cli]: malformed paths document" in err
         assert "paths must be a list, got {}" in err
         assert 'spatial-link: hint: expected {"paths": [' in err
         assert not os.path.exists(tmp_path / "r.json")
@@ -1257,15 +1257,15 @@ class TestCli:
             "paths-without-paths": (
                 ["significance", "--graph", gpath, "--paths", str(bad), "--source",
                  instance_files[0], "--target", instance_files[1], "-o", str(tmp_path / "r.json")],
-                ("[grid-core]: malformed paths document: KeyError: 'paths'", '{"paths": ['),
+                ("[io-cli]: malformed paths document: KeyError: 'paths'", '{"paths": ['),
             ),
             "node-without-row": (
                 ["extract-paths", "--graph", str(bad), "-o", str(tmp_path / "p.json")],
-                ("[grid-core]: malformed graph document: KeyError: 'row'", '"nodes": [{"id", "row"'),
+                ("[io-cli]: malformed graph document: KeyError: 'row'", '"nodes": [{"id", "row"'),
             ),
             "graph-list": (
                 ["extract-paths", "--graph", str(bad), "-o", str(tmp_path / "p.json")],
-                ("[grid-core]: malformed graph document: TypeError: ", '"nodes": [{"id", "row"'),
+                ("[io-cli]: malformed graph document: TypeError: ", '"nodes": [{"id", "row"'),
             ),
             "config-list": (
                 ["pipeline", "--config", str(bad), "--out-dir", str(tmp_path / "out")],
@@ -1287,7 +1287,7 @@ class TestCli:
         rc, _, err = self.run(["extract-paths", "--graph", gpath, "-o", str(tmp_path / "p.json")],
                               capsys)
         assert rc == 1
-        assert "spatial-link: error [grid-core]: malformed graph document: ValueError: params " \
+        assert "spatial-link: error [io-cli]: malformed graph document: ValueError: params " \
                "must be an object, got [['variant', 'standard']" in err
         assert 'spatial-link: hint: expected {"params": {...}, "nodes": [' in err
         assert not (tmp_path / "p.json").exists()
@@ -1309,7 +1309,7 @@ class TestCli:
                 json.dump(doc, fh)
             argv = ["significance", "--graph", gpath, "--paths", ppath, "--source", spath,
                     "--target", tpath, "--m", "9", "-o", str(tmp_path / "out")]
-            expected = "[grid-core]: malformed paths document: ValueError: path score must be " \
+            expected = "[io-cli]: malformed paths document: ValueError: path score must be " \
                        "a finite number, got 1000"
         else:
             doc = json.loads(open(gpath).read())
@@ -1317,7 +1317,7 @@ class TestCli:
             with open(gpath, "w") as fh:
                 json.dump(doc, fh)
             argv = ["extract-paths", "--graph", gpath, "-o", str(tmp_path / "out")]
-            expected = "[grid-core]: malformed graph document: OverflowError: "
+            expected = "[io-cli]: malformed graph document: OverflowError: "
         rc, _, err = self.run(argv, capsys)
         assert rc == 1
         assert f"spatial-link: error {expected}" in err

@@ -761,6 +761,25 @@ def random_walks(n_nodes, n_paths, seed=0, max_nodes=6) -> PathStore:
     )
 
 
+def agreeing_engine(variant, n_nodes, n_replicates, agree, seed=0) -> PermutationNull:
+    """A hand-built engine whose cells hold the ok state (+1, or true) with chance ``agree``.
+
+    The other cells hold -1 or false, so nearly every edge of a path is ok
+    when ``agree`` is near 1, and every edge is when it is 1.
+    """
+    rng = np.random.default_rng(seed)
+    n_pools = 1 if variant == "threshold" else 2
+    node_pool = rng.integers(0, n_pools, n_nodes)
+    pools = []
+    for k in range(n_pools):
+        ok = rng.random(int((node_pool == k).sum()) + 20) < agree
+        pools.append(np.where(ok, 1, -1).astype(np.int8) if variant == "standard" else ok)
+    return PermutationNull(
+        pools=pools, node_pool=node_pool, policy=SeedPolicy(base_seed=seed),
+        n_replicates=n_replicates, variant=variant,
+    )
+
+
 class TestBlockedKernel:
     """The block rule, a store large enough to shrink the block, its memory, and its counts."""
 
@@ -782,8 +801,10 @@ class TestBlockedKernel:
         """About 200,000 paths take blocks of 5 replicates.
 
         Scoring 23 replicates instead of 1 adds at most the block's counts
-        (float32) and their comparison (bool): 5 bytes per entry, 4.8 MiB
-        here and under 5 MiB for any store. Blocks of 64 would add 61 MiB.
+        (a 64-bit word of byte lanes per path, and one more it sums in) and
+        the word per path they are compared through: 4.6 MiB here and under
+        5 MiB for any store of paths under 128 edges. Blocks of 64 would add
+        26 MiB.
         """
         paths = random_walks(40, 200_000, seed=3, max_nodes=3)
         assert replicate_block(len(paths)) == 5
@@ -798,6 +819,40 @@ class TestBlockedKernel:
                 tracemalloc.stop()
 
         assert peak(23) - peak(1) < 5 * BLOCK_COUNTS
+
+    @pytest.mark.parametrize("variant", ["standard", "cmad", "threshold"])
+    @pytest.mark.parametrize("n_nodes", [129, 300])
+    def test_counts_past_a_byte_lane(self, variant, n_nodes):
+        """Paths of 128 and 299 edges, nearly all ok, next to short ones of the same nodes.
+
+        Their counts pass 127 and 255, which a lane of one byte cannot
+        compare or hold; the lanes widen instead.
+        """
+        engine = agreeing_engine(variant, n_nodes, 70, agree=0.97, seed=n_nodes)
+        walk = np.random.default_rng(n_nodes).permutation(n_nodes)
+        paths = [path_of(walk, 1.0), path_of(walk[::-1], 0.9), path_of(walk[:3], 0.5),
+                 path_of(walk[-2:], 1.0)]
+        assert_engine_matches_reference(engine, paths)
+
+    @pytest.mark.parametrize("variant", ["standard", "cmad", "threshold"])
+    @pytest.mark.parametrize("n_nodes", [11, 129])
+    def test_short_paths_count_only_their_own_steps(self, variant, n_nodes):
+        """Every state is ok, so a path counts exactly its edges; one count more exceeds.
+
+        The store interleaves 2-node paths with ``n_nodes``-node paths, each
+        scored 1.0 and one level above 1.0, which only a count past the
+        path's own edges could reach.
+        """
+        engine = agreeing_engine(variant, n_nodes, 70, agree=1.0, seed=3)
+        rng = np.random.default_rng(7)
+        paths = []
+        for _ in range(6):
+            walk = rng.permutation(n_nodes)
+            for nodes in (walk[:2], walk):
+                n = len(nodes) - 1
+                paths += [path_of(nodes, 1.0), path_of(nodes, (n + 1) / n)]
+        assert_engine_matches_reference(engine, paths)
+        assert engine._run(path_store(paths)).tolist() == [70, 0] * (len(paths) // 2)
 
     def test_ok_edges_needed_equals_the_float_comparison(self):
         """``c >= need`` is ``c / n >= score`` for every c and every k / n, n up to 2,048.
